@@ -43,6 +43,7 @@ from .shapley import (
     exact_shapley,
     permutation_shapley,
 )
+from .utilities import KINDS
 from .valuation import (
     EfficiencyAuditError,
     ValuationConfig,
@@ -88,6 +89,16 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_training_options(sub: argparse.ArgumentParser, per_class: bool = True) -> None:
+    sub.add_argument("--scheme", choices=KINDS, default="chg")
+    sub.add_argument("--epochs", type=int, default=20)
+    sub.add_argument("--lr", type=float, default=0.1)
+    if per_class:
+        sub.add_argument(
+            "--per-class", action="store_true", help="class-restricted reference vectors"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chg-shapley", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -95,20 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
     value = commands.add_parser("value", help="valuation training run")
     _add_task_options(value)
     _add_common_options(value)
-    value.add_argument("--scheme", choices=("chg", "hardness", "gradient"), default="chg")
-    value.add_argument("--epochs", type=int, default=20)
-    value.add_argument("--lr", type=float, default=0.1)
-    value.add_argument("--per-class", action="store_true", help="class-restricted reference vectors")
+    _add_training_options(value)
     value.set_defaults(func=_cmd_value)
 
     select = commands.add_parser("select", help="subset-selection training run")
     _add_task_options(select)
     _add_common_options(select)
-    select.add_argument("--scheme", choices=("chg", "hardness", "gradient"), default="chg")
+    _add_training_options(select, per_class=False)
     select.add_argument("--fraction", type=float, default=0.1, help="kept fraction per class")
     select.add_argument("--interval", type=int, default=20, help="epochs between selections")
-    select.add_argument("--epochs", type=int, default=20)
-    select.add_argument("--lr", type=float, default=0.1)
     select.set_defaults(func=_cmd_select)
 
     oracle = commands.add_parser("oracle", help="closed form vs exact and Monte Carlo")
@@ -122,20 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser("bench", help="label-noise detection experiment")
     _add_task_options(bench)
     _add_common_options(bench)
-    bench.add_argument("--scheme", choices=("chg", "hardness", "gradient"), default="chg")
-    bench.add_argument("--epochs", type=int, default=20)
-    bench.add_argument("--lr", type=float, default=0.1)
-    bench.add_argument("--per-class", action="store_true")
+    _add_training_options(bench)
     bench.add_argument("--plot-data", action="store_true", help="also write detection_curve.csv")
     bench.set_defaults(func=_cmd_bench)
 
     removal = commands.add_parser("removal", help="point-removal curves")
     _add_task_options(removal)
     _add_common_options(removal)
-    removal.add_argument("--scheme", choices=("chg", "hardness", "gradient"), default="chg")
-    removal.add_argument("--epochs", type=int, default=20)
-    removal.add_argument("--lr", type=float, default=0.1)
-    removal.add_argument("--per-class", action="store_true")
+    _add_training_options(removal)
     removal.add_argument("--threads", type=int, default=1, help="parallel retraining arms")
     removal.add_argument(
         "--fractions",
@@ -192,9 +192,15 @@ def _cmd_value(args) -> int:
     write_values_csv(out / "values.csv", run, data, noise_mask=mask)
     write_run_meta(
         out / "run_meta.json",
-        run,
+        run.config,
+        run.n,
         seconds,
-        extra={"audit_max_violation": audit.max_violation},
+        extra={
+            "n_features": run.n_features,
+            "n_classes": run.n_classes,
+            "per_epoch_utility": [float(u) for u in run.per_epoch_utilities],
+            "audit_max_violation": audit.max_violation,
+        },
     )
     print(f"wrote {out / 'values.csv'} ({run.n} rows, {run.epochs} epochs, {seconds:.2f}s)")
     return EXIT_OK
@@ -221,21 +227,16 @@ def _cmd_select(args) -> int:
     seconds = time.perf_counter() - started
     write_metrics_csv(out / "metrics.csv", history)
     write_selection_history_jsonl(out / "selection_history.jsonl", history)
-    meta = {
-        "config": {
-            "fraction": cfg.fraction,
-            "interval": cfg.interval,
-            "epochs": cfg.epochs,
-            "seed": cfg.seed,
-            "kind": cfg.kind,
-            "lr": cfg.lr,
+    write_run_meta(
+        out / "run_meta.json",
+        cfg,
+        data.n,
+        seconds,
+        extra={
+            "selection_events": len(history.events),
+            "final_test_accuracy": history.metrics[-1].test_accuracy,
         },
-        "n": data.n,
-        "selection_events": len(history.events),
-        "final_test_accuracy": history.metrics[-1].test_accuracy,
-        "seconds": seconds,
-    }
-    (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    )
     print(
         f"wrote {out / 'metrics.csv'} ({len(history.events)} selection events, "
         f"final accuracy {history.metrics[-1].test_accuracy:.4f})"

@@ -146,7 +146,7 @@ def _retrain_accuracy(
     retained: np.ndarray, train: Dataset, test: Dataset, cfg: RemovalConfig
 ) -> float:
     schedule = LearningRateSchedule(base_lr=cfg.lr, total_epochs=cfg.epochs)
-    model = init_model((train.n_features, train.n_classes), seed=cfg.seed, schedule=schedule)
+    model = init_model((train.n_features, train.n_classes), seed=cfg.seed)
     weights = np.ones(retained.size)
     for epoch in range(cfg.epochs):
         model = sgd_step_weighted(model, train, retained, weights, schedule.at(epoch))

@@ -102,12 +102,11 @@ class LearningRateSchedule:
 
 @dataclass
 class ModelState:
-    """Softmax-head parameters plus step count and schedule descriptor."""
+    """Softmax-head parameters plus step count and optional frozen feature map."""
 
     weights: np.ndarray  # n_classes x width
     bias: np.ndarray  # n_classes
     step: int = 0
-    schedule: LearningRateSchedule = field(default_factory=LearningRateSchedule)
     feature_map: FrozenFeatureMap | None = None
 
     @property
@@ -122,11 +121,6 @@ class ModelState:
     def n_parameters(self) -> int:
         return self.weights.size + self.bias.size
 
-    @property
-    def grad_dim(self) -> int:
-        """Length of one flattened last-layer gradient row."""
-        return self.n_parameters
-
 
 @dataclass
 class PerExampleBatchResult:
@@ -140,7 +134,6 @@ def init_model(
     dataset_shape: tuple[int, int],
     seed: int,
     hidden_width: int | None = None,
-    schedule: LearningRateSchedule | None = None,
 ) -> ModelState:
     """Deterministic init: small uniform weights, zero bias.
 
@@ -160,13 +153,7 @@ def init_model(
     rng = np.random.default_rng([seed, 0])
     weights = rng.uniform(-0.01, 0.01, size=(n_classes, width))
     bias = np.zeros(n_classes)
-    return ModelState(
-        weights=weights,
-        bias=bias,
-        step=0,
-        schedule=schedule or LearningRateSchedule(),
-        feature_map=feature_map,
-    )
+    return ModelState(weights=weights, bias=bias, step=0, feature_map=feature_map)
 
 
 def _head_inputs(model: ModelState, data: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:

@@ -63,8 +63,11 @@ class SelectionPlan:
     subset: np.ndarray  # sorted global indices
     weights: np.ndarray
     epoch_created: int
-    per_class_counts: dict[int, int]
     per_class_indices: dict[int, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def per_class_counts(self) -> dict[int, int]:
+        return {label: idx.size for label, idx in self.per_class_indices.items()}
 
 
 @dataclass
@@ -136,10 +139,7 @@ def _training_loop(
         base_lr=cfg.lr, kind=cfg.lr_schedule, total_epochs=cfg.epochs
     )
     model = init_model(
-        (data.n_features, data.n_classes),
-        seed=cfg.seed,
-        hidden_width=cfg.hidden_width,
-        schedule=schedule,
+        (data.n_features, data.n_classes), seed=cfg.seed, hidden_width=cfg.hidden_width
     )
     history = SelectionHistory()
     eval_data = test_data if test_data is not None else data
@@ -182,7 +182,6 @@ def _value_selection(
         subset=subset,
         weights=minmax_weights(subset_values),
         epoch_created=epoch,
-        per_class_counts={label: idx.size for label, idx in by_class.items()},
         per_class_indices=by_class,
     )
 
@@ -213,7 +212,6 @@ def _uniform_plan(data: Dataset, cfg: SelectionConfig, epoch: int, event: int) -
         subset=subset,
         weights=np.ones(subset.size),
         epoch_created=epoch,
-        per_class_counts={label: idx.size for label, idx in by_class.items()},
         per_class_indices=by_class,
     )
 

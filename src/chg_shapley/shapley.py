@@ -39,12 +39,28 @@ def harmonic_sums(n: int) -> HarmonicSums:
     """Accumulate h1 and h2 directly, in increasing k."""
     if n < 1:
         raise ValueError(f"harmonic sums need n >= 1, got {n}")
-    h1 = 0.0
-    h2 = 0.0
-    for k in range(1, n + 1):
-        h1 += 1.0 / k
-        h2 += 1.0 / (k * k)
+    # cumsum adds strictly left to right, so the last entry rounds exactly
+    # like a sequential loop; np.sum's pairwise order would not.
+    k = np.arange(1, n + 1, dtype=float)
+    h1 = float(np.cumsum(1.0 / k)[-1])
+    h2 = float(np.cumsum(1.0 / (k * k))[-1])
     return HarmonicSums(n=n, h1=h1, h2=h2)
+
+
+@lru_cache(maxsize=None)
+def mean_game_weights(n: int) -> tuple[float, float]:
+    """(own, total) weights of the subset-mean game U(S) = mean_{i in S} y_i.
+
+    The game is linear in y, so datum j's Shapley value is
+    own * y_j + total * sum_i y_i, with own = (H_n - 1/n)/(n - 1) and
+    total = -(H_n - 1)/(n(n - 1)); n = 1 gives (1, 0).
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n == 1:
+        return 1.0, 0.0
+    h1 = harmonic_sums(n).h1
+    return (h1 - 1.0 / n) / (n - 1), -(h1 - 1.0) / (n * (n - 1))
 
 
 @dataclass(frozen=True)
@@ -97,8 +113,9 @@ def closed_form_coefficients(n: int) -> ClosedFormCoefficients:
     c_quad = (h2 - inv_n) / (n * (n - 1)) - (
         2.0 * h1_tail - 2.0 * h2_tail - 1.0 + inv_n
     ) / (n * (n - 1) * (n - 2))
-    c_alpha_self = 2.0 * (h1 - inv_n) / (n - 1)
-    c_alpha_sum = -2.0 * (h1 - 1.0) / (n * (n - 1))
+    own, total = mean_game_weights(n)
+    c_alpha_self = 2.0 * own
+    c_alpha_sum = 2.0 * total
     return ClosedFormCoefficients(
         n=n,
         c_self=c_self,
@@ -202,22 +219,12 @@ def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
 def shapley_linear_term(X, alpha) -> ShapleyValues:
     """Shapley values of the linear part U(S) = 2*<mean_{i in S} x_i, alpha>.
 
-    Closed form for n >= 2; n = 1 falls back to exact enumeration
-    (the single player takes the whole utility).
+    This is the subset-mean game on y_i = 2*<x_i, alpha>, so the values
+    come straight from `mean_game_weights` for every n >= 1.
     """
     X, alpha = _validate_players_matrix(X, alpha)
-    n = X.shape[0]
-    if n < 2:
-        base = float(alpha @ alpha)
-
-        def utility(idx: np.ndarray) -> float:
-            return 2.0 * float(X[idx].mean(axis=0) @ alpha)
-
-        return exact_shapley(GameSpec(n=n, utility=utility))
-    h = harmonic_sums(n)
-    ca_self = 2.0 * (h.h1 - 1.0 / n) / (n - 1)
-    ca_sum = -2.0 * (h.h1 - 1.0) / (n * (n - 1))
-    values = ca_self * (X @ alpha) + ca_sum * float(X.sum(axis=0) @ alpha)
+    own, total = mean_game_weights(X.shape[0])
+    values = 2.0 * own * (X @ alpha) + 2.0 * total * float(X.sum(axis=0) @ alpha)
     return ShapleyValues(values=values, method="closed_form")
 
 

@@ -3,13 +3,14 @@
 A `GradientSet` holds one vector and one loss per datum.  The chg kind
 scores a subset by how close its loss-weighted mean gradient lands to the
 full-set reference vector; the gradient kind does the same with raw
-gradients; the hardness kind scores a subset by its mean loss.
+gradients; the hardness kind scores a subset by its mean loss, whose
+Shapley values are the linear term's mean-game weights
+(`shapley.mean_game_weights`) applied to the losses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,10 @@ from .shapley import (
     GameSpec,
     ShapleyValues,
     chg_closed_form_shapley,
-    exact_shapley,
-    harmonic_sums,
+    mean_game_weights,
 )
 
 KINDS = ("chg", "hardness", "gradient")
-
-# Oracle-calibrated mean-game weights are solved by enumeration up to this
-# size; larger n uses the harmonic expression the calibration pins down.
-_CALIBRATION_LIMIT = 10
 
 
 def _check_kind(kind: str) -> None:
@@ -155,36 +151,6 @@ def gradient_set_values(gs: GradientSet, kind: str) -> ShapleyValues:
     return chg_closed_form_shapley(X, alpha)
 
 
-@lru_cache(maxsize=None)
-def _mean_game_weights(n: int) -> tuple[float, float]:
-    """(self, other) weights for the subset-mean game of n players.
-
-    The game U(S) = mean of l over S is linear in l, so a datum's value is
-    a * l_j + b * sum of the other losses.  For small n both weights are
-    solved from the enumeration oracle on two basis games (l = e_1 and
-    l = all-ones); past the calibration limit the harmonic expression the
-    calibration pins down takes over.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return 1.0, 0.0
-    if n <= _CALIBRATION_LIMIT:
-        basis = np.zeros(n)
-        basis[0] = 1.0
-        phi_e1 = exact_shapley(
-            GameSpec(n=n, utility=lambda idx: float(basis[idx].mean()))
-        ).values
-        phi_ones = exact_shapley(
-            GameSpec(n=n, utility=lambda idx: 1.0)
-        ).values
-        a = float(phi_e1[0])
-        b = (float(phi_ones[0]) - a) / (n - 1)
-        return a, b
-    h = harmonic_sums(n)
-    return h.h1 / n, -(h.h1 - 1.0) / (n * (n - 1))
-
-
 def hardness_shapley(losses) -> ShapleyValues:
     """Closed-form Shapley values of the mean-loss game U(S) = mean_S l."""
     l = np.asarray(losses, dtype=float)
@@ -192,9 +158,8 @@ def hardness_shapley(losses) -> ShapleyValues:
         raise ValueError(f"losses must be a non-empty vector, got shape {l.shape}")
     if not np.all(np.isfinite(l)):
         raise ValueError("non-finite losses")
-    a, b = _mean_game_weights(l.size)
-    total = float(l.sum())
-    return ShapleyValues(values=a * l + b * (total - l), method="closed_form")
+    own, total = mean_game_weights(l.size)
+    return ShapleyValues(values=own * l + total * float(l.sum()), method="closed_form")
 
 
 # ---------------------------------------------------------------------------

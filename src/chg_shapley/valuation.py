@@ -25,7 +25,7 @@ from .models import (
     per_example_loss_and_grad,
     sgd_step_weighted,
 )
-from .utilities import GradientSet, gradient_set_values
+from .utilities import GradientSet, gradient_set_values, reference_vector
 
 EFFICIENCY_TOLERANCE = 1e-9
 
@@ -91,18 +91,13 @@ class EfficiencyAudit:
     tolerance: float
 
 
-def _grand_utility(X: np.ndarray, alpha: np.ndarray) -> float:
-    """U(N) = ||alpha||^2 - ||mean(x) - alpha||^2 for the quadratic kinds."""
-    diff = X.mean(axis=0) - alpha
-    return float(alpha @ alpha - diff @ diff)
-
-
 def _group_values(gs: GradientSet, kind: str) -> tuple[np.ndarray, float]:
+    """Values plus U(N): the mean loss for hardness, ||alpha||^2 otherwise."""
     values = gradient_set_values(gs, kind).values
     if kind == "hardness":
         return values, float(gs.losses.mean())
-    X = gs.weighted_vectors() if kind == "chg" else gs.raw_vectors()
-    return values, _grand_utility(X, X.mean(axis=0))
+    alpha = reference_vector(gs, kind)
+    return values, float(alpha @ alpha)
 
 
 def _epoch_values(
@@ -129,10 +124,7 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
         base_lr=config.lr, kind=config.lr_schedule, total_epochs=config.epochs
     )
     model = init_model(
-        (data.n_features, data.n_classes),
-        seed=config.seed,
-        hidden_width=config.hidden_width,
-        schedule=schedule,
+        (data.n_features, data.n_classes), seed=config.seed, hidden_width=config.hidden_width
     )
     per_epoch = np.empty((config.epochs, data.n))
     utilities = np.empty(config.epochs)
@@ -234,16 +226,9 @@ def load_values_csv(path) -> dict[str, np.ndarray]:
     return columns
 
 
-def write_run_meta(path, run: ValuationRun, seconds: float, extra: dict | None = None) -> None:
-    meta = {
-        "version": __version__,
-        "config": asdict(run.config),
-        "n": run.n,
-        "n_features": run.n_features,
-        "n_classes": run.n_classes,
-        "per_epoch_utility": [float(u) for u in run.per_epoch_utilities],
-        "seconds": seconds,
-    }
+def write_run_meta(path, config, n: int, seconds: float, extra: dict | None = None) -> None:
+    """Write run_meta.json: version, the config dataclass, n, seconds, then `extra`."""
+    meta = {"version": __version__, "config": asdict(config), "n": n, "seconds": seconds}
     if extra:
         meta.update(extra)
     Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

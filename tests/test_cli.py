@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from chg_shapley import __version__
 from chg_shapley.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, cli_main, oracle_report
 from chg_shapley.valuation import load_values_csv
 
@@ -80,6 +81,7 @@ class TestValueCommand:
         assert cols["is_noisy"].sum() == round(0.3 * 120)
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["config"]["epochs"] == 3
+        assert len(meta["per_epoch_utility"]) == 3
         assert meta["audit_max_violation"] <= 1e-9
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -147,6 +149,18 @@ class TestSelectCommand:
         assert len(events) == 3
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["selection_events"] == 3
+
+    def test_run_meta_shares_the_value_layout(self, tmp_path):
+        code = cli_main(
+            ["select", "--n", "60", "--fraction", "0.25", "--epochs", "2",
+             "--seed", "1", "--out-dir", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["version"] == __version__
+        assert meta["config"]["kind"] == "chg"
+        assert meta["config"]["fraction"] == 0.25
+        assert meta["n"] == 60
 
 
 class TestBenchCommand:

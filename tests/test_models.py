@@ -192,8 +192,8 @@ class TestPerExample:
         model = init_model((4, 3), seed=1)
         data = small_dataset(np.random.default_rng(1))
         result = per_example_loss_and_grad(model, data)
-        assert result.last_layer_grads.shape == (data.n, model.grad_dim)
-        assert model.grad_dim == 3 * 4 + 3
+        assert result.last_layer_grads.shape == (data.n, model.n_parameters)
+        assert model.n_parameters == 3 * 4 + 3
 
 
 # ---------------------------------------------------------------------------

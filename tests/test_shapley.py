@@ -16,6 +16,7 @@ from chg_shapley.shapley import (
     exact_shapley,
     harmonic_sums,
     mean_distance_utility,
+    mean_game_weights,
     permutation_shapley,
     shapley_linear_term,
 )
@@ -60,6 +61,16 @@ class TestHarmonicSums:
             assert harmonic_sums(n).h1 - harmonic_sums(n - 1).h1 == pytest.approx(
                 1.0 / n, abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 1000, 100000])
+    def test_bit_identical_to_sequential_sum(self, n):
+        h1 = h2 = 0.0
+        for k in range(1, n + 1):
+            h1 += 1.0 / k
+            h2 += 1.0 / (k * k)
+        h = harmonic_sums(n)
+        assert h.h1 == h1
+        assert h.h2 == h2
 
     def test_monotone_and_bounded(self):
         prev = harmonic_sums(1)
@@ -182,6 +193,28 @@ class TestChgClosedForm:
         closed = chg_closed_form_shapley(X, alpha)
         exact = exact_shapley(chg_game(X, alpha))
         assert closed.values == pytest.approx(exact.values, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Mean game U(S) = mean_{i in S} y_i
+# ---------------------------------------------------------------------------
+
+class TestMeanGameWeights:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_efficiency(self, n):
+        own, total = mean_game_weights(n)
+        assert abs(own + n * total - 1.0 / n) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_enumeration(self, n):
+        y = np.random.default_rng(100 + n).standard_normal(n)
+        exact = exact_shapley(GameSpec(n=n, utility=lambda idx: float(y[idx].mean()))).values
+        own, total = mean_game_weights(n)
+        assert own * y + total * y.sum() == pytest.approx(exact, abs=1e-12)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            mean_game_weights(0)
 
 
 # ---------------------------------------------------------------------------

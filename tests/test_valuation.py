@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chg_shapley import __version__
 from chg_shapley.experiments import make_synthetic_dataset
 from chg_shapley.models import Dataset
 from chg_shapley.shapley import chg_closed_form_shapley
@@ -165,10 +166,12 @@ class TestOutputs:
 
         run = run_valuation(tiny_task(seed=16), ValuationConfig(epochs=2, seed=16))
         path = tmp_path / "run_meta.json"
-        write_run_meta(path, run, seconds=1.25, extra={"note": "test"})
+        write_run_meta(path, run.config, run.n, seconds=1.25, extra={"note": "test"})
         meta = json.loads(path.read_text())
+        assert meta["version"] == __version__
         assert meta["config"]["seed"] == 16
-        assert len(meta["per_epoch_utility"]) == 2
+        assert meta["n"] == run.n
+        assert meta["seconds"] == 1.25
         assert meta["note"] == "test"
 
 
