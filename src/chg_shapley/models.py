@@ -1,8 +1,11 @@
 """Linear-softmax models with analytic per-example losses and last-layer gradients.
 
 The model is a softmax head on the raw features or on a frozen random
-feature map, so per-example gradients are exact closed-form expressions
-and one flattened gradient row costs O(classes * width).
+feature map, so per-example gradients are exact closed-form expressions.
+Example i's flattened gradient row is the outer product of its logit
+residual delta_i (classes) and its head input [phi_i, 1] (width + 1), so
+the n gradient rows are kept in that factored form: O(n * (classes +
+width)) memory instead of the O(n * classes * width) dense matrix.
 """
 
 from __future__ import annotations
@@ -122,12 +125,84 @@ class ModelState:
         return self.weights.size + self.bias.size
 
 
+@dataclass(frozen=True)
+class FactoredGrads:
+    """An n x (C*w + C) matrix whose row i is scale_i * (delta_i outer [phi_i, 1]).
+
+    The dense layout, which `dense()` builds and which every other method
+    works in without building it, is the softmax-head gradient layout:
+    the C x w weight block row-major by class, then the C bias entries.
+    `scale` is an optional per-row factor (the losses, for chg vectors);
+    None means 1.
+    """
+
+    delta: np.ndarray  # n x C
+    phi: np.ndarray  # n x w
+    scale: np.ndarray | None = None  # n
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n, c = self.delta.shape
+        return n, c * self.phi.shape[1] + c
+
+    def _scaled_delta(self) -> np.ndarray:
+        return self.delta if self.scale is None else self.scale[:, None] * self.delta
+
+    def dense(self) -> np.ndarray:
+        """The full matrix; O(n * C * w) memory, for tests and serialization."""
+        n = self.delta.shape[0]
+        weight_grads = np.einsum("ic,iq->icq", self.delta, self.phi).reshape(n, -1)
+        rows = np.concatenate([weight_grads, self.delta], axis=1)
+        return rows if self.scale is None else self.scale[:, None] * rows
+
+    def rows(self, indices) -> "FactoredGrads":
+        idx = np.asarray(indices, dtype=np.intp)
+        scale = None if self.scale is None else self.scale[idx]
+        return FactoredGrads(self.delta[idx], self.phi[idx], scale)
+
+    def scaled(self, factors) -> "FactoredGrads":
+        """Rows multiplied by per-row `factors`; shares delta and phi."""
+        factors = np.asarray(factors, dtype=float)
+        scale = factors if self.scale is None else self.scale * factors
+        return FactoredGrads(self.delta, self.phi, scale)
+
+    def _parts(self) -> tuple[np.ndarray, ...]:
+        return (self.delta, self.phi) + (() if self.scale is None else (self.scale,))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the factors, not the 8 * n * d of the dense matrix."""
+        return sum(p.nbytes for p in self._parts())
+
+    def all_finite(self) -> bool:
+        return all(bool(np.all(np.isfinite(p))) for p in self._parts())
+
+    def row_sq_norms(self) -> np.ndarray:
+        """||x_i||^2 = ||scale_i delta_i||^2 (||phi_i||^2 + 1)."""
+        d = self._scaled_delta()
+        return np.einsum("ic,ic->i", d, d) * (np.einsum("iq,iq->i", self.phi, self.phi) + 1.0)
+
+    def column_sum(self) -> np.ndarray:
+        """sum_i x_i, from G = (scale delta)^T [Phi, 1]."""
+        d = self._scaled_delta()
+        return np.concatenate([(d.T @ self.phi).ravel(), d.sum(axis=0)])
+
+    def inner(self, vectors) -> np.ndarray:
+        """k x n matrix of <x_i, v_k> for the k rows of `vectors` (k x d)."""
+        v = np.asarray(vectors, dtype=float)
+        k = v.shape[0]
+        c, w = self.delta.shape[1], self.phi.shape[1]
+        weights = v[:, : c * w].reshape(k * c, w)
+        head = (self.phi @ weights.T).reshape(-1, k, c) + v[:, c * w :]
+        return np.einsum("ic,ikc->ki", self._scaled_delta(), head)
+
+
 @dataclass
 class PerExampleBatchResult:
-    """Per-example cross-entropy losses and flattened last-layer gradients."""
+    """Per-example cross-entropy losses and factored last-layer gradients."""
 
     losses: np.ndarray  # m
-    last_layer_grads: np.ndarray  # m x (n_classes * width + n_classes)
+    last_layer_grads: FactoredGrads  # m x (n_classes * width + n_classes)
 
 
 def init_model(
@@ -189,25 +264,28 @@ def per_example_loss_and_grad(
 ) -> PerExampleBatchResult:
     """Softmax cross-entropy loss and exact last-layer gradient per example.
 
-    Row i flattens the weight gradient (softmax(z_i) - onehot(y_i)) outer
-    phi_i row-major by class, followed by the bias gradient.  Example i's
-    row depends only on example i and the current parameters.
+    Row i of the gradient is the weight gradient (softmax(z_i) -
+    onehot(y_i)) outer phi_i, row-major by class, followed by the bias
+    gradient; it is returned factored, never built.  Example i's row
+    depends only on example i and the current parameters.
     """
     idx, phi = _head_inputs(model, data, indices)
     labels = data.labels[idx]
     probs, losses = _probs_and_losses(model, phi, labels, idx)
-    delta = probs.copy()
+    delta = probs
     delta[np.arange(labels.size), labels] -= 1.0
-    weight_grads = np.einsum("ic,iq->icq", delta, phi).reshape(idx.size, -1)
-    grads = np.concatenate([weight_grads, delta], axis=1)
-    return PerExampleBatchResult(losses=losses, last_layer_grads=grads)
+    return PerExampleBatchResult(losses=losses, last_layer_grads=FactoredGrads(delta, phi))
+
+
+def per_example_losses(model: ModelState, data: Dataset, indices=None) -> np.ndarray:
+    """Per-example cross-entropy, without any gradient."""
+    idx, phi = _head_inputs(model, data, indices)
+    return _probs_and_losses(model, phi, data.labels[idx], idx)[1]
 
 
 def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
     """Mean cross-entropy over the batch."""
-    idx, phi = _head_inputs(model, data, indices)
-    _, losses = _probs_and_losses(model, phi, data.labels[idx], idx)
-    return float(losses.mean())
+    return float(per_example_losses(model, data, indices).mean())
 
 
 def accuracy(model: ModelState, data: Dataset, indices=None) -> float:
@@ -259,24 +337,42 @@ def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset, indices=N
 # ---------------------------------------------------------------------------
 
 def load_dataset_csv(path) -> Dataset:
-    """Read `feature..., label` rows; labels must cover 0..C-1 with no gaps."""
+    """Read `feature..., label` rows; labels must cover 0..C-1 with no gaps.
+
+    Blank lines are skipped; any other malformed row raises ValueError
+    naming the file and line.
+    """
+    features: list[list[float]] = []
+    labels: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or len(header) < 2:
             raise ValueError(f"{path}: need a header with >= 1 feature column plus label")
-        rows = list(reader)
-    if not rows:
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            try:
+                features.append([float(tok) for tok in row[:-1]])
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            try:
+                labels.append(int(row[-1]))
+            except ValueError:
+                raise ValueError(f"{where}: label {row[-1]!r} is not an integer") from None
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    features = np.array([[float(tok) for tok in row[:-1]] for row in rows])
-    labels = np.array([int(row[-1]) for row in rows], dtype=np.intp)
-    present = np.unique(labels)
-    expected = np.arange(labels.max() + 1)
-    if labels.min() < 0 or present.size != expected.size or np.any(present != expected):
+    label_array = np.array(labels, dtype=np.intp)
+    present = np.unique(label_array)
+    expected = np.arange(label_array.max() + 1)
+    if label_array.min() < 0 or present.size != expected.size or np.any(present != expected):
         raise ValueError(
             f"{path}: labels must be contiguous 0..C-1, found {present.tolist()}"
         )
-    return Dataset(features=features, labels=labels)
+    return Dataset(features=np.array(features), labels=label_array)
 
 
 def save_dataset_csv(data: Dataset, path) -> None:

@@ -27,9 +27,11 @@ from .models import (
     accuracy,
     init_model,
     per_example_loss_and_grad,
+    per_example_losses,
     sgd_step_weighted,
 )
-from .utilities import GradientSet, gradient_set_values
+from .utilities import GradientSet, gradient_set_values, hardness_shapley
+from .valuation import TrainingDivergedError
 
 # Guards against float noise in a * N_c (e.g. 0.1 * 30 = 3.0000000000000004)
 # so the ceiling rule never rounds an exact product up.
@@ -164,17 +166,29 @@ def _training_loop(
 def _value_selection(
     model: ModelState, data: Dataset, cfg: SelectionConfig, epoch: int
 ) -> SelectionPlan:
-    batch = per_example_loss_and_grad(model, data)
-    gs = GradientSet(batch.last_layer_grads, batch.losses, weighted=False)
-    values_by_class: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for label, idx in enumerate(data.class_index):
-        if idx.size == 0:
-            values_by_class[label] = (idx, np.empty(0))
-            continue
-        values_by_class[label] = (idx, gradient_set_values(gs.restrict(idx), cfg.kind).values)
-    subset = select_top_fraction_per_class(values_by_class, cfg.fraction)
-    # Re-value the union with the reference vector restricted to it.
-    subset_values = gradient_set_values(gs.restrict(subset), cfg.kind).values
+    try:
+        if cfg.kind == "hardness":
+            losses = per_example_losses(model, data)
+
+            def values_of(idx):
+                return hardness_shapley(losses[idx]).values
+        else:
+            batch = per_example_loss_and_grad(model, data)
+            gs = GradientSet(batch.last_layer_grads, batch.losses, weighted=False)
+
+            def values_of(idx):
+                return gradient_set_values(gs.restrict(idx), cfg.kind).values
+
+        values_by_class: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for label, idx in enumerate(data.class_index):
+            values_by_class[label] = (idx, values_of(idx) if idx.size else np.empty(0))
+        subset = select_top_fraction_per_class(values_by_class, cfg.fraction)
+        # Re-value the union with the reference vector restricted to it.
+        subset_values = values_of(subset)
+    except FloatingPointError as err:
+        raise TrainingDivergedError(
+            f"training diverged at epoch {epoch}: {err}", epoch=epoch
+        ) from err
     by_class = {
         label: subset[np.isin(subset, idx)] for label, idx in enumerate(data.class_index)
     }

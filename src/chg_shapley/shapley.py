@@ -2,7 +2,8 @@
 
 The closed form covers the quadratic "mean-distance" utility
 ``U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2`` and runs in
-O(n*d); the enumeration and permutation-sampling routes work for any
+O(n*d) on a dense X, or in O(n*(C+w)) memory on a factored gradient
+matrix; the enumeration and permutation-sampling routes work for any
 set function and serve as ground-truth oracles for it.
 """
 
@@ -15,6 +16,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+from .models import FactoredGrads
 
 DEFAULT_EXACT_LIMIT = 20
 
@@ -90,11 +93,11 @@ class ClosedFormCoefficients:
 def closed_form_coefficients(n: int) -> ClosedFormCoefficients:
     """Coefficients of the closed form; defined for n >= 3 only.
 
-    The denominators carry (n-1)(n-2), so callers must route n <= 2
-    through exact enumeration.  The c_quad group keeps its k = 2..n tail
-    sums distinct from the full sums used elsewhere; correctness of the
-    whole grouping is pinned by the enumeration-oracle tests, not by
-    manual simplification.
+    The denominators carry (n-1)(n-2), so `chg_closed_form_shapley`
+    values n <= 2 from the singleton utilities instead.  The c_quad group
+    keeps its k = 2..n tail sums distinct from the full sums used
+    elsewhere; correctness of the whole grouping is pinned by the
+    enumeration-oracle tests, not by manual simplification.
     """
     if n < 3:
         raise ValueError(f"closed-form coefficients need n >= 3, got {n}")
@@ -155,18 +158,20 @@ class ShapleyValues:
             raise ValueError("values must be finite")
 
 
-def _validate_players_matrix(X, alpha) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
+def _validate_players_matrix(X, alpha):
+    """Checked (X, alpha); a `FactoredGrads` X is checked without building it."""
+    if not isinstance(X, FactoredGrads):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise ValueError(f"X must be n x d, got shape {X.shape}")
     alpha = np.asarray(alpha, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be n x d, got shape {X.shape}")
-    if alpha.ndim != 1 or alpha.shape[0] != X.shape[1]:
-        raise ValueError(
-            f"alpha must be a length-{X.shape[1]} vector, got shape {alpha.shape}"
-        )
-    if X.shape[0] < 1 or X.shape[1] < 1:
+    n, d = X.shape
+    if alpha.ndim != 1 or alpha.shape[0] != d:
+        raise ValueError(f"alpha must be a length-{d} vector, got shape {alpha.shape}")
+    if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got shape {X.shape}")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(alpha))):
+    finite = X.all_finite() if isinstance(X, FactoredGrads) else np.all(np.isfinite(X))
+    if not (finite and np.all(np.isfinite(alpha))):
         raise ValueError("non-finite entries in X or alpha")
     return X, alpha
 
@@ -188,31 +193,73 @@ def chg_game(X, alpha) -> GameSpec:
     return GameSpec(n=np.asarray(X).shape[0], utility=mean_distance_utility(X, alpha))
 
 
+@dataclass(frozen=True)
+class ClosedFormStatistics:
+    """Everything the closed form reads from (X, alpha), with g = sum_i x_i."""
+
+    sq: np.ndarray  # ||x_i||^2
+    x_g: np.ndarray  # <x_i, g>
+    x_alpha: np.ndarray  # <x_i, alpha>
+    g_sq: float  # ||g||^2
+    g_alpha: float  # <g, alpha>
+
+    @property
+    def n(self) -> int:
+        return self.sq.size
+
+
+def closed_form_statistics(X, alpha) -> ClosedFormStatistics:
+    """Reduce a dense X, or a `FactoredGrads` without densifying it, to the
+    per-datum and shared statistics of the closed form.
+
+    Dense reductions use numpy's pairwise summation, which keeps the
+    efficiency identity sum(values) = U(N) tight at n >= 1e4.
+    """
+    X, alpha = _validate_players_matrix(X, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(X, FactoredGrads):
+            g = X.column_sum()
+            sq = X.row_sq_norms()
+            x_g, x_alpha = X.inner(np.stack([g, alpha]))
+        else:
+            g = X.sum(axis=0)
+            sq = np.einsum("ij,ij->i", X, X)
+            x_g, x_alpha = X @ g, X @ alpha
+        return ClosedFormStatistics(sq, x_g, x_alpha, float(g @ g), float(g @ alpha))
+
+
 def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
     """O(n*d) Shapley values of the quadratic mean-distance utility.
 
-    One pass forms g = sum_i x_i and the total squared norm, then each
-    value is an O(d) combination weighted by `closed_form_coefficients`.
-    For n <= 2 (outside the coefficients' domain) the values come from
-    exact enumeration of the same utility, so the contract is identical.
+    X is a dense n x d array or a `FactoredGrads`; both reduce to the same
+    `ClosedFormStatistics`, and each value is an O(1) combination of them
+    weighted by `closed_form_coefficients`.  n <= 2, outside the
+    coefficients' domain, uses the singleton utilities U({i}) =
+    2<x_i, alpha> - ||x_i||^2 and U(N) = <g, alpha> - ||g||^2/4 directly.
 
-    Relies on numpy's pairwise summation for the reductions, which keeps
-    the efficiency identity sum(values) = U(N) tight at n >= 1e4.
+    Raises FloatingPointError when finite inputs overflow to non-finite
+    statistics or values.
     """
-    X, alpha = _validate_players_matrix(X, alpha)
-    n = X.shape[0]
-    if n <= 2:
-        return exact_shapley(chg_game(X, alpha))
-    c = closed_form_coefficients(n)
-    g = X.sum(axis=0)
-    sq = np.einsum("ij,ij->i", X, X)
-    total_sq = float(sq.sum())
-    shared = (
-        c.c_sumsq * float(g @ g)
-        + c.c_quad * total_sq
-        + c.c_alpha_sum * float(g @ alpha)
-    )
-    values = c.c_self * sq + c.c_cross * (X @ g) + c.c_alpha_self * (X @ alpha) + shared
+    s = closed_form_statistics(X, alpha)
+    n = s.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n <= 2:
+            singles = 2.0 * s.x_alpha - s.sq
+            if n == 1:
+                values = singles
+            else:
+                grand = s.g_alpha - 0.25 * s.g_sq
+                values = 0.5 * singles + 0.5 * (grand - singles[::-1])
+        else:
+            c = closed_form_coefficients(n)
+            shared = (
+                c.c_sumsq * s.g_sq
+                + c.c_quad * float(s.sq.sum())
+                + c.c_alpha_sum * s.g_alpha
+            )
+            values = c.c_self * s.sq + c.c_cross * s.x_g + c.c_alpha_self * s.x_alpha + shared
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("closed-form values overflowed to non-finite numbers")
     return ShapleyValues(values=values, method="closed_form")
 
 

@@ -1,10 +1,10 @@
 """Per-epoch data valuation: score every datum each epoch, then train, then average.
 
-Each epoch acquires full-batch per-example losses and last-layer
-gradients at the current parameters, computes closed-form Shapley values
-of the chosen utility kind from them, and only then applies the epoch's
-parameter update, so values describe the state the gradients were
-measured at.
+Each epoch acquires full-batch per-example losses and factored
+last-layer gradients at the current parameters (losses alone for the
+hardness kind), computes closed-form Shapley values of the chosen
+utility kind from them, and only then applies the epoch's parameter
+update, so values describe the state the gradients were measured at.
 """
 
 from __future__ import annotations
@@ -20,18 +20,19 @@ from . import __version__
 from .models import (
     Dataset,
     LearningRateSchedule,
-    NonFiniteBatchError,
+    ModelState,
     init_model,
     per_example_loss_and_grad,
+    per_example_losses,
     sgd_step_weighted,
 )
-from .utilities import GradientSet, gradient_set_values, reference_vector
+from .utilities import GradientSet, gradient_set_values, hardness_shapley, reference_vector
 
 EFFICIENCY_TOLERANCE = 1e-9
 
 
 class TrainingDivergedError(FloatingPointError):
-    """Training produced non-finite losses; carries the offending epoch."""
+    """Training produced non-finite losses, statistics or values; carries the epoch."""
 
     def __init__(self, message: str, epoch: int):
         super().__init__(message)
@@ -91,28 +92,41 @@ class EfficiencyAudit:
     tolerance: float
 
 
-def _group_values(gs: GradientSet, kind: str) -> tuple[np.ndarray, float]:
-    """Values plus U(N): the mean loss for hardness, ||alpha||^2 otherwise."""
-    values = gradient_set_values(gs, kind).values
-    if kind == "hardness":
-        return values, float(gs.losses.mean())
-    alpha = reference_vector(gs, kind)
-    return values, float(alpha @ alpha)
-
-
 def _epoch_values(
-    gs: GradientSet, kind: str, per_class: bool, class_index
+    model: ModelState, data: Dataset, kind: str, per_class: bool
 ) -> tuple[np.ndarray, float]:
+    """Values and U(N) at `model`, whole or summed over per-class games.
+
+    U(N) is the mean loss for hardness and ||alpha||^2 otherwise.  Raises
+    FloatingPointError when the values or U(N) are not finite.
+    """
+    if kind == "hardness":
+        losses = per_example_losses(model, data)
+
+        def group(idx):
+            l = losses if idx is None else losses[idx]
+            return hardness_shapley(l).values, float(l.mean())
+    else:
+        batch = per_example_loss_and_grad(model, data)
+        gs = GradientSet(batch.last_layer_grads, batch.losses, weighted=False)
+
+        def group(idx):
+            sub = gs if idx is None else gs.restrict(idx)
+            alpha = reference_vector(sub, kind)
+            return gradient_set_values(sub, kind).values, float(alpha @ alpha)
+
     if not per_class:
-        return _group_values(gs, kind)
-    values = np.zeros(gs.n)
-    utility = 0.0
-    for idx in class_index:
-        if idx.size == 0:
-            continue
-        class_values, class_utility = _group_values(gs.restrict(idx), kind)
-        values[idx] = class_values
-        utility += class_utility
+        values, utility = group(None)
+    else:
+        values = np.zeros(data.n)
+        utility = 0.0
+        for idx in data.class_index:
+            if idx.size == 0:
+                continue
+            values[idx], class_utility = group(idx)
+            utility += class_utility
+    if not np.isfinite(utility):
+        raise FloatingPointError(f"non-finite grand-coalition utility {utility}")
     return values, utility
 
 
@@ -132,15 +146,13 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     unit_weights = np.ones(data.n)
     for epoch in range(config.epochs):
         try:
-            batch = per_example_loss_and_grad(model, data)
-        except NonFiniteBatchError as err:
+            per_epoch[epoch], utilities[epoch] = _epoch_values(
+                model, data, config.kind, config.per_class
+            )
+        except FloatingPointError as err:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {err}", epoch=epoch
             ) from err
-        gs = GradientSet(batch.last_layer_grads, batch.losses, weighted=False)
-        per_epoch[epoch], utilities[epoch] = _epoch_values(
-            gs, config.kind, config.per_class, data.class_index
-        )
         model = sgd_step_weighted(model, data, everyone, unit_weights, schedule.at(epoch))
     mean_values = per_epoch[config.skip_first_epochs :].mean(axis=0)
     return ValuationRun(

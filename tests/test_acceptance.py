@@ -212,7 +212,8 @@ def test_criterion_5_gradient_fidelity():
         )
         model = init_model((p, n_classes), seed=int(rng.integers(10_000)))
         example = int(rng.integers(3))
-        analytic = per_example_loss_and_grad(model, data, [example]).last_layer_grads[0]
+        grads = per_example_loss_and_grad(model, data, [example]).last_layer_grads
+        analytic = grads.dense()[0]
         flat = np.concatenate([model.weights.ravel(), model.bias])
         numeric = np.empty_like(flat)
         for k in range(flat.size):

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: exit codes, outputs, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,31 @@ class TestValueCommand:
             )
         assert code == EXIT_NUMERIC
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["value", "select"])
+    def test_overflow_exits_two_and_names_epoch(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(0)
+        rows = [
+            f"{a:.17g},{b:.17g},{i % 2}"
+            for i, (a, b) in enumerate(rng.choice([-1e200, 1e200], size=(40, 2)))
+        ]
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # overflow is reported, not warned
+            code = cli_main(
+                [command, "--data", str(csv_path), "--epochs", "3", "--lr", "10",
+                 "--out-dir", str(tmp_path)]
+            )
+        assert code == EXIT_NUMERIC
+        assert "diverged at epoch 0" in capsys.readouterr().err
+
+    def test_malformed_csv_exits_one_naming_the_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "ragged.csv"
+        csv_path.write_text("a,b,label\n1,2,0\n3,4\n")
+        code = cli_main(["value", "--data", str(csv_path), "--out-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert f"{csv_path}:3: expected 3 fields, got 2" in capsys.readouterr().err
 
 
 class TestSelectCommand:

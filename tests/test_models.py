@@ -8,6 +8,7 @@ import pytest
 
 from chg_shapley.models import (
     Dataset,
+    FactoredGrads,
     LearningRateSchedule,
     NonFiniteBatchError,
     accuracy,
@@ -79,6 +80,28 @@ class TestDataset:
         with pytest.raises(OSError):
             load_dataset_csv("definitely_missing.csv")
 
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("1,2,0\n3,4\n", 3, "expected 3 fields, got 2"),
+            ("1,2,0\n\n3,x,1\n", 4, "could not convert string to float: 'x'"),
+            ("1,2,0\n3,4,1.5\n", 3, "label '1.5' is not an integer"),
+        ],
+    )
+    def test_csv_errors_name_the_line(self, tmp_path, body, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b,label\n" + body)
+        with pytest.raises(ValueError) as err:
+            load_dataset_csv(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("a,label\n1.5,0\n\n2.5,1\n\n")
+        loaded = load_dataset_csv(path)
+        assert np.array_equal(loaded.features, [[1.5], [2.5]])
+        assert np.array_equal(loaded.labels, [0, 1])
+
 
 # ---------------------------------------------------------------------------
 # Initialization
@@ -147,7 +170,8 @@ class TestPerExample:
         model = init_model((3, 3), seed=6)
         result = per_example_loss_and_grad(model, data)
         assert result.losses[2] == result.losses[0]
-        assert np.array_equal(result.last_layer_grads[2], result.last_layer_grads[0])
+        rows = result.last_layer_grads.dense()
+        assert np.array_equal(rows[2], rows[0])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -156,7 +180,8 @@ class TestPerExample:
             data = small_dataset(rng, n=5, p=3, n_classes=3)
             model = init_model((3, 3), seed=int(rng.integers(1000)))
             for example in range(data.n):
-                analytic = per_example_loss_and_grad(model, data, [example]).last_layer_grads[0]
+                grads = per_example_loss_and_grad(model, data, [example]).last_layer_grads
+                analytic = grads.dense()[0]
                 flat = np.concatenate([model.weights.ravel(), model.bias])
                 numeric = np.empty_like(flat)
                 for k in range(flat.size):
@@ -177,7 +202,7 @@ class TestPerExample:
         base = per_example_loss_and_grad(model, data)
         moved = per_example_loss_and_grad(model, data, perm)
         assert np.array_equal(moved.losses, base.losses[perm])
-        assert np.array_equal(moved.last_layer_grads, base.last_layer_grads[perm])
+        assert np.array_equal(moved.last_layer_grads.dense(), base.last_layer_grads.dense()[perm])
 
     def test_non_finite_logits_report_index(self):
         data = Dataset(features=np.array([[1.0], [1e308]]), labels=np.array([0, 1]))
@@ -194,6 +219,61 @@ class TestPerExample:
         result = per_example_loss_and_grad(model, data)
         assert result.last_layer_grads.shape == (data.n, model.n_parameters)
         assert model.n_parameters == 3 * 4 + 3
+
+
+# ---------------------------------------------------------------------------
+# Factored gradient matrix
+# ---------------------------------------------------------------------------
+
+def dense_reference(model, data):
+    """The gradient matrix as the dense construction built it, op for op."""
+    phi = data.features
+    if model.feature_map is not None:
+        phi = model.feature_map.apply(phi)
+    logits = phi @ model.weights.T + model.bias
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    delta = np.exp(shifted - log_z[:, None])
+    delta[np.arange(data.n), data.labels] -= 1.0
+    weight_grads = np.einsum("ic,iq->icq", delta, phi).reshape(data.n, -1)
+    return np.concatenate([weight_grads, delta], axis=1)
+
+
+class TestFactoredGrads:
+    @pytest.mark.parametrize("hidden_width", [None, 7])
+    def test_dense_is_the_gradient_matrix_bit_for_bit(self, hidden_width):
+        rng = np.random.default_rng(16)
+        data = small_dataset(rng, n=9)
+        model = init_model((4, 3), seed=16, hidden_width=hidden_width)
+        result = per_example_loss_and_grad(model, data)
+        grads = result.last_layer_grads
+        assert grads.shape == (9, model.n_parameters)
+        reference = dense_reference(model, data)
+        assert np.array_equal(grads.dense(), reference)
+        losses = result.losses
+        assert np.array_equal(grads.scaled(losses).dense(), losses[:, None] * reference)
+
+    def test_statistics_match_dense(self):
+        rng = np.random.default_rng(17)
+        grads = FactoredGrads(
+            rng.standard_normal((30, 4)), rng.standard_normal((30, 6)), rng.uniform(0, 2, 30)
+        )
+        X = grads.dense()
+        assert grads.shape == X.shape == (30, 4 * 6 + 4)
+        assert grads.nbytes == 8 * 30 * (4 + 6 + 1) < X.nbytes
+        assert grads.row_sq_norms() == pytest.approx(np.einsum("ij,ij->i", X, X), rel=1e-12)
+        assert grads.column_sum() == pytest.approx(X.sum(axis=0), rel=1e-12, abs=1e-12)
+        V = rng.standard_normal((2, X.shape[1]))
+        assert grads.inner(V) == pytest.approx(V @ X.T, rel=1e-12, abs=1e-12)
+        idx = np.array([5, 0, 29])
+        assert np.array_equal(grads.rows(idx).dense(), X[idx])
+        assert np.array_equal(grads.scaled(np.full(30, 2.0)).dense(), 2.0 * X)
+
+    def test_non_finite_parts_detected(self):
+        grads = FactoredGrads(np.ones((2, 2)), np.ones((2, 3)))
+        assert grads.all_finite()
+        assert not grads.scaled(np.array([1.0, np.inf])).all_finite()
+        assert not FactoredGrads(np.ones((2, 2)), np.full((2, 3), np.nan)).all_finite()
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +295,7 @@ class TestSgdStep:
         data = small_dataset(rng)
         model = init_model((4, 3), seed=11)
         stepped = sgd_step_weighted(model, data, np.arange(data.n), np.ones(data.n), lr=0.2)
-        grads = per_example_loss_and_grad(model, data).last_layer_grads.mean(axis=0)
+        grads = per_example_loss_and_grad(model, data).last_layer_grads.dense().mean(axis=0)
         c, q = model.weights.shape
         expected_w = model.weights - 0.2 * grads[: c * q].reshape(c, q)
         expected_b = model.bias - 0.2 * grads[c * q :]
@@ -258,7 +338,7 @@ class TestDescentInequality:
         eta = 1.0 / L
         flat = np.concatenate([model.weights.ravel(), model.bias])
         for _ in range(25):
-            grad = per_example_loss_and_grad(model, data).last_layer_grads.mean(axis=0)
+            grad = per_example_loss_and_grad(model, data).last_layer_grads.dense().mean(axis=0)
             x = rng.standard_normal(flat.size)
             lhs = loss_at_params(model, data, None, flat - eta * x)
             rhs = loss_at_params(model, data, None, flat) - 0.5 * eta * (

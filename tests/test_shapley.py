@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chg_shapley.shapley as shapley
+from chg_shapley.models import FactoredGrads
 from chg_shapley.shapley import (
     GameSizeError,
     GameSpec,
@@ -187,12 +189,64 @@ class TestChgClosedForm:
             chg_closed_form_shapley(np.ones((2, 2)), np.array([np.inf, 0.0]))
 
     def test_two_player_route_matches_enumeration(self):
+        # n = 2 is valued from the singleton utilities, not by enumeration,
+        # so the two agree to rounding: a few ulps of the values.
         rng = np.random.default_rng(2)
         X = rng.standard_normal((2, 3))
         alpha = rng.standard_normal(3)
         closed = chg_closed_form_shapley(X, alpha)
         exact = exact_shapley(chg_game(X, alpha))
-        assert closed.values == pytest.approx(exact.values, abs=0.0)
+        ulps = 4 * np.finfo(float).eps * np.max(np.abs(exact.values))
+        assert np.max(np.abs(closed.values - exact.values)) <= ulps
+
+
+def random_factored(rng, n, classes=3, width=4) -> FactoredGrads:
+    return FactoredGrads(
+        rng.standard_normal((n, classes)),
+        rng.standard_normal((n, width)),
+        rng.uniform(0.1, 2.0, n),
+    )
+
+
+class TestFactoredClosedForm:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_small_n_matches_enumeration(self, n, factored, monkeypatch):
+        rng = np.random.default_rng(30 + n)
+        grads = random_factored(rng, n)
+        X = grads.dense()
+        alpha = rng.standard_normal(X.shape[1])
+        exact = exact_shapley(chg_game(X, alpha)).values
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("n <= 2 must not enumerate or densify")
+
+        monkeypatch.setattr(shapley, "exact_shapley", refuse)
+        monkeypatch.setattr(FactoredGrads, "dense", refuse)
+        values = chg_closed_form_shapley(grads if factored else X, alpha).values
+        assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("n", [3, 7, 200])
+    def test_factored_matches_dense(self, n):
+        rng = np.random.default_rng(40 + n)
+        grads = random_factored(rng, n, classes=5, width=9)
+        X = grads.dense()
+        alpha = X.mean(axis=0)
+        dense = chg_closed_form_shapley(X, alpha).values
+        factored = chg_closed_form_shapley(grads, alpha).values
+        assert np.max(np.abs(factored - dense)) <= 1e-12 * np.ptp(dense)
+        assert np.array_equal(np.argsort(factored), np.argsort(dense))
+
+    def test_alpha_shape_checked_against_factored_width(self):
+        grads = random_factored(np.random.default_rng(50), 4)
+        with pytest.raises(ValueError):
+            chg_closed_form_shapley(grads, np.zeros(grads.shape[1] + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_overflowing_statistics_raise(self, n):
+        X = np.full((n, 2), 1e200)
+        with pytest.raises(FloatingPointError):
+            chg_closed_form_shapley(X, np.ones(2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chg_shapley.models import FactoredGrads
 from chg_shapley.shapley import chg_closed_form_shapley, exact_shapley
 from chg_shapley.utilities import (
     GradientSet,
@@ -55,6 +56,61 @@ class TestGradientSet:
         sub = gs.restrict([2, 0])
         assert sub.weighted
         assert np.array_equal(sub.vectors, [[4.0, 5.0], [0.0, 1.0]])
+
+
+class TestFactoredGradientSet:
+    def factored_set(self, rng, n=12) -> GradientSet:
+        grads = FactoredGrads(rng.standard_normal((n, 3)), rng.standard_normal((n, 5)))
+        return GradientSet(grads, rng.uniform(0.0, 2.0, n))
+
+    def test_weighted_vectors_share_the_factors(self):
+        gs = self.factored_set(np.random.default_rng(20))
+        weighted = gs.weighted_vectors()
+        assert weighted.delta is gs.vectors.delta and weighted.phi is gs.vectors.phi
+        dense = gs.vectors.dense()
+        assert np.array_equal(weighted.dense(), gs.losses[:, None] * dense)
+        assert gs.raw_vectors() is gs.vectors
+
+    def test_validation(self):
+        grads = FactoredGrads(np.ones((2, 2)), np.array([[1.0], [np.inf]]))
+        with pytest.raises(ValueError):
+            GradientSet(grads, np.ones(2))
+        with pytest.raises(ValueError):
+            GradientSet(FactoredGrads(np.ones((2, 2)), np.ones((2, 1))), np.ones(3))
+
+    @pytest.mark.parametrize("kind", ["chg", "gradient"])
+    def test_values_and_reference_match_dense(self, kind):
+        rng = np.random.default_rng(21)
+        gs = self.factored_set(rng, n=40)
+        dense = GradientSet(gs.vectors.dense(), gs.losses)
+        idx = np.array([3, 17, 0, 39, 22])
+        for a, b in ((gs, dense), (gs.restrict(idx), dense.restrict(idx))):
+            assert a.vectors.shape == b.vectors.shape
+            got, want = gradient_set_values(a, kind).values, gradient_set_values(b, kind).values
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
+            assert np.array_equal(np.argsort(got), np.argsort(want))
+            assert reference_vector(a, kind) == pytest.approx(reference_vector(b, kind), rel=1e-12)
+
+    def test_subset_utility_matches_dense(self):
+        rng = np.random.default_rng(22)
+        gs = self.factored_set(rng, n=6)
+        dense = GradientSet(gs.vectors.dense(), gs.losses)
+        for kind in ("chg", "gradient"):
+            exact = exact_shapley(utility_game(scheme_for(dense, kind), dense)).values
+            via_factored = exact_shapley(utility_game(scheme_for(gs, kind), gs)).values
+            assert via_factored == pytest.approx(exact, abs=1e-12)
+
+    def test_saved_densely(self, tmp_path):
+        gs = self.factored_set(np.random.default_rng(23), n=3)
+        path = tmp_path / "grads.txt"
+        save_gradient_set(gs, path)
+        assert np.array_equal(load_gradient_set(path).vectors, gs.vectors.dense())
+
+    def test_overflowing_mean_is_a_numeric_failure(self):
+        grads = FactoredGrads(np.ones((2, 1)), np.full((2, 1), 1e308))
+        gs = GradientSet(grads, np.full(2, 10.0))
+        with pytest.raises(FloatingPointError):
+            gradient_set_values(gs, "chg")
 
 
 # ---------------------------------------------------------------------------
@@ -269,3 +325,19 @@ class TestSerialization:
         path.write_text("2 2 1\n1 2\n3 4\n0.5\n")  # one loss missing
         with pytest.raises(ValueError):
             load_gradient_set(path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("2 x 0\n", 1, "bad header '2 x 0': expected three integers"),
+            ("2 2 0\n1 2\n\n3 x\n0.5\n1\n", 4, "could not convert string to float: 'x'"),
+            ("2 2 0\n1 2\n3\n0.5\n1\n", 3, "expected 2 numbers, got 1"),
+            ("2 2 0\n1 2\n3 4\n0.5\nnan? \n", 5, "could not convert string to float: 'nan?'"),
+        ],
+    )
+    def test_errors_name_the_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_gradient_set(path)
+        assert str(err.value) == f"{path}:{line}: {message}"

@@ -1,11 +1,17 @@
 """Tests for the per-epoch valuation loop and its efficiency audit."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import chg_shapley.selection as selection
+import chg_shapley.valuation as valuation
 from chg_shapley import __version__
 from chg_shapley.experiments import make_synthetic_dataset
-from chg_shapley.models import Dataset
+from chg_shapley.models import Dataset, per_example_loss_and_grad
+from chg_shapley.selection import SelectionConfig, run_selection_training
 from chg_shapley.shapley import chg_closed_form_shapley
 from chg_shapley.valuation import (
     EfficiencyAuditError,
@@ -103,6 +109,82 @@ class TestRunValuation:
 
 
 # ---------------------------------------------------------------------------
+# Factored route against the dense oracle
+# ---------------------------------------------------------------------------
+
+def dense_grads(model, data, indices=None):
+    """per_example_loss_and_grad with the gradient matrix built densely."""
+    batch = per_example_loss_and_grad(model, data, indices)
+    return replace(batch, last_layer_grads=batch.last_layer_grads.dense())
+
+
+class TestFactoredRoute:
+    @pytest.mark.parametrize("kind", ["chg", "gradient"])
+    @pytest.mark.parametrize("per_class", [False, True])
+    @pytest.mark.parametrize("hidden_width", [None, 16])
+    def test_matches_dense_oracle(self, kind, per_class, hidden_width, monkeypatch):
+        data = make_synthetic_dataset(90, 4, 3, 2.0, seed=20)
+        config = ValuationConfig(
+            kind=kind, epochs=3, seed=20, per_class=per_class, hidden_width=hidden_width
+        )
+        factored = run_valuation(data, config)
+        monkeypatch.setattr(valuation, "per_example_loss_and_grad", dense_grads)
+        dense = run_valuation(data, config)
+        for got, want in zip(factored.per_epoch_values, dense.per_epoch_values):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
+            assert np.array_equal(valuation.value_ranks(got), valuation.value_ranks(want))
+        assert factored.per_epoch_utilities == pytest.approx(dense.per_epoch_utilities, rel=1e-12)
+
+    def test_epoch_never_allocates_the_gradient_matrix(self):
+        n, classes, width = 4000, 10, 512
+        data = make_synthetic_dataset(n, classes, classes, 3.0, seed=21)
+        dense_bytes = 8 * n * (classes * width + classes)  # 164 MB
+        config = ValuationConfig(epochs=1, seed=21, hidden_width=width)
+        tracemalloc.start()
+        try:
+            run_valuation(data, config)
+            _, valuation_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            run_selection_training(
+                data, SelectionConfig(fraction=0.1, epochs=1, seed=21, hidden_width=width)
+            )
+            _, selection_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert valuation_peak < dense_bytes / 3
+        assert selection_peak < dense_bytes / 3
+
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_hardness_never_builds_gradients(self, per_class, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("hardness must not compute gradients")
+
+        monkeypatch.setattr(valuation, "per_example_loss_and_grad", refuse)
+        monkeypatch.setattr(selection, "per_example_loss_and_grad", refuse)
+        data = tiny_task(seed=22)
+        run = run_valuation(data, ValuationConfig(kind="hardness", epochs=2, per_class=per_class))
+        assert epoch_efficiency_audit(run).max_violation <= 1e-9
+        _, history = run_selection_training(
+            data, SelectionConfig(fraction=0.2, interval=1, epochs=2, kind="hardness")
+        )
+        assert len(history.events) == 2
+
+    def test_overflow_names_the_epoch(self):
+        data = Dataset(
+            features=np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]]),
+            labels=np.array([0, 1, 0]),
+        )
+        for per_class in (False, True):
+            with pytest.raises(TrainingDivergedError) as err:
+                run_valuation(data, ValuationConfig(epochs=3, lr=10.0, per_class=per_class))
+            assert err.value.epoch == 0
+            assert "epoch 0" in str(err.value)
+        with pytest.raises(TrainingDivergedError) as err:
+            run_selection_training(data, SelectionConfig(fraction=0.5, epochs=3, lr=10.0))
+        assert err.value.epoch == 0
+
+
+# ---------------------------------------------------------------------------
 # Efficiency audit
 # ---------------------------------------------------------------------------
 
@@ -123,6 +205,12 @@ class TestEfficiencyAudit:
     def test_large_n_run_audits(self):
         data = make_synthetic_dataset(10_000, 6, 2, 3.0, seed=12)
         run = run_valuation(data, ValuationConfig(epochs=2, seed=12))
+        assert epoch_efficiency_audit(run).max_violation <= 1e-9
+
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_hundred_thousand_run_audits(self, per_class):
+        data = make_synthetic_dataset(100_000, 6, 3, 3.0, seed=14)
+        run = run_valuation(data, ValuationConfig(epochs=2, seed=14, per_class=per_class))
         assert epoch_efficiency_audit(run).max_violation <= 1e-9
 
     def test_external_utilities_shape_checked(self):
