@@ -312,11 +312,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_removal(args) -> int:
-    out = _out_dir(args)
-    data, _noise, run, _audit, _seconds = _run_valuation_task(args)
-    test = make_synthetic_dataset(
-        max(200, args.n // 2), args.p, args.classes, args.separation, args.seed + 500
-    ) if args.data is None else data
     cfg = RemovalConfig(
         fractions=tuple(args.fractions),
         epochs=args.epochs,
@@ -324,6 +319,11 @@ def _cmd_removal(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
+    out = _out_dir(args)
+    data, _noise, run, _audit, _seconds = _run_valuation_task(args)
+    test = make_synthetic_dataset(
+        max(200, args.n // 2), args.p, args.classes, args.separation, args.seed + 500
+    ) if args.data is None else data
     curve = point_removal_curve(run.mean_values, data, test, cfg)
     with open(out / "removal.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -45,6 +45,15 @@ class RemovalConfig:
     seed: int = 0
     threads: int = 1
 
+    def __post_init__(self) -> None:
+        bad = [f for f in self.fractions if not 0.0 <= f <= 1.0]
+        if bad:
+            raise ValueError(f"removal fractions must be in [0, 1], got {bad}")
+        if self.epochs < 1:
+            raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        if self.threads < 1:
+            raise ValueError(f"need threads >= 1, got {self.threads}")
+
 
 @dataclass
 class RemovalCurve:
@@ -182,13 +191,8 @@ def point_removal_curve(
         for fi, f in enumerate(fractions)
     ]
     results = np.empty((len(REMOVAL_ORDERS), fractions.size))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            accs = list(
-                pool.map(lambda job: _retrain_accuracy(job[2], train, test, cfg), jobs)
-            )
-    else:
-        accs = [_retrain_accuracy(job[2], train, test, cfg) for job in jobs]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        accs = list(pool.map(lambda job: _retrain_accuracy(job[2], train, test, cfg), jobs))
     for (order_name, fi, _), acc in zip(jobs, accs):
         results[REMOVAL_ORDERS.index(order_name), fi] = acc
     return RemovalCurve(

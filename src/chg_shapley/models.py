@@ -231,14 +231,33 @@ def init_model(
     return ModelState(weights=weights, bias=bias, step=0, feature_map=feature_map)
 
 
+def head_dataset(model: ModelState, data: Dataset) -> Dataset:
+    """`data` as the softmax head sees it: every row through the frozen feature map.
+
+    The map never trains, so a training loop maps its data once with this
+    and steps a head whose `feature_map` is None.  Raises
+    `NonFiniteBatchError` naming the first row the map overflows on.
+    """
+    if model.feature_map is None:
+        return data
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = model.feature_map.apply(data.features)
+    finite = np.all(np.isfinite(phi), axis=1)
+    if not np.all(finite):
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NonFiniteBatchError(f"non-finite feature map output at example {bad}", index=bad)
+    return Dataset(phi, data.labels, data.n_classes)
+
+
 def _head_inputs(model: ModelState, data: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
     if indices is None:
         idx = np.arange(data.n, dtype=np.intp)
+        phi = data.features
     else:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= data.n):
             raise ValueError(f"indices out of range for n={data.n}")
-    phi = data.features[idx]
+        phi = data.features[idx]
     if model.feature_map is not None:
         phi = model.feature_map.apply(phi)
     return idx, phi

@@ -14,7 +14,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,6 +25,7 @@ from .models import (
     ModelState,
     batch_loss,
     accuracy,
+    head_dataset,
     init_model,
     per_example_loss_and_grad,
     per_example_losses,
@@ -128,7 +129,8 @@ def minmax_weights(values) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-SelectFn = Callable[[ModelState, int, int], SelectionPlan]
+# (head, head-input data, epoch, event index) -> the plan to train on
+SelectFn = Callable[[ModelState, Dataset, int, int], SelectionPlan]
 
 
 def _training_loop(
@@ -137,19 +139,23 @@ def _training_loop(
     select: SelectFn,
     test_data: Dataset | None,
 ) -> tuple[ModelState, SelectionHistory]:
+    """Train a map-free head on data mapped once; the returned model keeps the map."""
     schedule = LearningRateSchedule(
         base_lr=cfg.lr, kind=cfg.lr_schedule, total_epochs=cfg.epochs
     )
     model = init_model(
         (data.n_features, data.n_classes), seed=cfg.seed, hidden_width=cfg.hidden_width
     )
+    feature_map = model.feature_map
+    data = head_dataset(model, data)
+    eval_data = data if test_data is None else head_dataset(model, test_data)
+    model = replace(model, feature_map=None)
     history = SelectionHistory()
-    eval_data = test_data if test_data is not None else data
     plan: SelectionPlan | None = None
     started = time.perf_counter()
     for epoch in range(cfg.epochs):
         if epoch % cfg.interval == 0:
-            plan = select(model, epoch, len(history.events))
+            plan = select(model, data, epoch, len(history.events))
             history.events.append(plan)
         model = sgd_step_weighted(model, data, plan.subset, plan.weights, schedule.at(epoch))
         history.metrics.append(
@@ -160,7 +166,7 @@ def _training_loop(
                 wall_time=time.perf_counter() - started,
             )
         )
-    return model, history
+    return replace(model, feature_map=feature_map), history
 
 
 def _value_selection(
@@ -205,8 +211,8 @@ def run_selection_training(
 ) -> tuple[ModelState, SelectionHistory]:
     """Value-driven selection and weighted training over the epoch budget."""
 
-    def select(model: ModelState, epoch: int, _event: int) -> SelectionPlan:
-        return _value_selection(model, data, cfg, epoch)
+    def select(model: ModelState, head_data: Dataset, epoch: int, _event: int) -> SelectionPlan:
+        return _value_selection(model, head_data, cfg, epoch)
 
     return _training_loop(data, cfg, select, test_data)
 
@@ -242,7 +248,7 @@ def random_baseline_training(
     the adaptive variant redraws at every selection event.
     """
 
-    def select(_model: ModelState, epoch: int, event: int) -> SelectionPlan:
+    def select(_model: ModelState, _data: Dataset, epoch: int, event: int) -> SelectionPlan:
         return _uniform_plan(data, cfg, epoch, event if adaptive else 0)
 
     return _training_loop(data, cfg, select, test_data)

@@ -1,7 +1,9 @@
 """Exact, sampled, and closed-form Shapley values for set-function games.
 
 The closed form covers the quadratic "mean-distance" utility
-``U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2`` and runs in
+``U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2``, the subset-mean
+game on 2<x_i, alpha> minus the mean-square game ||mean_{i in S} x_i||^2,
+with one weights function per game for every n >= 1.  It runs in
 O(n*d) on a dense X, or in O(n*(C+w)) memory on a factored gradient
 matrix; the enumeration and permutation-sampling routes work for any
 set function and serve as ground-truth oracles for it.
@@ -66,68 +68,32 @@ def mean_game_weights(n: int) -> tuple[float, float]:
     return (h1 - 1.0 / n) / (n - 1), -(h1 - 1.0) / (n * (n - 1))
 
 
-@dataclass(frozen=True)
-class ClosedFormCoefficients:
-    """The six n-dependent scalars multiplying the per-datum statistics.
-
-    For the quadratic mean-distance utility, the value of datum j is
-
-        c_self*||x_j||^2 + c_cross*<g, x_j> + c_sumsq*||g||^2
-        + c_quad*sum_i ||x_i||^2 + c_alpha_self*<x_j, alpha>
-        + c_alpha_sum*<g, alpha>
-
-    with g = sum_i x_i.  Only the c_self, c_cross, and c_alpha_self terms
-    depend on j; the other three are shared offsets.
-    """
-
-    n: int
-    c_self: float
-    c_cross: float
-    c_sumsq: float
-    c_quad: float
-    c_alpha_self: float
-    c_alpha_sum: float
-
-
 @lru_cache(maxsize=None)
-def closed_form_coefficients(n: int) -> ClosedFormCoefficients:
-    """Coefficients of the closed form; defined for n >= 3 only.
+def mean_square_game_weights(n: int) -> tuple[float, float, float, float]:
+    """(own, cross, others, pairs) weights of the game Q(S) = ||mean_{i in S} x_i||^2.
 
-    The denominators carry (n-1)(n-2), so `chg_closed_form_shapley`
-    values n <= 2 from the singleton utilities instead.  The c_quad group
-    keeps its k = 2..n tail sums distinct from the full sums used
-    elsewhere; correctness of the whole grouping is pinned by the
-    enumeration-oracle tests, not by manual simplification.
+    Datum k's Shapley value is the average, over the n equally likely
+    sizes of the coalition it joins, of its expected marginal; in terms of
+    G_k = sum_{i != k} x_i, T_k = sum_{i != k} ||x_i||^2 and the cross terms
+    P_k = ||G_k||^2 - T_k it is
+
+        own*||x_k||^2 + cross*<x_k, G_k> + others*T_k + pairs*P_k
+
+    with own = H2/n, cross = 2(H1 - H2)/(n(n-1)),
+    others = (1/n - H2)/(n(n-1)) and
+    pairs = (1 - 1/n - 2H1 + 2H2)/(n(n-1)(n-2)).  A weight whose term has
+    nothing to sum (no other datum, or no pair of other data) is 0, as is
+    its numerator there.
     """
-    if n < 3:
-        raise ValueError(f"closed-form coefficients need n >= 3, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     h = harmonic_sums(n)
-    h1, h2 = h.h1, h.h2
-    h1_tail = h1 - 1.0  # sum_{k=2..n} 1/k
-    h2_tail = h2 - 1.0  # sum_{k=2..n} 1/k^2
-    inv_n = 1.0 / n
-    c_self = (
-        -h2 * inv_n
-        + (2.0 * h1 - 3.0 * h2 + inv_n) / (n * (n - 1))
-        + 2.0 * (2.0 * h1 - 2.0 * h2 - 1.0 + inv_n) / (n * (n - 1) * (n - 2))
-    )
-    c_cross = -2.0 * (h1 - h2 - inv_n + inv_n * inv_n) / ((n - 1) * (n - 2))
-    c_sumsq = (2.0 * h1 - 2.0 * h2 - 1.0 + inv_n) / (n * (n - 1) * (n - 2))
-    c_quad = (h2 - inv_n) / (n * (n - 1)) - (
-        2.0 * h1_tail - 2.0 * h2_tail - 1.0 + inv_n
-    ) / (n * (n - 1) * (n - 2))
-    own, total = mean_game_weights(n)
-    c_alpha_self = 2.0 * own
-    c_alpha_sum = 2.0 * total
-    return ClosedFormCoefficients(
-        n=n,
-        c_self=c_self,
-        c_cross=c_cross,
-        c_sumsq=c_sumsq,
-        c_quad=c_quad,
-        c_alpha_self=c_alpha_self,
-        c_alpha_sum=c_alpha_sum,
-    )
+    h1, h2, inv_n = h.h1, h.h2, 1.0 / n
+    own = h2 * inv_n
+    cross = 2.0 * (h1 - h2) / (n * (n - 1)) if n > 1 else 0.0
+    others = (inv_n - h2) / (n * (n - 1)) if n > 1 else 0.0
+    pairs = (1.0 - inv_n - 2.0 * h1 + 2.0 * h2) / (n * (n - 1) * (n - 2)) if n > 2 else 0.0
+    return own, cross, others, pairs
 
 
 @dataclass(frozen=True)
@@ -228,36 +194,33 @@ def closed_form_statistics(X, alpha) -> ClosedFormStatistics:
         return ClosedFormStatistics(sq, x_g, x_alpha, float(g @ g), float(g @ alpha))
 
 
+def _linear_values(s: ClosedFormStatistics) -> np.ndarray:
+    """Values of the linear part 2<mean_S x, alpha>: the mean game on y_i = 2<x_i, alpha>."""
+    own, total = mean_game_weights(s.n)
+    return 2.0 * own * s.x_alpha + 2.0 * total * s.g_alpha
+
+
 def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
     """O(n*d) Shapley values of the quadratic mean-distance utility.
 
-    X is a dense n x d array or a `FactoredGrads`; both reduce to the same
-    `ClosedFormStatistics`, and each value is an O(1) combination of them
-    weighted by `closed_form_coefficients`.  n <= 2, outside the
-    coefficients' domain, uses the singleton utilities U({i}) =
-    2<x_i, alpha> - ||x_i||^2 and U(N) = <g, alpha> - ||g||^2/4 directly.
+    U(S) = 2<mean_S x, alpha> - ||mean_S x||^2 is the linear mean game
+    minus the mean-square game, so each value is the `mean_game_weights`
+    value of y_i = 2<x_i, alpha> minus the `mean_square_game_weights`
+    value, regrouped onto the `ClosedFormStatistics` with g = sum_i x_i:
+    <x_k, G_k> = <x_k, g> - ||x_k||^2, T_k = sum_i ||x_i||^2 - ||x_k||^2 and
+    P_k = ||g||^2 - 2<x_k, g> + ||x_k||^2 - T_k.  X is a dense n x d array
+    or a `FactoredGrads`; both reduce to the same statistics.
 
     Raises FloatingPointError when finite inputs overflow to non-finite
     statistics or values.
     """
     s = closed_form_statistics(X, alpha)
-    n = s.n
+    own, cross, others, pairs = mean_square_game_weights(s.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        if n <= 2:
-            singles = 2.0 * s.x_alpha - s.sq
-            if n == 1:
-                values = singles
-            else:
-                grand = s.g_alpha - 0.25 * s.g_sq
-                values = 0.5 * singles + 0.5 * (grand - singles[::-1])
-        else:
-            c = closed_form_coefficients(n)
-            shared = (
-                c.c_sumsq * s.g_sq
-                + c.c_quad * float(s.sq.sum())
-                + c.c_alpha_sum * s.g_alpha
-            )
-            values = c.c_self * s.sq + c.c_cross * s.x_g + c.c_alpha_self * s.x_alpha + shared
+        c_sq = cross + others - own - 2.0 * pairs
+        c_g = 2.0 * pairs - cross
+        shared = (pairs - others) * float(s.sq.sum()) - pairs * s.g_sq
+        values = c_sq * s.sq + c_g * s.x_g + shared + _linear_values(s)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("closed-form values overflowed to non-finite numbers")
     return ShapleyValues(values=values, method="closed_form")
@@ -266,12 +229,10 @@ def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
 def shapley_linear_term(X, alpha) -> ShapleyValues:
     """Shapley values of the linear part U(S) = 2*<mean_{i in S} x_i, alpha>.
 
-    This is the subset-mean game on y_i = 2*<x_i, alpha>, so the values
-    come straight from `mean_game_weights` for every n >= 1.
+    X is a dense n x d array or a `FactoredGrads`; the values are the
+    linear part of `chg_closed_form_shapley`, for every n >= 1.
     """
-    X, alpha = _validate_players_matrix(X, alpha)
-    own, total = mean_game_weights(X.shape[0])
-    values = 2.0 * own * (X @ alpha) + 2.0 * total * float(X.sum(axis=0) @ alpha)
+    values = _linear_values(closed_form_statistics(X, alpha))
     return ShapleyValues(values=values, method="closed_form")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .models import (
     Dataset,
     LearningRateSchedule,
     ModelState,
+    head_dataset,
     init_model,
     per_example_loss_and_grad,
     per_example_losses,
@@ -140,20 +141,21 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     model = init_model(
         (data.n_features, data.n_classes), seed=config.seed, hidden_width=config.hidden_width
     )
+    head_data = head_dataset(model, data)
+    model = replace(model, feature_map=None)
     per_epoch = np.empty((config.epochs, data.n))
     utilities = np.empty(config.epochs)
-    everyone = np.arange(data.n, dtype=np.intp)
     unit_weights = np.ones(data.n)
     for epoch in range(config.epochs):
         try:
             per_epoch[epoch], utilities[epoch] = _epoch_values(
-                model, data, config.kind, config.per_class
+                model, head_data, config.kind, config.per_class
             )
         except FloatingPointError as err:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {err}", epoch=epoch
             ) from err
-        model = sgd_step_weighted(model, data, everyone, unit_weights, schedule.at(epoch))
+        model = sgd_step_weighted(model, head_data, None, unit_weights, schedule.at(epoch))
     mean_values = per_epoch[config.skip_first_epochs :].mean(axis=0)
     return ValuationRun(
         per_epoch_values=per_epoch,

@@ -242,6 +242,16 @@ class TestRemovalCommand:
         cli_main(base + ["--threads", "4", "--out-dir", str(four)])
         assert (one / "removal.csv").read_bytes() == (four / "removal.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [["--fractions", "-0.5", "0.5"], ["--fractions", "1.5"], ["--threads", "0"]],
+    )
+    def test_bad_input_exits_1_before_any_output(self, tmp_path, capsys, bad):
+        code = cli_main(["removal", "--n", "60", "--epochs", "2", "--out-dir", str(tmp_path)] + bad)
+        assert code == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "removal.csv").exists()
+
 
 def test_exit_codes_are_distinct():
     assert (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC) == (0, 1, 2)

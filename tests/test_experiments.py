@@ -194,6 +194,14 @@ class TestPointRemoval:
         assert np.mean(highest) <= np.mean(random_order)
         assert np.mean(lowest_gain) >= 0.0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(fractions=(-0.5, 0.5)), dict(fractions=(1.5,)), dict(threads=0), dict(epochs=0)],
+    )
+    def test_config_rejects_out_of_range_settings(self, bad):
+        with pytest.raises(ValueError):
+            RemovalConfig(**bad)
+
     def test_misaligned_values_rejected(self):
         train = make_synthetic_dataset(30, 5, 2, 3.0, seed=14)
         with pytest.raises(ValueError):

@@ -9,10 +9,13 @@ import pytest
 from chg_shapley.models import (
     Dataset,
     FactoredGrads,
+    FrozenFeatureMap,
     LearningRateSchedule,
+    ModelState,
     NonFiniteBatchError,
     accuracy,
     batch_loss,
+    head_dataset,
     init_model,
     load_dataset_csv,
     make_feature_map,
@@ -132,6 +135,25 @@ class TestInitModel:
         assert m.feature_map is not None
         again = init_model((6, 2), seed=3, hidden_width=10)
         assert np.array_equal(m.feature_map.projection, again.feature_map.projection)
+
+    def test_head_dataset_maps_rows_once(self):
+        data = small_dataset(np.random.default_rng(3))
+        assert head_dataset(init_model((4, 3), seed=3), data) is data
+        model = init_model((4, 3), seed=3, hidden_width=10)
+        mapped = head_dataset(model, data)
+        assert np.array_equal(mapped.features, model.feature_map.apply(data.features))
+        assert np.array_equal(mapped.labels, data.labels)
+        assert mapped.n_classes == data.n_classes
+
+    def test_head_dataset_names_the_row_the_map_overflows_on(self):
+        # Row 1's projection overflows to +inf, so adding the offset gives
+        # NaN whatever order the matrix product sums in.
+        feature_map = FrozenFeatureMap(projection=np.full((2, 1), 2.0), offset=np.array([-np.inf]))
+        model = ModelState(np.zeros((2, 1)), np.zeros(2), feature_map=feature_map)
+        data = Dataset(np.array([[1.0, 2.0], [1.7e308, 1.7e308]]), np.array([0, 1]))
+        with pytest.raises(NonFiniteBatchError, match="example 1") as err:
+            head_dataset(model, data)
+        assert err.value.index == 1
 
     def test_feature_map_determinism(self):
         a = make_feature_map(4, 8, seed=9)

@@ -1,6 +1,7 @@
 """Tests for the core Shapley routines against brute-force enumeration."""
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +15,11 @@ from chg_shapley.shapley import (
     ShapleyValues,
     chg_closed_form_shapley,
     chg_game,
-    closed_form_coefficients,
     exact_shapley,
     harmonic_sums,
     mean_distance_utility,
     mean_game_weights,
+    mean_square_game_weights,
     permutation_shapley,
     shapley_linear_term,
 )
@@ -86,27 +87,24 @@ class TestHarmonicSums:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form coefficients
+# Mean-square game Q(S) = ||mean_{i in S} x_i||^2: weights of the closed form
 # ---------------------------------------------------------------------------
 
 class TestCoefficients:
-    def test_small_n_rejected(self):
-        for n in (0, 1, 2):
-            with pytest.raises(ValueError):
-                closed_form_coefficients(n)
+    def test_zero_rejected_small_n_finite(self):
+        with pytest.raises(ValueError):
+            mean_square_game_weights(0)
+        assert mean_square_game_weights(1) == (1.0, 0.0, 0.0, 0.0)
+        own, cross, others, pairs = mean_square_game_weights(2)
+        assert all(math.isfinite(w) for w in (own, cross, others))
+        assert pairs == 0.0
 
     def test_finite_at_boundary(self):
-        c = closed_form_coefficients(3)
-        for value in (c.c_self, c.c_cross, c.c_sumsq, c.c_quad, c.c_alpha_self, c.c_alpha_sum):
-            assert math.isfinite(value)
+        assert all(math.isfinite(w) for w in mean_square_game_weights(3))
 
     def test_recomputation_bit_identical(self):
-        for n in (3, 7, 100, 12345):
-            a = closed_form_coefficients(n)
-            b = closed_form_coefficients(n)
-            assert (a.c_self, a.c_cross, a.c_sumsq, a.c_quad, a.c_alpha_self, a.c_alpha_sum) == (
-                b.c_self, b.c_cross, b.c_sumsq, b.c_quad, b.c_alpha_self, b.c_alpha_sum
-            )
+        for n in (1, 2, 3, 7, 100, 12345):
+            assert mean_square_game_weights(n) == mean_square_game_weights.__wrapped__(n)
 
     @pytest.mark.parametrize("n", [3, 10])
     def test_boundary_sizes_match_oracle(self, n):
@@ -189,8 +187,8 @@ class TestChgClosedForm:
             chg_closed_form_shapley(np.ones((2, 2)), np.array([np.inf, 0.0]))
 
     def test_two_player_route_matches_enumeration(self):
-        # n = 2 is valued from the singleton utilities, not by enumeration,
-        # so the two agree to rounding: a few ulps of the values.
+        # Closed form and enumeration round differently, so they agree to
+        # a few ulps of the values.
         rng = np.random.default_rng(2)
         X = rng.standard_normal((2, 3))
         alpha = rng.standard_normal(3)
@@ -209,7 +207,7 @@ def random_factored(rng, n, classes=3, width=4) -> FactoredGrads:
 
 
 class TestFactoredClosedForm:
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("factored", [False, True])
     def test_small_n_matches_enumeration(self, n, factored, monkeypatch):
         rng = np.random.default_rng(30 + n)
@@ -219,7 +217,7 @@ class TestFactoredClosedForm:
         exact = exact_shapley(chg_game(X, alpha)).values
 
         def refuse(*_args, **_kwargs):
-            raise AssertionError("n <= 2 must not enumerate or densify")
+            raise AssertionError("the closed form must not enumerate or densify")
 
         monkeypatch.setattr(shapley, "exact_shapley", refuse)
         monkeypatch.setattr(FactoredGrads, "dense", refuse)
@@ -299,11 +297,102 @@ class TestLinearTerm:
         exact = exact_shapley(GameSpec(n=6, utility=linear_part)).values
         assert shapley_linear_term(X, alpha).values == pytest.approx(exact, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_factored_matches_dense(self, n):
+        rng = np.random.default_rng(60 + n)
+        grads = random_factored(rng, n)
+        alpha = rng.standard_normal(grads.shape[1])
+        factored = shapley_linear_term(grads, alpha).values
+        dense = shapley_linear_term(grads.dense(), alpha).values
+        assert factored == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
     def test_single_player_fallback(self):
         X = np.array([[1.0, 2.0]])
         alpha = np.array([3.0, -1.0])
         values = shapley_linear_term(X, alpha).values
         assert values == pytest.approx([2.0 * float(X[0] @ alpha)], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Exact rational reference, from the expected marginal at each coalition size
+# ---------------------------------------------------------------------------
+
+def exact_weights(n: int) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, ...]]:
+    """The mean-game and mean-square-game weights as exact rationals.
+
+    Datum k joins a uniform coalition S of s others, s = 0..n-1 each with
+    probability 1/n.  There E[sum_S x] = s/(n-1) G_k and
+    E||sum_S x||^2 = s/(n-1) T_k + s(s-1)/((n-1)(n-2)) P_k, so every
+    weight is the average over s of the coefficient its term carries in
+    the expected marginal; `mean_game_weights` gives the linear game's
+    own weight as the coefficient of y_k and total as that of sum_i y_i.
+    """
+    own = cross = others = pairs = linear_own = linear_others = Fraction(0)
+    for s in range(n):
+        m = s + 1
+        own += Fraction(1, m * m)
+        linear_own += Fraction(1, m)
+        if s >= 1:
+            cross += Fraction(2 * s, (n - 1) * m * m)
+            others += Fraction(s, n - 1) * (Fraction(1, m * m) - Fraction(1, s * s))
+            linear_others += Fraction(s, n - 1) * (Fraction(1, m) - Fraction(1, s))
+        if s >= 2:
+            pairs += Fraction(s * (s - 1), (n - 1) * (n - 2)) * (
+                Fraction(1, m * m) - Fraction(1, s * s)
+            )
+    linear = ((linear_own - linear_others) / n, linear_others / n)
+    return linear, tuple(w / n for w in (own, cross, others, pairs))
+
+
+def exact_chg_values(X: np.ndarray, alpha: np.ndarray) -> list[Fraction]:
+    """Exact Shapley values of U(S) = 2<mean_S x, alpha> - ||mean_S x||^2 on integer data."""
+    rows = [[int(v) for v in row] for row in X]
+    a = [int(v) for v in alpha]
+    n = len(rows)
+    (linear_own, linear_total), (own, cross, others, pairs) = exact_weights(n)
+    g = [sum(col) for col in zip(*rows)]
+    sq = [sum(v * v for v in row) for row in rows]
+    y = [2 * sum(v * w for v, w in zip(row, a)) for row in rows]
+    values = []
+    for k, row in enumerate(rows):
+        G = [gi - xi for gi, xi in zip(g, row)]
+        T = sum(sq) - sq[k]
+        P = sum(v * v for v in G) - T
+        square = own * sq[k] + cross * sum(v * w for v, w in zip(row, G)) + others * T + pairs * P
+        values.append(linear_own * y[k] + linear_total * sum(y) - square)
+    return values
+
+
+class TestExactRationalReference:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_weights_are_size_averages(self, n):
+        linear, square = exact_weights(n)
+        for got, want in zip(mean_game_weights(n) + mean_square_game_weights(n), linear + square):
+            if want == 0:
+                assert got == 0.0
+            else:
+                assert abs(Fraction(got) - want) <= 8 * np.finfo(float).eps * abs(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_reference_matches_enumeration(self, n):
+        rng = np.random.default_rng(70 + n)
+        X = rng.integers(-5, 6, size=(n, 2)).astype(float)
+        alpha = rng.integers(-5, 6, size=2).astype(float)
+        exact = [float(v) for v in exact_chg_values(X, alpha)]
+        assert exact_shapley(chg_game(X, alpha)).values == pytest.approx(exact, abs=1e-12)
+
+    def test_closed_form_matches_rationals_at_n300(self):
+        rng = np.random.default_rng(300)
+        X = rng.integers(-9, 10, size=(300, 2)).astype(float)
+        alpha = rng.integers(-9, 10, size=2).astype(float)
+        exact = exact_chg_values(X, alpha)
+        mean = [Fraction(int(c), 300) for c in X.sum(axis=0)]
+        grand = sum(2 * m * int(a) - m * m for m, a in zip(mean, alpha))
+        assert sum(exact) == grand
+        closed = chg_closed_form_shapley(X, alpha).values
+        spread = max(exact) - min(exact)
+        worst = max(abs(Fraction(float(c)) - e) for c, e in zip(closed, exact))
+        assert worst <= Fraction(1, 10**12) * spread
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +525,21 @@ class TestProperties:
         X = rng.standard_normal((9, 4))
         alpha = rng.standard_normal(4)
         values = chg_closed_form_shapley(X, alpha).values
-        c = closed_form_coefficients(9)
+        own, cross, others, pairs = mean_square_game_weights(9)
+        linear_own, _ = mean_game_weights(9)
         g = X.sum(axis=0)
         sq = np.einsum("ij,ij->i", X, X)
+
+        def own_terms(k):
+            # Datum k's value minus everything shared by all data.
+            G = g - X[k]
+            T = sq.sum() - sq[k]
+            square = own * sq[k] + cross * float(X[k] @ G) + others * T + pairs * (G @ G - T)
+            return 2.0 * linear_own * float(X[k] @ alpha) - square
+
         for j in range(9):
             for k in range(9):
-                gap = (
-                    c.c_self * (sq[j] - sq[k])
-                    + c.c_cross * float(g @ (X[j] - X[k]))
-                    + c.c_alpha_self * float(alpha @ (X[j] - X[k]))
-                )
+                gap = own_terms(j) - own_terms(k)
                 assert values[j] - values[k] == pytest.approx(gap, abs=1e-9)
 
     def test_mc_error_shrinks_with_samples(self):

@@ -10,7 +10,7 @@ import chg_shapley.selection as selection
 import chg_shapley.valuation as valuation
 from chg_shapley import __version__
 from chg_shapley.experiments import make_synthetic_dataset
-from chg_shapley.models import Dataset, per_example_loss_and_grad
+from chg_shapley.models import Dataset, FrozenFeatureMap, per_example_loss_and_grad
 from chg_shapley.selection import SelectionConfig, run_selection_training
 from chg_shapley.shapley import chg_closed_form_shapley
 from chg_shapley.valuation import (
@@ -153,6 +153,26 @@ class TestFactoredRoute:
             tracemalloc.stop()
         assert valuation_peak < dense_bytes / 3
         assert selection_peak < dense_bytes / 3
+
+    def test_feature_map_applied_once_per_run(self, monkeypatch):
+        rows_mapped = []
+        apply = FrozenFeatureMap.apply
+
+        def counting(feature_map, features):
+            rows_mapped.append(features.shape[0])
+            return apply(feature_map, features)
+
+        monkeypatch.setattr(FrozenFeatureMap, "apply", counting)
+        data = make_synthetic_dataset(60, 4, 3, 2.0, seed=23)
+        test = make_synthetic_dataset(30, 4, 3, 2.0, seed=24)
+        run = run_valuation(data, ValuationConfig(epochs=3, seed=23, hidden_width=8))
+        assert rows_mapped == [60]
+        assert run.n_features == 4
+        rows_mapped.clear()
+        cfg = SelectionConfig(fraction=0.2, interval=1, epochs=3, seed=23, hidden_width=8)
+        model, _ = run_selection_training(data, cfg, test_data=test)
+        assert rows_mapped == [60, 30]
+        assert model.feature_map is not None and model.feature_map.width == 8
 
     @pytest.mark.parametrize("per_class", [False, True])
     def test_hardness_never_builds_gradients(self, per_class, monkeypatch):
