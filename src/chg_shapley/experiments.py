@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Dataset, LearningRateSchedule, init_model, sgd_step_weighted, accuracy
+from .models import Dataset, accuracy, check_learning_rate, init_model, sgd_step_weighted
 
 REMOVAL_ORDERS = ("lowest_first", "highest_first", "random")
 
@@ -51,6 +51,7 @@ class RemovalConfig:
             raise ValueError(f"removal fractions must be in [0, 1], got {bad}")
         if self.epochs < 1:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        check_learning_rate(self.lr)
         if self.threads < 1:
             raise ValueError(f"need threads >= 1, got {self.threads}")
 
@@ -154,11 +155,10 @@ def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
 def _retrain_accuracy(
     retained: np.ndarray, train: Dataset, test: Dataset, cfg: RemovalConfig
 ) -> float:
-    schedule = LearningRateSchedule(base_lr=cfg.lr, total_epochs=cfg.epochs)
     model = init_model((train.n_features, train.n_classes), seed=cfg.seed)
     weights = np.ones(retained.size)
-    for epoch in range(cfg.epochs):
-        model = sgd_step_weighted(model, train, retained, weights, schedule.at(epoch))
+    for _ in range(cfg.epochs):
+        model = sgd_step_weighted(model, train, retained, weights, cfg.lr)
     return accuracy(model, test)
 
 

@@ -86,30 +86,12 @@ def make_feature_map(n_features: int, width: int, seed: int) -> FrozenFeatureMap
     return FrozenFeatureMap(projection=projection, offset=offset)
 
 
-@dataclass(frozen=True)
-class LearningRateSchedule:
-    """Constant or cosine-decayed step size over a fixed epoch budget."""
-
-    base_lr: float = 0.1
-    kind: str = "constant"  # constant | cosine
-    total_epochs: int = 0
-
-    def at(self, epoch: int) -> float:
-        if self.kind == "constant":
-            return self.base_lr
-        if self.kind == "cosine":
-            horizon = max(1, self.total_epochs)
-            return self.base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / horizon))
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-
 @dataclass
 class ModelState:
-    """Softmax-head parameters plus step count and optional frozen feature map."""
+    """Softmax-head parameters plus an optional frozen feature map."""
 
     weights: np.ndarray  # n_classes x width
     bias: np.ndarray  # n_classes
-    step: int = 0
     feature_map: FrozenFeatureMap | None = None
 
     @property
@@ -127,65 +109,54 @@ class ModelState:
 
 @dataclass(frozen=True)
 class FactoredGrads:
-    """An n x (C*w + C) matrix whose row i is scale_i * (delta_i outer [phi_i, 1]).
+    """An n x (C*w + C) matrix whose row i is delta_i outer [phi_i, 1].
 
     The dense layout, which `dense()` builds and which every other method
     works in without building it, is the softmax-head gradient layout:
     the C x w weight block row-major by class, then the C bias entries.
-    `scale` is an optional per-row factor (the losses, for chg vectors);
-    None means 1.
+    A per-row factor (the losses, for chg vectors) is folded into delta
+    by `scaled`.
     """
 
     delta: np.ndarray  # n x C
     phi: np.ndarray  # n x w
-    scale: np.ndarray | None = None  # n
 
     @property
     def shape(self) -> tuple[int, int]:
         n, c = self.delta.shape
         return n, c * self.phi.shape[1] + c
 
-    def _scaled_delta(self) -> np.ndarray:
-        return self.delta if self.scale is None else self.scale[:, None] * self.delta
-
     def dense(self) -> np.ndarray:
         """The full matrix; O(n * C * w) memory, for tests and serialization."""
         n = self.delta.shape[0]
         weight_grads = np.einsum("ic,iq->icq", self.delta, self.phi).reshape(n, -1)
-        rows = np.concatenate([weight_grads, self.delta], axis=1)
-        return rows if self.scale is None else self.scale[:, None] * rows
+        return np.concatenate([weight_grads, self.delta], axis=1)
 
     def rows(self, indices) -> "FactoredGrads":
         idx = np.asarray(indices, dtype=np.intp)
-        scale = None if self.scale is None else self.scale[idx]
-        return FactoredGrads(self.delta[idx], self.phi[idx], scale)
+        return FactoredGrads(self.delta[idx], self.phi[idx])
 
     def scaled(self, factors) -> "FactoredGrads":
-        """Rows multiplied by per-row `factors`; shares delta and phi."""
+        """Rows multiplied by per-row `factors`: an n x C product; phi is shared."""
         factors = np.asarray(factors, dtype=float)
-        scale = factors if self.scale is None else self.scale * factors
-        return FactoredGrads(self.delta, self.phi, scale)
-
-    def _parts(self) -> tuple[np.ndarray, ...]:
-        return (self.delta, self.phi) + (() if self.scale is None else (self.scale,))
+        return FactoredGrads(factors[:, None] * self.delta, self.phi)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the factors, not the 8 * n * d of the dense matrix."""
-        return sum(p.nbytes for p in self._parts())
+        return self.delta.nbytes + self.phi.nbytes
 
     def all_finite(self) -> bool:
-        return all(bool(np.all(np.isfinite(p))) for p in self._parts())
+        return bool(np.all(np.isfinite(self.delta))) and bool(np.all(np.isfinite(self.phi)))
 
     def row_sq_norms(self) -> np.ndarray:
-        """||x_i||^2 = ||scale_i delta_i||^2 (||phi_i||^2 + 1)."""
-        d = self._scaled_delta()
-        return np.einsum("ic,ic->i", d, d) * (np.einsum("iq,iq->i", self.phi, self.phi) + 1.0)
+        """||x_i||^2 = ||delta_i||^2 (||phi_i||^2 + 1)."""
+        delta_sq = np.einsum("ic,ic->i", self.delta, self.delta)
+        return delta_sq * (np.einsum("iq,iq->i", self.phi, self.phi) + 1.0)
 
     def column_sum(self) -> np.ndarray:
-        """sum_i x_i, from G = (scale delta)^T [Phi, 1]."""
-        d = self._scaled_delta()
-        return np.concatenate([(d.T @ self.phi).ravel(), d.sum(axis=0)])
+        """sum_i x_i, from G = delta^T [Phi, 1]."""
+        return np.concatenate([(self.delta.T @ self.phi).ravel(), self.delta.sum(axis=0)])
 
     def inner(self, vectors) -> np.ndarray:
         """k x n matrix of <x_i, v_k> for the k rows of `vectors` (k x d)."""
@@ -193,8 +164,9 @@ class FactoredGrads:
         k = v.shape[0]
         c, w = self.delta.shape[1], self.phi.shape[1]
         weights = v[:, : c * w].reshape(k * c, w)
-        head = (self.phi @ weights.T).reshape(-1, k, c) + v[:, c * w :]
-        return np.einsum("ic,ikc->ki", self._scaled_delta(), head)
+        head = (self.phi @ weights.T).reshape(-1, k, c)
+        head += v[:, c * w :]  # in place: no second n x k x C temporary
+        return np.einsum("ic,ikc->ki", self.delta, head)
 
 
 @dataclass
@@ -228,7 +200,7 @@ def init_model(
     rng = np.random.default_rng([seed, 0])
     weights = rng.uniform(-0.01, 0.01, size=(n_classes, width))
     bias = np.zeros(n_classes)
-    return ModelState(weights=weights, bias=bias, step=0, feature_map=feature_map)
+    return ModelState(weights=weights, bias=bias, feature_map=feature_map)
 
 
 def head_dataset(model: ModelState, data: Dataset) -> Dataset:
@@ -313,6 +285,12 @@ def accuracy(model: ModelState, data: Dataset, indices=None) -> float:
     return float(np.mean(logits.argmax(axis=1) == data.labels[idx]))
 
 
+def check_learning_rate(lr: float) -> None:
+    """Training steps at one constant rate, which must be finite and > 0."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be a finite number > 0, got {lr}")
+
+
 def sgd_step_weighted(
     model: ModelState, data: Dataset, indices, weights, lr: float
 ) -> ModelState:
@@ -333,12 +311,7 @@ def sgd_step_weighted(
     delta *= w[:, None]
     grad_w = delta.T @ phi / idx.size
     grad_b = delta.sum(axis=0) / idx.size
-    return replace(
-        model,
-        weights=model.weights - lr * grad_w,
-        bias=model.bias - lr * grad_b,
-        step=model.step + 1,
-    )
+    return replace(model, weights=model.weights - lr * grad_w, bias=model.bias - lr * grad_b)
 
 
 def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset, indices=None) -> float:

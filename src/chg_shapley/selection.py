@@ -21,10 +21,10 @@ import numpy as np
 
 from .models import (
     Dataset,
-    LearningRateSchedule,
     ModelState,
     batch_loss,
     accuracy,
+    check_learning_rate,
     head_dataset,
     init_model,
     per_example_loss_and_grad,
@@ -47,7 +47,6 @@ class SelectionConfig:
     seed: int = 0
     kind: str = "chg"
     lr: float = 0.1
-    lr_schedule: str = "constant"
     hidden_width: int | None = None
 
     def __post_init__(self) -> None:
@@ -57,6 +56,7 @@ class SelectionConfig:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
         if self.epochs < 1:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        check_learning_rate(self.lr)
 
 
 @dataclass
@@ -140,9 +140,6 @@ def _training_loop(
     test_data: Dataset | None,
 ) -> tuple[ModelState, SelectionHistory]:
     """Train a map-free head on data mapped once; the returned model keeps the map."""
-    schedule = LearningRateSchedule(
-        base_lr=cfg.lr, kind=cfg.lr_schedule, total_epochs=cfg.epochs
-    )
     model = init_model(
         (data.n_features, data.n_classes), seed=cfg.seed, hidden_width=cfg.hidden_width
     )
@@ -157,7 +154,7 @@ def _training_loop(
         if epoch % cfg.interval == 0:
             plan = select(model, data, epoch, len(history.events))
             history.events.append(plan)
-        model = sgd_step_weighted(model, data, plan.subset, plan.weights, schedule.at(epoch))
+        model = sgd_step_weighted(model, data, plan.subset, plan.weights, cfg.lr)
         history.metrics.append(
             EpochMetrics(
                 epoch=epoch,

@@ -111,12 +111,14 @@ class GameSpec:
 
 @dataclass
 class ShapleyValues:
-    """Per-player values plus the tag of the method that produced them."""
+    """Per-player values, the U(N) they distribute, and the method's tag."""
 
     values: np.ndarray
+    grand_utility: float  # U(N); efficiency says values.sum() equals it
     method: str  # closed_form | exact | permutation_mc
 
     def __post_init__(self) -> None:
+        self.grand_utility = float(self.grand_utility)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise ValueError("values must be a 1-D vector")
@@ -168,6 +170,7 @@ class ClosedFormStatistics:
     x_alpha: np.ndarray  # <x_i, alpha>
     g_sq: float  # ||g||^2
     g_alpha: float  # <g, alpha>
+    grand_utility: float  # U(N) = ||alpha||^2 - ||g/n - alpha||^2
 
     @property
     def n(self) -> int:
@@ -191,7 +194,9 @@ def closed_form_statistics(X, alpha) -> ClosedFormStatistics:
             g = X.sum(axis=0)
             sq = np.einsum("ij,ij->i", X, X)
             x_g, x_alpha = X @ g, X @ alpha
-        return ClosedFormStatistics(sq, x_g, x_alpha, float(g @ g), float(g @ alpha))
+        gap = g / X.shape[0] - alpha
+        grand = float(alpha @ alpha) - float(gap @ gap)
+        return ClosedFormStatistics(sq, x_g, x_alpha, float(g @ g), float(g @ alpha), grand)
 
 
 def _linear_values(s: ClosedFormStatistics) -> np.ndarray:
@@ -223,7 +228,7 @@ def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
         values = c_sq * s.sq + c_g * s.x_g + shared + _linear_values(s)
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("closed-form values overflowed to non-finite numbers")
-    return ShapleyValues(values=values, method="closed_form")
+    return ShapleyValues(values, s.grand_utility, "closed_form")
 
 
 def shapley_linear_term(X, alpha) -> ShapleyValues:
@@ -232,8 +237,8 @@ def shapley_linear_term(X, alpha) -> ShapleyValues:
     X is a dense n x d array or a `FactoredGrads`; the values are the
     linear part of `chg_closed_form_shapley`, for every n >= 1.
     """
-    values = _linear_values(closed_form_statistics(X, alpha))
-    return ShapleyValues(values=values, method="closed_form")
+    s = closed_form_statistics(X, alpha)
+    return ShapleyValues(_linear_values(s), 2.0 * s.g_alpha / s.n, "closed_form")
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -279,7 +284,7 @@ def exact_shapley(game: GameSpec, limit: int = DEFAULT_EXACT_LIMIT) -> ShapleyVa
         values[i] = float(
             np.sum(weight_by_size[pc[without]] * (u[without | bit] - u[without]))
         )
-    return ShapleyValues(values=values, method="exact")
+    return ShapleyValues(values, u[size - 1], "exact")
 
 
 def _mc_base_permutations(n: int, blocks: int, seed: int) -> np.ndarray:
@@ -336,4 +341,4 @@ def permutation_shapley(game: GameSpec, samples: int, seed: int = 0) -> ShapleyV
                     break
                 walk(perm)
                 drawn += 1
-    return ShapleyValues(values=totals / samples, method="permutation_mc")
+    return ShapleyValues(totals / samples, cache[(1 << n) - 1], "permutation_mc")

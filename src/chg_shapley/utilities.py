@@ -91,7 +91,7 @@ class GradientSet:
     def weighted_vectors(self) -> Vectors:
         """Loss-weighted vectors l_i * grad_i (identity if already weighted).
 
-        A factored set is scaled through its per-row factor, not copied.
+        A factored set folds the losses into delta; phi is shared.
         """
         if self.weighted:
             return self.vectors
@@ -125,11 +125,9 @@ def reference_vector(gs: GradientSet, kind: str) -> np.ndarray:
     ones, hardness has no reference (zero vector returned).
     """
     _check_kind(kind)
-    if kind == "chg":
-        return _mean(gs.weighted_vectors())
-    if kind == "gradient":
-        return _mean(gs.raw_vectors())
-    return np.zeros(gs.d)
+    if kind == "hardness":
+        return np.zeros(gs.d)
+    return chg_inputs_for_closed_form(gs, kind)[1]
 
 
 def scheme_for(gs: GradientSet, kind: str) -> UtilityScheme:
@@ -192,7 +190,7 @@ def hardness_shapley(losses) -> ShapleyValues:
     if not np.all(np.isfinite(l)):
         raise ValueError("non-finite losses")
     own, total = mean_game_weights(l.size)
-    return ShapleyValues(values=own * l + total * float(l.sum()), method="closed_form")
+    return ShapleyValues(own * l + total * float(l.sum()), float(l.mean()), "closed_form")
 
 
 # ---------------------------------------------------------------------------

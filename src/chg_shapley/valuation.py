@@ -19,15 +19,15 @@ import numpy as np
 from . import __version__
 from .models import (
     Dataset,
-    LearningRateSchedule,
     ModelState,
+    check_learning_rate,
     head_dataset,
     init_model,
     per_example_loss_and_grad,
     per_example_losses,
     sgd_step_weighted,
 )
-from .utilities import GradientSet, gradient_set_values, hardness_shapley, reference_vector
+from .utilities import GradientSet, gradient_set_values, hardness_shapley
 
 EFFICIENCY_TOLERANCE = 1e-9
 
@@ -54,7 +54,6 @@ class ValuationConfig:
     epochs: int = 20
     seed: int = 0
     lr: float = 0.1
-    lr_schedule: str = "constant"
     per_class: bool = False
     skip_first_epochs: int = 0
     hidden_width: int | None = None
@@ -62,6 +61,7 @@ class ValuationConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        check_learning_rate(self.lr)
         if not 0 <= self.skip_first_epochs < self.epochs:
             raise ValueError("skip_first_epochs must be in [0, epochs)")
 
@@ -98,34 +98,33 @@ def _epoch_values(
 ) -> tuple[np.ndarray, float]:
     """Values and U(N) at `model`, whole or summed over per-class games.
 
-    U(N) is the mean loss for hardness and ||alpha||^2 otherwise.  Raises
-    FloatingPointError when the values or U(N) are not finite.
+    Each game's U(N) comes with its values.  Raises FloatingPointError
+    when the values or U(N) are not finite.
     """
     if kind == "hardness":
         losses = per_example_losses(model, data)
 
         def group(idx):
-            l = losses if idx is None else losses[idx]
-            return hardness_shapley(l).values, float(l.mean())
+            return hardness_shapley(losses if idx is None else losses[idx])
     else:
         batch = per_example_loss_and_grad(model, data)
         gs = GradientSet(batch.last_layer_grads, batch.losses, weighted=False)
 
         def group(idx):
-            sub = gs if idx is None else gs.restrict(idx)
-            alpha = reference_vector(sub, kind)
-            return gradient_set_values(sub, kind).values, float(alpha @ alpha)
+            return gradient_set_values(gs if idx is None else gs.restrict(idx), kind)
 
     if not per_class:
-        values, utility = group(None)
+        result = group(None)
+        values, utility = result.values, result.grand_utility
     else:
         values = np.zeros(data.n)
         utility = 0.0
         for idx in data.class_index:
             if idx.size == 0:
                 continue
-            values[idx], class_utility = group(idx)
-            utility += class_utility
+            result = group(idx)
+            values[idx] = result.values
+            utility += result.grand_utility
     if not np.isfinite(utility):
         raise FloatingPointError(f"non-finite grand-coalition utility {utility}")
     return values, utility
@@ -135,9 +134,6 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     """One training run with full-batch valuation before each epoch's update."""
     if data.n < 1:
         raise ValueError("dataset is empty")
-    schedule = LearningRateSchedule(
-        base_lr=config.lr, kind=config.lr_schedule, total_epochs=config.epochs
-    )
     model = init_model(
         (data.n_features, data.n_classes), seed=config.seed, hidden_width=config.hidden_width
     )
@@ -155,7 +151,7 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {err}", epoch=epoch
             ) from err
-        model = sgd_step_weighted(model, head_data, None, unit_weights, schedule.at(epoch))
+        model = sgd_step_weighted(model, head_data, None, unit_weights, config.lr)
     mean_values = per_epoch[config.skip_first_epochs :].mean(axis=0)
     return ValuationRun(
         per_epoch_values=per_epoch,
@@ -210,19 +206,25 @@ def value_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def write_values_csv(path, run: ValuationRun, data: Dataset, noise_mask=None) -> None:
-    """Emit index,label[,is_noisy],mean_value,rank with 17-digit floats."""
-    ranks = value_ranks(run.mean_values)
+    """Emit index,label[,is_noisy],mean_value,rank with 17-digit floats.
+
+    The columns stay lazy iterators: materializing them as lists would
+    hold every formatted row in memory at once.
+    """
+    header = ["index", "label", "mean_value", "rank"]
+    columns = [
+        range(run.n),
+        map(int, data.labels),
+        map("{:.17g}".format, run.mean_values),
+        map(int, value_ranks(run.mean_values)),
+    ]
+    if noise_mask is not None:
+        header.insert(2, "is_noisy")
+        columns.insert(2, map(int, noise_mask))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["index", "label", "mean_value", "rank"]
-        if noise_mask is not None:
-            header.insert(2, "is_noisy")
         writer.writerow(header)
-        for i in range(run.n):
-            row = [i, int(data.labels[i]), f"{run.mean_values[i]:.17g}", int(ranks[i])]
-            if noise_mask is not None:
-                row.insert(2, int(noise_mask[i]))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def load_values_csv(path) -> dict[str, np.ndarray]:

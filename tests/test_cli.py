@@ -253,5 +253,19 @@ class TestRemovalCommand:
         assert not (tmp_path / "removal.csv").exists()
 
 
+
+@pytest.mark.parametrize("command", ["value", "select", "removal"])
+@pytest.mark.parametrize("lr", ["-1", "nan", "inf"])
+def test_learning_rate_not_finite_and_positive_exits_1_before_any_output(
+    tmp_path, capsys, command, lr
+):
+    code = cli_main(
+        [command, "--n", "60", "--epochs", "2", "--lr", lr, "--out-dir", str(tmp_path)]
+    )
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: lr must be a finite number > 0")
+    assert not any(tmp_path.iterdir())
+
 def test_exit_codes_are_distinct():
     assert (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC) == (0, 1, 2)

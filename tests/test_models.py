@@ -10,7 +10,6 @@ from chg_shapley.models import (
     Dataset,
     FactoredGrads,
     FrozenFeatureMap,
-    LearningRateSchedule,
     ModelState,
     NonFiniteBatchError,
     accuracy,
@@ -272,17 +271,22 @@ class TestFactoredGrads:
         assert grads.shape == (9, model.n_parameters)
         reference = dense_reference(model, data)
         assert np.array_equal(grads.dense(), reference)
-        losses = result.losses
-        assert np.array_equal(grads.scaled(losses).dense(), losses[:, None] * reference)
+        # Scaling folds the losses into delta: row i is (l_i delta_i) outer [phi_i, 1].
+        scaled_delta = result.losses[:, None] * grads.delta
+        weight_grads = np.einsum("ic,iq->icq", scaled_delta, grads.phi).reshape(9, -1)
+        assert np.array_equal(
+            grads.scaled(result.losses).dense(),
+            np.concatenate([weight_grads, scaled_delta], axis=1),
+        )
 
     def test_statistics_match_dense(self):
         rng = np.random.default_rng(17)
-        grads = FactoredGrads(
-            rng.standard_normal((30, 4)), rng.standard_normal((30, 6)), rng.uniform(0, 2, 30)
-        )
+        scale = rng.uniform(0, 2, 30)
+        delta = scale[:, None] * rng.standard_normal((30, 4))
+        grads = FactoredGrads(delta, rng.standard_normal((30, 6)))
         X = grads.dense()
         assert grads.shape == X.shape == (30, 4 * 6 + 4)
-        assert grads.nbytes == 8 * 30 * (4 + 6 + 1) < X.nbytes
+        assert grads.nbytes == 8 * 30 * (4 + 6) < X.nbytes
         assert grads.row_sq_norms() == pytest.approx(np.einsum("ij,ij->i", X, X), rel=1e-12)
         assert grads.column_sum() == pytest.approx(X.sum(axis=0), rel=1e-12, abs=1e-12)
         V = rng.standard_normal((2, X.shape[1]))
@@ -290,6 +294,7 @@ class TestFactoredGrads:
         idx = np.array([5, 0, 29])
         assert np.array_equal(grads.rows(idx).dense(), X[idx])
         assert np.array_equal(grads.scaled(np.full(30, 2.0)).dense(), 2.0 * X)
+        assert grads.scaled(scale).dense() == pytest.approx(scale[:, None] * X, rel=1e-15)
 
     def test_non_finite_parts_detected(self):
         grads = FactoredGrads(np.ones((2, 2)), np.ones((2, 3)))
@@ -310,7 +315,6 @@ class TestSgdStep:
         stepped = sgd_step_weighted(model, data, np.arange(data.n), np.zeros(data.n), lr=0.5)
         assert np.array_equal(stepped.weights, model.weights)
         assert np.array_equal(stepped.bias, model.bias)
-        assert stepped.step == model.step + 1
 
     def test_unit_weights_equal_plain_mean_gradient(self):
         rng = np.random.default_rng(11)
@@ -370,24 +374,8 @@ class TestDescentInequality:
 
 
 # ---------------------------------------------------------------------------
-# Schedules and metrics
+# Metrics
 # ---------------------------------------------------------------------------
-
-class TestSchedule:
-    def test_constant(self):
-        s = LearningRateSchedule(base_lr=0.3)
-        assert s.at(0) == s.at(19) == 0.3
-
-    def test_cosine_decays_to_near_zero(self):
-        s = LearningRateSchedule(base_lr=0.4, kind="cosine", total_epochs=10)
-        assert s.at(0) == pytest.approx(0.4)
-        assert s.at(10) == pytest.approx(0.0, abs=1e-15)
-        assert s.at(5) == pytest.approx(0.2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            LearningRateSchedule(kind="exp").at(0)
-
 
 def test_accuracy_on_separable_points():
     data = Dataset(

@@ -23,6 +23,7 @@ from chg_shapley.shapley import (
     permutation_shapley,
     shapley_linear_term,
 )
+from chg_shapley.utilities import hardness_shapley
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -199,11 +200,9 @@ class TestChgClosedForm:
 
 
 def random_factored(rng, n, classes=3, width=4) -> FactoredGrads:
-    return FactoredGrads(
-        rng.standard_normal((n, classes)),
-        rng.standard_normal((n, width)),
-        rng.uniform(0.1, 2.0, n),
-    )
+    delta = rng.standard_normal((n, classes))
+    phi = rng.standard_normal((n, width))
+    return FactoredGrads(rng.uniform(0.1, 2.0, n)[:, None] * delta, phi)
 
 
 class TestFactoredClosedForm:
@@ -557,10 +556,39 @@ class TestProperties:
 
     def test_values_container_validation(self):
         with pytest.raises(ValueError):
-            ShapleyValues(values=np.array([1.0, np.nan]), method="exact")
+            ShapleyValues(values=np.array([1.0, np.nan]), grand_utility=1.0, method="exact")
         with pytest.raises(ValueError):
-            ShapleyValues(values=np.ones((2, 2)), method="exact")
+            ShapleyValues(values=np.ones((2, 2)), grand_utility=4.0, method="exact")
+        with pytest.raises(TypeError):
+            ShapleyValues(values=np.ones(2), method="exact")
 
+
+def every_route(rng, n):
+    """(route, values, game) for each route that returns `ShapleyValues`."""
+    grads = random_factored(rng, n)
+    X = grads.dense()
+    alpha = rng.standard_normal(X.shape[1])
+    losses = rng.uniform(0.1, 3.0, n)
+    chg = chg_game(X, alpha)
+    linear = GameSpec(n, lambda idx: 2.0 * float(X[idx].mean(axis=0) @ alpha))
+    hardness = GameSpec(n, lambda idx: float(losses[idx].mean()))
+    return [
+        ("closed form, dense", chg_closed_form_shapley(X, alpha), chg),
+        ("closed form, factored", chg_closed_form_shapley(grads, alpha), chg),
+        ("linear term", shapley_linear_term(grads, alpha), linear),
+        ("exact", exact_shapley(chg), chg),
+        ("permutation", permutation_shapley(chg, samples=30, seed=n), chg),
+        ("hardness", hardness_shapley(losses), hardness),
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_route_returns_the_grand_utility_its_values_sum_to(n):
+    for route, result, game in every_route(np.random.default_rng(90 + n), n):
+        full = game.utility(np.arange(n))
+        tolerance = 1e-12 * abs(full)
+        assert abs(result.grand_utility - full) <= tolerance, route
+        assert abs(result.values.sum() - result.grand_utility) <= tolerance, route
 
 def test_mean_distance_utility_empty_set_convention():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])

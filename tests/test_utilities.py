@@ -66,9 +66,10 @@ class TestFactoredGradientSet:
     def test_weighted_vectors_share_the_factors(self):
         gs = self.factored_set(np.random.default_rng(20))
         weighted = gs.weighted_vectors()
-        assert weighted.delta is gs.vectors.delta and weighted.phi is gs.vectors.phi
+        assert weighted.phi is gs.vectors.phi
+        assert np.array_equal(weighted.delta, gs.losses[:, None] * gs.vectors.delta)
         dense = gs.vectors.dense()
-        assert np.array_equal(weighted.dense(), gs.losses[:, None] * dense)
+        assert weighted.dense() == pytest.approx(gs.losses[:, None] * dense, rel=1e-15)
         assert gs.raw_vectors() is gs.vectors
 
     def test_validation(self):
