@@ -7,6 +7,7 @@ accuracy moves as data is deleted in value order.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,6 +72,26 @@ class DescentBoundCheck:
     holds: bool
 
 
+try:  # glibc only; other C libraries keep freed pages with the allocator
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS, where the C library can.
+
+    Freed arrays below glibc's self-raising mmap threshold leave resident
+    holes in the heap.  Whether a new n x p array reuses one or grows the
+    heap depends on unrelated small allocations, so a process that builds
+    several datasets would otherwise change its resident size by whole
+    arrays from one seed to the next.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def make_synthetic_dataset(
     n: int, p: int, n_classes: int, separation: float, seed: int
 ) -> Dataset:
@@ -78,7 +99,8 @@ def make_synthetic_dataset(
 
     Class c's mean sits at (separation / sqrt(2)) * e_c, so every pair of
     means is exactly `separation` apart; classes are balanced up to the
-    remainder and rows are shuffled deterministically.
+    remainder and rows are shuffled deterministically.  Free heap pages
+    are released first, so the build's resident cost is its own arrays.
     """
     if n_classes < 2 or n < n_classes:
         raise ValueError(f"need n >= n_classes >= 2, got n={n}, n_classes={n_classes}")
@@ -86,6 +108,7 @@ def make_synthetic_dataset(
         raise ValueError(f"need p >= n_classes for the mean layout, got p={p}")
     if separation < 0:
         raise ValueError(f"separation must be >= 0, got {separation}")
+    _release_free_heap()
     rng = np.random.default_rng(seed)
     counts = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     labels = np.repeat(np.arange(n_classes), counts)

@@ -1,8 +1,12 @@
 """Tests for synthetic tasks, noise injection, and the evaluation curves."""
 
+import platform
+import sys
+
 import numpy as np
 import pytest
 
+from chg_shapley import experiments
 from chg_shapley.experiments import (
     NoiseSpec,
     RemovalConfig,
@@ -46,6 +50,21 @@ class TestSyntheticDataset:
         cfg = SelectionConfig(fraction=1.0, interval=1000, epochs=30, seed=4)
         _, history = random_baseline_training(train, cfg, test_data=test)
         assert history.metrics[-1].test_accuracy >= 0.99
+
+    def test_free_heap_released_before_each_build(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "_release_free_heap", lambda: calls.append(True))
+        reference = make_synthetic_dataset(50, 6, 3, 2.0, seed=0)
+        make_synthetic_dataset(50, 6, 3, 2.0, seed=1)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        again = make_synthetic_dataset(50, 6, 3, 2.0, seed=0)
+        assert again.features.tobytes() == reference.features.tobytes()
+
+    def test_free_heap_release_found_on_glibc(self):
+        if sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc":
+            assert experiments._malloc_trim is not None
+        experiments._release_free_heap()  # a no-op elsewhere, never an error
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
