@@ -121,13 +121,20 @@ class FactoredGrads:
     delta: np.ndarray  # n x C
     phi: np.ndarray  # n x w
 
+    def __post_init__(self) -> None:
+        delta, phi = np.shape(self.delta), np.shape(self.phi)
+        if len(delta) != 2 or len(phi) != 2 or delta[0] != phi[0]:
+            raise ValueError(
+                f"delta and phi must be 2-D with the same rows, got shapes {delta} and {phi}"
+            )
+
     @property
     def shape(self) -> tuple[int, int]:
         n, c = self.delta.shape
         return n, c * self.phi.shape[1] + c
 
     def dense(self) -> np.ndarray:
-        """The full matrix; O(n * C * w) memory, for tests and serialization."""
+        """The full matrix; O(n * C * w) memory, for tests."""
         n = self.delta.shape[0]
         weight_grads = np.einsum("ic,iq->icq", self.delta, self.phi).reshape(n, -1)
         return np.concatenate([weight_grads, self.delta], axis=1)
@@ -348,9 +355,12 @@ def load_dataset_csv(path) -> Dataset:
             if len(row) != len(header):
                 raise ValueError(f"{where}: expected {len(header)} fields, got {len(row)}")
             try:
-                features.append([float(tok) for tok in row[:-1]])
+                values = [float(tok) for tok in row[:-1]]
             except ValueError as err:
                 raise ValueError(f"{where}: {err}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{where}: non-finite feature")
+            features.append(values)
             try:
                 labels.append(int(row[-1]))
             except ValueError:

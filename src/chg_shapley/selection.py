@@ -177,7 +177,7 @@ def _value_selection(
                 return hardness_shapley(losses[idx]).values
         else:
             batch = per_example_loss_and_grad(model, data)
-            gs = GradientSet(batch.last_layer_grads, batch.losses, weighted=False)
+            gs = GradientSet(batch.last_layer_grads, batch.losses)
 
             def values_of(idx):
                 return gradient_set_values(gs.restrict(idx), cfg.kind).values

@@ -108,7 +108,7 @@ def _epoch_values(
             return hardness_shapley(losses if idx is None else losses[idx])
     else:
         batch = per_example_loss_and_grad(model, data)
-        gs = GradientSet(batch.last_layer_grads, batch.losses, weighted=False)
+        gs = GradientSet(batch.last_layer_grads, batch.losses)
 
         def group(idx):
             return gradient_set_values(gs if idx is None else gs.restrict(idx), kind)

@@ -88,6 +88,8 @@ class TestDataset:
             ("1,2,0\n3,4\n", 3, "expected 3 fields, got 2"),
             ("1,2,0\n\n3,x,1\n", 4, "could not convert string to float: 'x'"),
             ("1,2,0\n3,4,1.5\n", 3, "label '1.5' is not an integer"),
+            ("1,2,0\n3,nan,1\n", 3, "non-finite feature"),
+            ("1,2,0\n\ninf,4,1\n", 4, "non-finite feature"),
         ],
     )
     def test_csv_errors_name_the_line(self, tmp_path, body, line, message):
@@ -301,6 +303,19 @@ class TestFactoredGrads:
         assert grads.all_finite()
         assert not grads.scaled(np.array([1.0, np.inf])).all_finite()
         assert not FactoredGrads(np.ones((2, 2)), np.full((2, 3), np.nan)).all_finite()
+
+    @pytest.mark.parametrize(
+        "delta, phi",
+        [
+            (np.ones((2, 2)), np.ones((3, 1))),  # row counts differ
+            (np.ones(2), np.ones((2, 1))),  # 1-D delta
+            (np.ones((2, 2)), np.ones(2)),  # 1-D phi
+            (np.ones((2, 2, 1)), np.ones((2, 1))),  # 3-D delta
+        ],
+    )
+    def test_factors_must_be_matrices_with_the_same_rows(self, delta, phi):
+        with pytest.raises(ValueError, match="must be 2-D with the same rows"):
+            FactoredGrads(delta, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Tests for the three utility kinds, their Shapley routes, and serialization."""
+"""Tests for the three utility kinds and their Shapley routes.
+
+Small literal gradient sets are built with `dense_set`: a `FactoredGrads`
+whose phi has zero width has rows equal to delta, so any dense matrix can
+stand in as a factored one.
+"""
 
 from pathlib import Path
 
@@ -13,9 +18,7 @@ from chg_shapley.utilities import (
     chg_inputs_for_closed_form,
     gradient_set_values,
     hardness_shapley,
-    load_gradient_set,
     reference_vector,
-    save_gradient_set,
     scheme_for,
     subset_utility,
     utility_game,
@@ -24,8 +27,14 @@ from chg_shapley.utilities import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def dense_set(X, losses) -> GradientSet:
+    """A gradient set whose rows are exactly the rows of X."""
+    X = np.asarray(X, dtype=float)
+    return GradientSet(FactoredGrads(X, np.empty((X.shape[0], 0))), losses)
+
+
 def random_gradient_set(rng, n=5, d=3) -> GradientSet:
-    return GradientSet(rng.standard_normal((n, d)), rng.uniform(0.0, 2.0, n))
+    return dense_set(rng.standard_normal((n, d)), rng.uniform(0.0, 2.0, n))
 
 
 # ---------------------------------------------------------------------------
@@ -33,29 +42,40 @@ def random_gradient_set(rng, n=5, d=3) -> GradientSet:
 # ---------------------------------------------------------------------------
 
 class TestGradientSet:
+    def test_zero_width_factor_is_the_matrix(self):
+        X = np.random.default_rng(30).standard_normal((7, 4))
+        vectors = dense_set(X, np.ones(7)).vectors
+        assert np.array_equal(vectors.dense(), X)
+        assert np.array_equal(vectors.row_sq_norms(), np.einsum("ij,ij->i", X, X))
+        assert np.array_equal(vectors.column_sum(), X.sum(axis=0))
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            GradientSet(np.ones((2, 2)), np.array([1.0, -0.5]))  # negative loss
+            dense_set(np.ones((2, 2)), np.array([1.0, -0.5]))  # negative loss
         with pytest.raises(ValueError):
-            GradientSet(np.ones((2, 2)), np.ones(3))  # misaligned
+            dense_set(np.ones((2, 2)), np.ones(3))  # misaligned
         with pytest.raises(ValueError):
-            GradientSet(np.array([[np.inf, 0.0]]), np.ones(1))
+            dense_set(np.array([[np.inf, 0.0]]), np.ones(1))
+
+    def test_dense_matrix_refused_with_the_dense_route(self):
+        with pytest.raises(TypeError, match=r"chg_closed_form_shapley\(X, alpha\)"):
+            GradientSet(np.ones((2, 2)), np.ones(2))
 
     def test_weighted_vectors_scale_by_loss(self):
-        gs = GradientSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 0.0]))
-        assert np.array_equal(gs.weighted_vectors(), [[2.0, 0.0], [0.0, 0.0]])
+        gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([2.0, 0.0]))
+        assert np.array_equal(gs.weighted_vectors().dense(), [[2.0, 0.0], [0.0, 0.0]])
 
-    def test_preweighted_passthrough_and_raw_refusal(self):
-        gs = GradientSet(np.ones((2, 2)), np.array([3.0, 4.0]), weighted=True)
-        assert np.array_equal(gs.weighted_vectors(), np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            gs.raw_vectors()
-
-    def test_restrict_keeps_flag(self):
-        gs = GradientSet(np.arange(8.0).reshape(4, 2), np.ones(4), weighted=True)
+    def test_restrict_selects_rows(self):
+        gs = dense_set(np.arange(8.0).reshape(4, 2), np.arange(4.0))
         sub = gs.restrict([2, 0])
-        assert sub.weighted
-        assert np.array_equal(sub.vectors, [[4.0, 5.0], [0.0, 1.0]])
+        assert np.array_equal(sub.vectors.dense(), [[4.0, 5.0], [0.0, 1.0]])
+        assert np.array_equal(sub.losses, [2.0, 0.0])
+
+    @pytest.mark.parametrize("indices", [[-1], [4], [0, 5]])
+    def test_restrict_rejects_out_of_range_indices(self, indices):
+        gs = dense_set(np.arange(8.0).reshape(4, 2), np.ones(4))
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            gs.restrict(indices)
 
 
 class TestFactoredGradientSet:
@@ -70,7 +90,6 @@ class TestFactoredGradientSet:
         assert np.array_equal(weighted.delta, gs.losses[:, None] * gs.vectors.delta)
         dense = gs.vectors.dense()
         assert weighted.dense() == pytest.approx(gs.losses[:, None] * dense, rel=1e-15)
-        assert gs.raw_vectors() is gs.vectors
 
     def test_validation(self):
         grads = FactoredGrads(np.ones((2, 2)), np.array([[1.0], [np.inf]]))
@@ -83,7 +102,7 @@ class TestFactoredGradientSet:
     def test_values_and_reference_match_dense(self, kind):
         rng = np.random.default_rng(21)
         gs = self.factored_set(rng, n=40)
-        dense = GradientSet(gs.vectors.dense(), gs.losses)
+        dense = dense_set(gs.vectors.dense(), gs.losses)
         idx = np.array([3, 17, 0, 39, 22])
         for a, b in ((gs, dense), (gs.restrict(idx), dense.restrict(idx))):
             assert a.vectors.shape == b.vectors.shape
@@ -95,17 +114,11 @@ class TestFactoredGradientSet:
     def test_subset_utility_matches_dense(self):
         rng = np.random.default_rng(22)
         gs = self.factored_set(rng, n=6)
-        dense = GradientSet(gs.vectors.dense(), gs.losses)
+        dense = dense_set(gs.vectors.dense(), gs.losses)
         for kind in ("chg", "gradient"):
             exact = exact_shapley(utility_game(scheme_for(dense, kind), dense)).values
             via_factored = exact_shapley(utility_game(scheme_for(gs, kind), gs)).values
             assert via_factored == pytest.approx(exact, abs=1e-12)
-
-    def test_saved_densely(self, tmp_path):
-        gs = self.factored_set(np.random.default_rng(23), n=3)
-        path = tmp_path / "grads.txt"
-        save_gradient_set(gs, path)
-        assert np.array_equal(load_gradient_set(path).vectors, gs.vectors.dense())
 
     def test_overflowing_mean_is_a_numeric_failure(self):
         grads = FactoredGrads(np.ones((2, 1)), np.full((2, 1), 1e308))
@@ -120,23 +133,23 @@ class TestFactoredGradientSet:
 
 class TestReferenceVector:
     def test_chg_mean_of_weighted(self):
-        gs = GradientSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
+        gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([1.0, 1.0]))
         assert reference_vector(gs, "chg") == pytest.approx([0.5, 0.5])
 
     def test_zero_losses_zero_reference(self):
-        gs = GradientSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+        gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.zeros(2))
         assert reference_vector(gs, "chg") == pytest.approx([0.0, 0.0])
 
     def test_gradient_kind_ignores_losses(self):
-        gs = GradientSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([7.0, 0.01]))
+        gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([7.0, 0.01]))
         assert reference_vector(gs, "gradient") == pytest.approx([0.5, 0.5])
 
     def test_hardness_reference_unused(self):
-        gs = GradientSet(np.ones((3, 2)), np.ones(3))
+        gs = dense_set(np.ones((3, 2)), np.ones(3))
         assert reference_vector(gs, "hardness") == pytest.approx([0.0, 0.0])
 
     def test_unknown_kind(self):
-        gs = GradientSet(np.ones((2, 2)), np.ones(2))
+        gs = dense_set(np.ones((2, 2)), np.ones(2))
         with pytest.raises(ValueError):
             reference_vector(gs, "cosine")
 
@@ -156,22 +169,22 @@ class TestSubsetUtility:
         # Two opposite rows with unit losses: mean of both lands on alpha = 0...
         # use rows placed symmetrically around a nonzero alpha instead.
         vectors = np.array([[2.0, 0.0], [0.0, 2.0]])
-        gs = GradientSet(vectors, np.ones(2))
+        gs = dense_set(vectors, np.ones(2))
         scheme = scheme_for(gs, "chg")  # alpha = [1, 1]
         value = subset_utility(scheme, gs, [0, 1])
         assert value == pytest.approx(float(scheme.alpha @ scheme.alpha), abs=1e-12)
 
     def test_singleton_arithmetic(self):
-        gs = GradientSet(np.array([[0.0, 1.0]]), np.ones(1))
+        gs = dense_set(np.array([[0.0, 1.0]]), np.ones(1))
         scheme = UtilityScheme(kind="chg", alpha=np.array([1.0, 0.0]))
         assert subset_utility(scheme, gs, [0]) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hardness_mean(self):
-        gs = GradientSet(np.zeros((2, 1)), np.array([0.2, 0.4]))
+        gs = dense_set(np.zeros((2, 1)), np.array([0.2, 0.4]))
         assert subset_utility(scheme_for(gs, "hardness"), gs, [0, 1]) == pytest.approx(0.3)
 
     def test_out_of_range_subset(self):
-        gs = GradientSet(np.zeros((2, 1)), np.zeros(2))
+        gs = dense_set(np.zeros((2, 1)), np.zeros(2))
         scheme = scheme_for(gs, "chg")
         with pytest.raises(ValueError):
             subset_utility(scheme, gs, [0, 2])
@@ -194,19 +207,19 @@ class TestSubsetUtility:
 
 class TestClosedFormInputs:
     def test_chg_inputs_example(self):
-        gs = GradientSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 0.0]))
+        gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([2.0, 0.0]))
         X, alpha = chg_inputs_for_closed_form(gs, "chg")
-        assert np.array_equal(X, [[2.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(X.dense(), [[2.0, 0.0], [0.0, 0.0]])
         assert alpha == pytest.approx([1.0, 0.0])
 
     def test_gradient_inputs_example(self):
-        gs = GradientSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 0.0]))
+        gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([2.0, 0.0]))
         X, alpha = chg_inputs_for_closed_form(gs, "gradient")
-        assert np.array_equal(X, gs.vectors)
+        assert np.array_equal(X.dense(), gs.vectors.dense())
         assert alpha == pytest.approx([0.5, 0.5])
 
     def test_hardness_unsupported(self):
-        gs = GradientSet(np.ones((2, 2)), np.ones(2))
+        gs = dense_set(np.ones((2, 2)), np.ones(2))
         with pytest.raises(ValueError):
             chg_inputs_for_closed_form(gs, "hardness")
 
@@ -273,7 +286,7 @@ class TestHardnessShapley:
 class TestInvariants:
     def test_unit_losses_make_chg_equal_gradient(self):
         rng = np.random.default_rng(4)
-        gs = GradientSet(rng.standard_normal((6, 3)), np.ones(6))
+        gs = dense_set(rng.standard_normal((6, 3)), np.ones(6))
         chg_scheme = scheme_for(gs, "chg")
         grad_scheme = scheme_for(gs, "gradient")
         for _ in range(20):
@@ -290,55 +303,9 @@ class TestInvariants:
         rng = np.random.default_rng(5)
         gs = random_gradient_set(rng, n=7, d=2)
         perm = rng.permutation(7)
-        shuffled = GradientSet(gs.vectors[perm], gs.losses[perm])
+        shuffled = GradientSet(gs.vectors.rows(perm), gs.losses[perm])
         for kind in ("chg", "hardness", "gradient"):
             base = gradient_set_values(gs, kind).values
             moved = gradient_set_values(shuffled, kind).values
             assert moved == pytest.approx(base[perm], abs=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(6)
-        gs = GradientSet(rng.standard_normal((4, 3)), rng.uniform(0, 1, 4), weighted=True)
-        path = tmp_path / "grads.txt"
-        save_gradient_set(gs, path)
-        loaded = load_gradient_set(path)
-        assert np.array_equal(loaded.vectors, gs.vectors)
-        assert np.array_equal(loaded.losses, gs.losses)
-        assert loaded.weighted == gs.weighted
-
-    def test_header_format(self, tmp_path):
-        gs = GradientSet(np.ones((2, 3)), np.zeros(2))
-        path = tmp_path / "grads.txt"
-        save_gradient_set(gs, path)
-        assert path.read_text().splitlines()[0] == "2 3 0"
-
-    def test_bad_files_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 3\n")
-        with pytest.raises(ValueError):
-            load_gradient_set(path)
-        path.write_text("2 2 1\n1 2\n3 4\n0.5\n")  # one loss missing
-        with pytest.raises(ValueError):
-            load_gradient_set(path)
-
-    @pytest.mark.parametrize(
-        "text, line, message",
-        [
-            ("2 x 0\n", 1, "bad header '2 x 0': expected three integers"),
-            ("2 2 0\n1 2\n\n3 x\n0.5\n1\n", 4, "could not convert string to float: 'x'"),
-            ("2 2 0\n1 2\n3\n0.5\n1\n", 3, "expected 2 numbers, got 1"),
-            ("2 2 0\n1 2\n3 4\n0.5\nnan? \n", 5, "could not convert string to float: 'nan?'"),
-        ],
-    )
-    def test_errors_name_the_line(self, tmp_path, text, line, message):
-        path = tmp_path / "bad.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError) as err:
-            load_gradient_set(path)
-        assert str(err.value) == f"{path}:{line}: {message}"

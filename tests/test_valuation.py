@@ -1,7 +1,6 @@
 """Tests for the per-epoch valuation loop and its efficiency audit."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import chg_shapley.selection as selection
 import chg_shapley.valuation as valuation
 from chg_shapley import __version__
 from chg_shapley.experiments import make_synthetic_dataset
-from chg_shapley.models import Dataset, FrozenFeatureMap, per_example_loss_and_grad
+from chg_shapley.models import Dataset, FrozenFeatureMap
 from chg_shapley.selection import SelectionConfig, run_selection_training
 from chg_shapley.shapley import chg_closed_form_shapley
 from chg_shapley.valuation import (
@@ -112,10 +111,12 @@ class TestRunValuation:
 # Factored route against the dense oracle
 # ---------------------------------------------------------------------------
 
-def dense_grads(model, data, indices=None):
-    """per_example_loss_and_grad with the gradient matrix built densely."""
-    batch = per_example_loss_and_grad(model, data, indices)
-    return replace(batch, last_layer_grads=batch.last_layer_grads.dense())
+def dense_values(gs, kind):
+    """gradient_set_values through the dense closed form on the built matrix."""
+    X = gs.vectors.dense()
+    if kind == "chg":
+        X = gs.losses[:, None] * X
+    return chg_closed_form_shapley(X, X.mean(axis=0))
 
 
 class TestFactoredRoute:
@@ -128,7 +129,7 @@ class TestFactoredRoute:
             kind=kind, epochs=3, seed=20, per_class=per_class, hidden_width=hidden_width
         )
         factored = run_valuation(data, config)
-        monkeypatch.setattr(valuation, "per_example_loss_and_grad", dense_grads)
+        monkeypatch.setattr(valuation, "gradient_set_values", dense_values)
         dense = run_valuation(data, config)
         for got, want in zip(factored.per_epoch_values, dense.per_epoch_values):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
