@@ -77,7 +77,7 @@ def _add_task_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, default=20, help="synthetic feature count")
     sub.add_argument("--classes", type=int, default=2, help="synthetic class count")
     sub.add_argument("--separation", type=float, default=4.0, help="synthetic class-mean distance")
-    sub.add_argument("--noise-rate", type=float, default=0.0, help="label-flip fraction")
+    sub.add_argument("--noise-rate", type=float, default=0.0, help="label-flip fraction in [0, 1]")
 
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
@@ -157,6 +157,8 @@ def _out_dir(args) -> Path:
 
 def _load_task(args):
     """Dataset (from CSV or synthesized) plus injected-noise ground truth."""
+    if not 0.0 <= args.noise_rate <= 1.0:
+        raise ValueError(f"--noise-rate must be in [0, 1], got {args.noise_rate}")
     if args.data is not None:
         data = load_dataset_csv(args.data)
     else:

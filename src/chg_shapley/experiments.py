@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Dataset, accuracy, check_learning_rate, init_model, sgd_step_weighted
+from .models import (
+    Dataset,
+    accuracy,
+    check_learning_rate,
+    init_model,
+    per_example_loss_and_grad,
+    sgd_step_weighted,
+)
 
 REMOVAL_ORDERS = ("lowest_first", "highest_first", "random")
 
@@ -179,9 +186,10 @@ def _retrain_accuracy(
     retained: np.ndarray, train: Dataset, test: Dataset, cfg: RemovalConfig
 ) -> float:
     model = init_model((train.n_features, train.n_classes), seed=cfg.seed)
-    weights = np.ones(retained.size)
     for _ in range(cfg.epochs):
-        model = sgd_step_weighted(model, train, retained, weights, cfg.lr)
+        grads = per_example_loss_and_grad(model, train, retained).last_layer_grads
+        model = sgd_step_weighted(model, grads, cfg.lr)
+        del grads  # free the factors before the next forward pass
     return accuracy(model, test)
 
 

@@ -146,6 +146,8 @@ class FactoredGrads:
     def scaled(self, factors) -> "FactoredGrads":
         """Rows multiplied by per-row `factors`: an n x C product; phi is shared."""
         factors = np.asarray(factors, dtype=float)
+        if factors.shape != self.delta.shape[:1]:
+            raise ValueError(f"need {self.delta.shape[0]} row factors, got shape {factors.shape}")
         return FactoredGrads(factors[:, None] * self.delta, self.phi)
 
     @property
@@ -298,27 +300,19 @@ def check_learning_rate(lr: float) -> None:
         raise ValueError(f"lr must be a finite number > 0, got {lr}")
 
 
-def sgd_step_weighted(
-    model: ModelState, data: Dataset, indices, weights, lr: float
-) -> ModelState:
-    """One step theta <- theta - lr * (1/|batch|) sum_i w_i grad_i.
+def sgd_step_weighted(model: ModelState, grads: FactoredGrads, lr: float) -> ModelState:
+    """One step theta <- theta - lr * (1/n) sum_i x_i over the n rows of `grads`.
 
-    Returns a new state; the input model is untouched.
+    `grads` are the per-example gradients at `model`; `grads.scaled(w)`
+    weights the step.  Returns a new state; the input model is untouched.
     """
-    idx, phi = _head_inputs(model, data, indices)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (idx.size,):
-        raise ValueError(f"weights shape {w.shape} does not match batch size {idx.size}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be finite and non-negative")
-    labels = data.labels[idx]
-    probs, _ = _probs_and_losses(model, phi, labels, idx)
-    delta = probs
-    delta[np.arange(labels.size), labels] -= 1.0
-    delta *= w[:, None]
-    grad_w = delta.T @ phi / idx.size
-    grad_b = delta.sum(axis=0) / idx.size
-    return replace(model, weights=model.weights - lr * grad_w, bias=model.bias - lr * grad_b)
+    grad = grads.column_sum() / grads.shape[0]
+    split = model.weights.size
+    return replace(
+        model,
+        weights=model.weights - lr * grad[:split].reshape(model.weights.shape),
+        bias=model.bias - lr * grad[split:],
+    )
 
 
 def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset, indices=None) -> float:

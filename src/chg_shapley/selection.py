@@ -154,7 +154,9 @@ def _training_loop(
         if epoch % cfg.interval == 0:
             plan = select(model, data, epoch, len(history.events))
             history.events.append(plan)
-        model = sgd_step_weighted(model, data, plan.subset, plan.weights, cfg.lr)
+        batch = per_example_loss_and_grad(model, data, plan.subset)
+        model = sgd_step_weighted(model, batch.last_layer_grads.scaled(plan.weights), cfg.lr)
+        del batch  # free the factors before the evaluation passes
         history.metrics.append(
             EpochMetrics(
                 epoch=epoch,

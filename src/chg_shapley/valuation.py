@@ -1,10 +1,10 @@
 """Per-epoch data valuation: score every datum each epoch, then train, then average.
 
-Each epoch acquires full-batch per-example losses and factored
-last-layer gradients at the current parameters (losses alone for the
-hardness kind), computes closed-form Shapley values of the chosen
-utility kind from them, and only then applies the epoch's parameter
-update, so values describe the state the gradients were measured at.
+Each epoch runs one full-batch forward pass for per-example losses and
+factored last-layer gradients at the current parameters, computes
+closed-form Shapley values of the chosen utility kind from them (from
+the losses alone for the hardness kind), and only then steps on the
+same gradients, so values describe the state they were measured at.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import numpy as np
 from . import __version__
 from .models import (
     Dataset,
-    ModelState,
+    PerExampleBatchResult,
     check_learning_rate,
     head_dataset,
     init_model,
     per_example_loss_and_grad,
-    per_example_losses,
     sgd_step_weighted,
 )
 from .utilities import GradientSet, gradient_set_values, hardness_shapley
@@ -90,24 +89,22 @@ class ValuationRun:
 class EfficiencyAudit:
     max_violation: float
     per_epoch_violation: np.ndarray
-    tolerance: float
 
 
 def _epoch_values(
-    model: ModelState, data: Dataset, kind: str, per_class: bool
+    batch: PerExampleBatchResult, data: Dataset, kind: str, per_class: bool
 ) -> tuple[np.ndarray, float]:
-    """Values and U(N) at `model`, whole or summed over per-class games.
+    """Values and U(N) from `batch`, whole or summed over per-class games.
 
     Each game's U(N) comes with its values.  Raises FloatingPointError
     when the values or U(N) are not finite.
     """
     if kind == "hardness":
-        losses = per_example_losses(model, data)
+        losses = batch.losses
 
         def group(idx):
             return hardness_shapley(losses if idx is None else losses[idx])
     else:
-        batch = per_example_loss_and_grad(model, data)
         gs = GradientSet(batch.last_layer_grads, batch.losses)
 
         def group(idx):
@@ -141,17 +138,18 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     model = replace(model, feature_map=None)
     per_epoch = np.empty((config.epochs, data.n))
     utilities = np.empty(config.epochs)
-    unit_weights = np.ones(data.n)
     for epoch in range(config.epochs):
         try:
+            batch = per_example_loss_and_grad(model, head_data)
             per_epoch[epoch], utilities[epoch] = _epoch_values(
-                model, head_data, config.kind, config.per_class
+                batch, head_data, config.kind, config.per_class
             )
         except FloatingPointError as err:
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: {err}", epoch=epoch
             ) from err
-        model = sgd_step_weighted(model, head_data, None, unit_weights, config.lr)
+        model = sgd_step_weighted(model, batch.last_layer_grads, config.lr)
+        del batch  # free the factors before the next forward pass
     mean_values = per_epoch[config.skip_first_epochs :].mean(axis=0)
     return ValuationRun(
         per_epoch_values=per_epoch,
@@ -163,34 +161,26 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     )
 
 
-def epoch_efficiency_audit(
-    run: ValuationRun,
-    per_epoch_utilities=None,
-    tolerance: float = EFFICIENCY_TOLERANCE,
-) -> EfficiencyAudit:
-    """Check sum_j value_j = U(N) for every epoch, within relative tolerance.
+def epoch_efficiency_audit(run: ValuationRun) -> EfficiencyAudit:
+    """Check sum_j value_j = U(N) for every epoch, within EFFICIENCY_TOLERANCE.
 
+    The relative violation is measured against `run.per_epoch_utilities`;
     np.sum's pairwise accumulation keeps the check meaningful at n >= 1e4.
     Raises `EfficiencyAuditError` listing the offending epochs on failure.
     """
-    utilities = np.asarray(
-        run.per_epoch_utilities if per_epoch_utilities is None else per_epoch_utilities,
-        dtype=float,
-    )
+    utilities = np.asarray(run.per_epoch_utilities, dtype=float)
     if utilities.shape != (run.epochs,):
         raise ValueError("need one recorded utility per epoch")
     sums = run.per_epoch_values.sum(axis=1)
     violation = np.abs(sums - utilities) / np.maximum(1.0, np.abs(utilities))
     worst = float(violation.max())
-    if worst > tolerance:
-        bad = np.flatnonzero(violation > tolerance).tolist()
+    if worst > EFFICIENCY_TOLERANCE:
+        bad = np.flatnonzero(violation > EFFICIENCY_TOLERANCE).tolist()
         raise EfficiencyAuditError(
             f"efficiency audit failed at epochs {bad}: max violation {worst:.3e}",
             epochs=bad,
         )
-    return EfficiencyAudit(
-        max_violation=worst, per_epoch_violation=violation, tolerance=tolerance
-    )
+    return EfficiencyAudit(max_violation=worst, per_epoch_violation=violation)
 
 
 # ---------------------------------------------------------------------------

@@ -323,11 +323,16 @@ class TestFactoredGrads:
 # ---------------------------------------------------------------------------
 
 class TestSgdStep:
+    @staticmethod
+    def grads_at(model, data):
+        return per_example_loss_and_grad(model, data).last_layer_grads
+
     def test_zero_weights_leave_parameters(self):
         rng = np.random.default_rng(10)
         data = small_dataset(rng)
         model = init_model((4, 3), seed=10)
-        stepped = sgd_step_weighted(model, data, np.arange(data.n), np.zeros(data.n), lr=0.5)
+        grads = self.grads_at(model, data).scaled(np.zeros(data.n))
+        stepped = sgd_step_weighted(model, grads, lr=0.5)
         assert np.array_equal(stepped.weights, model.weights)
         assert np.array_equal(stepped.bias, model.bias)
 
@@ -335,26 +340,44 @@ class TestSgdStep:
         rng = np.random.default_rng(11)
         data = small_dataset(rng)
         model = init_model((4, 3), seed=11)
-        stepped = sgd_step_weighted(model, data, np.arange(data.n), np.ones(data.n), lr=0.2)
-        grads = per_example_loss_and_grad(model, data).last_layer_grads.dense().mean(axis=0)
+        grads = self.grads_at(model, data)
+        stepped = sgd_step_weighted(model, grads, lr=0.2)
+        unit = sgd_step_weighted(model, grads.scaled(np.ones(data.n)), lr=0.2)
+        mean = grads.dense().mean(axis=0)
         c, q = model.weights.shape
-        expected_w = model.weights - 0.2 * grads[: c * q].reshape(c, q)
-        expected_b = model.bias - 0.2 * grads[c * q :]
+        expected_w = model.weights - 0.2 * mean[: c * q].reshape(c, q)
+        expected_b = model.bias - 0.2 * mean[c * q :]
         assert stepped.weights == pytest.approx(expected_w, abs=1e-15)
         assert stepped.bias == pytest.approx(expected_b, abs=1e-15)
+        assert np.array_equal(unit.weights, stepped.weights)
+        assert np.array_equal(unit.bias, stepped.bias)
+
+    def test_weighted_step_is_the_weighted_mean(self):
+        rng = np.random.default_rng(15)
+        data = small_dataset(rng)
+        model = init_model((4, 3), seed=15)
+        w = rng.uniform(0.0, 1.0, data.n)
+        grads = self.grads_at(model, data)
+        stepped = sgd_step_weighted(model, grads.scaled(w), lr=0.3)
+        flat = np.concatenate([model.weights.ravel(), model.bias])
+        expected = flat - 0.3 * np.mean(w[:, None] * grads.dense(), axis=0)
+        got = np.concatenate([stepped.weights.ravel(), stepped.bias])
+        assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_mismatched_lengths(self):
         data = small_dataset(np.random.default_rng(12))
         model = init_model((4, 3), seed=12)
-        with pytest.raises(ValueError):
-            sgd_step_weighted(model, data, [0, 1], np.ones(3), lr=0.1)
+        grads = per_example_loss_and_grad(model, data, [0, 1]).last_layer_grads
+        for weights in (np.ones(3), np.ones(1), np.ones((2, 1)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="need 2 row factors"):
+                grads.scaled(weights)
 
     def test_step_decreases_loss_on_convex_instance(self):
         rng = np.random.default_rng(13)
         data = small_dataset(rng, n=30, p=4, n_classes=2)
         model = init_model((4, 2), seed=13)
         before = batch_loss(model, data)
-        stepped = sgd_step_weighted(model, data, np.arange(data.n), np.ones(data.n), lr=0.05)
+        stepped = sgd_step_weighted(model, self.grads_at(model, data), lr=0.05)
         assert batch_loss(stepped, data) < before
 
     def test_input_model_untouched(self):
@@ -362,7 +385,7 @@ class TestSgdStep:
         data = small_dataset(rng)
         model = init_model((4, 3), seed=14)
         snapshot = model.weights.copy()
-        sgd_step_weighted(model, data, np.arange(data.n), np.ones(data.n), lr=0.3)
+        sgd_step_weighted(model, self.grads_at(model, data), lr=0.3)
         assert np.array_equal(model.weights, snapshot)
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chg_shapley.models as models
 import chg_shapley.selection as selection
 import chg_shapley.valuation as valuation
 from chg_shapley import __version__
@@ -177,11 +178,17 @@ class TestFactoredRoute:
 
     @pytest.mark.parametrize("per_class", [False, True])
     def test_hardness_never_builds_gradients(self, per_class, monkeypatch):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("hardness must not compute gradients")
+        """Hardness values come from the losses alone: no gradient set is built or valued.
 
-        monkeypatch.setattr(valuation, "per_example_loss_and_grad", refuse)
-        monkeypatch.setattr(selection, "per_example_loss_and_grad", refuse)
+        The step's forward pass still computes the factored gradients it steps on.
+        """
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("hardness must not value gradients")
+
+        for module in (valuation, selection):
+            monkeypatch.setattr(module, "GradientSet", refuse)
+            monkeypatch.setattr(module, "gradient_set_values", refuse)
         data = tiny_task(seed=22)
         run = run_valuation(data, ValuationConfig(kind="hardness", epochs=2, per_class=per_class))
         assert epoch_efficiency_audit(run).max_violation <= 1e-9
@@ -189,6 +196,27 @@ class TestFactoredRoute:
             data, SelectionConfig(fraction=0.2, interval=1, epochs=2, kind="hardness")
         )
         assert len(history.events) == 2
+
+    @pytest.mark.parametrize("kind", ["chg", "gradient", "hardness"])
+    def test_one_forward_pass_per_training_step(self, kind, monkeypatch):
+        calls = []
+        probs_and_losses = models._probs_and_losses
+
+        def counting(*args):
+            calls.append(1)
+            return probs_and_losses(*args)
+
+        monkeypatch.setattr(models, "_probs_and_losses", counting)
+        data = make_synthetic_dataset(60, 4, 3, 2.0, seed=25)
+        for per_class in (False, True):
+            calls.clear()
+            run_valuation(data, ValuationConfig(kind=kind, epochs=3, per_class=per_class))
+            assert len(calls) == 3, per_class
+        calls.clear()
+        cfg = SelectionConfig(fraction=0.2, interval=2, epochs=3, kind=kind)
+        _, history = run_selection_training(data, cfg)
+        # One pass per selection event, then the step's and the train loss's each epoch.
+        assert len(calls) == len(history.events) + 2 * 3 == 8
 
     def test_overflow_names_the_epoch(self):
         data = Dataset(
@@ -234,10 +262,11 @@ class TestEfficiencyAudit:
         run = run_valuation(data, ValuationConfig(epochs=2, seed=14, per_class=per_class))
         assert epoch_efficiency_audit(run).max_violation <= 1e-9
 
-    def test_external_utilities_shape_checked(self):
+    def test_utilities_length_checked(self):
         run = run_valuation(tiny_task(), ValuationConfig(epochs=2, seed=13))
-        with pytest.raises(ValueError):
-            epoch_efficiency_audit(run, per_epoch_utilities=np.zeros(3))
+        run.per_epoch_utilities = np.append(run.per_epoch_utilities, 0.0)
+        with pytest.raises(ValueError, match="one recorded utility per epoch"):
+            epoch_efficiency_audit(run)
 
 
 # ---------------------------------------------------------------------------
