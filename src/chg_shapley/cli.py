@@ -14,7 +14,6 @@ Every subcommand is deterministic given --seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -30,7 +29,7 @@ from .experiments import (
     make_synthetic_dataset,
     point_removal_curve,
 )
-from .models import Dataset, load_dataset_csv
+from .models import Dataset, _write_csv, load_dataset_csv
 from .selection import (
     SelectionConfig,
     run_selection_training,
@@ -304,11 +303,12 @@ def _cmd_bench(args) -> int:
     }
     (out / "detection.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.plot_data:
-        with open(out / "detection_curve.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fraction", "detection_rate", "random_baseline"])
-            for f, r, b in zip(report.fractions, report.detection_rate, report.random_baseline):
-                writer.writerow([f"{f:.17g}", f"{r:.17g}", f"{b:.17g}"])
+        _write_csv(
+            out / "detection_curve.csv",
+            ["fraction", "detection_rate", "random_baseline"],
+            "%.17g,%.17g,%.17g",
+            [report.fractions, report.detection_rate, report.random_baseline],
+        )
     print(f"wrote {out / 'detection.json'} (AUC {report.auc:.4f})")
     return EXIT_OK
 
@@ -327,12 +327,17 @@ def _cmd_removal(args) -> int:
         max(200, args.n // 2), args.p, args.classes, args.separation, args.seed + 500
     ) if args.data is None else data
     curve = point_removal_curve(run.mean_values, data, test, cfg)
-    with open(out / "removal.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "order", "accuracy"])
-        for order, accs in curve.accuracy.items():
-            for f, acc in zip(curve.fractions, accs):
-                writer.writerow([f"{f:.17g}", order, f"{acc:.17g}"])
+    orders = list(curve.accuracy)
+    _write_csv(
+        out / "removal.csv",
+        ["fraction", "order", "accuracy"],
+        "%.17g,%s,%.17g",
+        [
+            np.tile(curve.fractions, len(orders)),
+            np.repeat(orders, curve.fractions.size),
+            np.concatenate([curve.accuracy[order] for order in orders]),
+        ],
+    )
     print(f"wrote {out / 'removal.csv'} ({curve.fractions.size} fractions x {len(curve.accuracy)} orders)")
     return EXIT_OK
 

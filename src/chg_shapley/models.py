@@ -326,8 +326,37 @@ def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset, indices=N
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion: header row, feature columns, then one integer label column
+# CSV files.  Every table the package writes goes through _write_csv; a
+# dataset is a header row, feature columns, then one integer label column.
 # ---------------------------------------------------------------------------
+
+_CSV_CHUNK_ROWS = 1024  # rows converted to Python objects at a time
+_INTP = np.iinfo(np.intp)
+
+
+def _write_csv(path, header, row_format: str, columns) -> None:
+    """Write `header`, then row i as `row_format % (c[i] for c in columns)`.
+
+    Fields are comma-separated and unquoted, and lines end in "\r\n": the
+    bytes csv.writer writes for fields with no comma, quote or line
+    break.  `columns` are equal-length arrays; a chunk of rows is converted
+    with `.tolist()` and formatted by one `%`, so peak memory stays flat in
+    the number of rows.
+    """
+    n = len(columns[0])
+    for name, column in zip(header, columns):
+        if len(column) != n:
+            raise ValueError(f"{path}: column {name!r} has {len(column)} rows, expected {n}")
+    width = len(columns)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, n)
+            fields = [None] * ((stop - start) * width)
+            for j, column in enumerate(columns):
+                fields[j::width] = column[start:stop].tolist()
+            fh.write((row_format + "\r\n") * (stop - start) % tuple(fields))
+
 
 def load_dataset_csv(path) -> Dataset:
     """Read `feature..., label` rows; labels must cover 0..C-1 with no gaps.
@@ -356,15 +385,17 @@ def load_dataset_csv(path) -> Dataset:
                 raise ValueError(f"{where}: non-finite feature")
             features.append(values)
             try:
-                labels.append(int(row[-1]))
+                label = int(row[-1])
             except ValueError:
                 raise ValueError(f"{where}: label {row[-1]!r} is not an integer") from None
+            if not _INTP.min <= label <= _INTP.max:
+                raise ValueError(f"{where}: label {row[-1]!r} is out of range")
+            labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no data rows")
     label_array = np.array(labels, dtype=np.intp)
     present = np.unique(label_array)
-    expected = np.arange(label_array.max() + 1)
-    if label_array.min() < 0 or present.size != expected.size or np.any(present != expected):
+    if present[0] != 0 or present[-1] != present.size - 1:
         raise ValueError(
             f"{path}: labels must be contiguous 0..C-1, found {present.tolist()}"
         )
@@ -372,8 +403,10 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def save_dataset_csv(data: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feat_{j}" for j in range(data.n_features)] + ["label"])
-        for row, label in zip(data.features, data.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [int(label)])
+    p = data.n_features
+    _write_csv(
+        path,
+        [f"feat_{j}" for j in range(p)] + ["label"],
+        ",".join(["%.17g"] * p + ["%d"]),
+        [data.features[:, j] for j in range(p)] + [data.labels],
+    )

@@ -9,7 +9,6 @@ selection events train on the standing subset with the standing weights.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -22,6 +21,7 @@ import numpy as np
 from .models import (
     Dataset,
     ModelState,
+    _write_csv,
     batch_loss,
     accuracy,
     check_learning_rate,
@@ -277,15 +277,15 @@ def write_selection_history_jsonl(path, history: SelectionHistory) -> None:
 
 
 def write_metrics_csv(path, history: SelectionHistory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "test_accuracy", "wall_time"])
-        for row in history.metrics:
-            writer.writerow(
-                [
-                    row.epoch,
-                    f"{row.train_loss:.17g}",
-                    f"{row.test_accuracy:.17g}",
-                    f"{row.wall_time:.6f}",
-                ]
-            )
+    rows = history.metrics
+    _write_csv(
+        path,
+        ["epoch", "train_loss", "test_accuracy", "wall_time"],
+        "%d,%.17g,%.17g,%.6f",
+        [
+            np.array([row.epoch for row in rows], dtype=int),
+            np.array([row.train_loss for row in rows], dtype=float),
+            np.array([row.test_accuracy for row in rows], dtype=float),
+            np.array([row.wall_time for row in rows], dtype=float),
+        ],
+    )

@@ -20,6 +20,7 @@ from . import __version__
 from .models import (
     Dataset,
     PerExampleBatchResult,
+    _write_csv,
     check_learning_rate,
     head_dataset,
     init_model,
@@ -198,23 +199,17 @@ def value_ranks(values: np.ndarray) -> np.ndarray:
 def write_values_csv(path, run: ValuationRun, data: Dataset, noise_mask=None) -> None:
     """Emit index,label[,is_noisy],mean_value,rank with 17-digit floats.
 
-    The columns stay lazy iterators: materializing them as lists would
-    hold every formatted row in memory at once.
+    Raises ValueError, before the file is opened, unless `data.labels` and
+    `noise_mask` have one entry per valued row.
     """
     header = ["index", "label", "mean_value", "rank"]
-    columns = [
-        range(run.n),
-        map(int, data.labels),
-        map("{:.17g}".format, run.mean_values),
-        map(int, value_ranks(run.mean_values)),
-    ]
+    formats = ["%d", "%d", "%.17g", "%d"]
+    columns = [np.arange(run.n), data.labels, run.mean_values, value_ranks(run.mean_values)]
     if noise_mask is not None:
         header.insert(2, "is_noisy")
-        columns.insert(2, map(int, noise_mask))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        formats.insert(2, "%d")
+        columns.insert(2, np.asarray(noise_mask))
+    _write_csv(path, header, ",".join(formats), columns)
 
 
 def load_values_csv(path) -> dict[str, np.ndarray]:

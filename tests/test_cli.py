@@ -161,6 +161,14 @@ class TestValueCommand:
         assert code == EXIT_INPUT
         assert f"{csv_path}:3: expected 3 fields, got 2" in capsys.readouterr().err
 
+    def test_label_beyond_intp_exits_one_naming_the_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("a,b,label\n1,2,0\n3,4,100000000000000000000\n")
+        code = cli_main(["value", "--data", str(csv_path), "--out-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "big.csv:3" in capsys.readouterr().err
+        assert not (tmp_path / "values.csv").exists()
+
 
 class TestSelectCommand:
     def test_outputs(self, tmp_path):

@@ -78,6 +78,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             load_dataset_csv(path)
 
+    def test_csv_label_gap_checked_without_allocating_up_to_the_label(self, tmp_path):
+        path = tmp_path / "gappy.csv"
+        path.write_text("f0,label\n1.0,0\n2.0,1099511627776\n")  # 2**40
+        with pytest.raises(ValueError, match="contiguous"):
+            load_dataset_csv(path)
+
     def test_csv_missing_file(self):
         with pytest.raises(OSError):
             load_dataset_csv("definitely_missing.csv")
@@ -90,6 +96,8 @@ class TestDataset:
             ("1,2,0\n3,4,1.5\n", 3, "label '1.5' is not an integer"),
             ("1,2,0\n3,nan,1\n", 3, "non-finite feature"),
             ("1,2,0\n\ninf,4,1\n", 4, "non-finite feature"),
+            ("1,2,0\n3,4,100000000000000000000\n", 3, "label '100000000000000000000' is out of range"),
+            ("1,2,0\n3,4,-100000000000000000000\n", 3, "label '-100000000000000000000' is out of range"),
         ],
     )
     def test_csv_errors_name_the_line(self, tmp_path, body, line, message):

@@ -279,17 +279,33 @@ class TestOutputs:
         assert ranks.tolist() == [2, 1, 3, 4]
 
     def test_values_csv_round_trip(self, tmp_path):
-        data = tiny_task(seed=14)
+        data = tiny_task(seed=14, n=2 * models._CSV_CHUNK_ROWS + 3)  # crosses two chunk boundaries
         run = run_valuation(data, ValuationConfig(epochs=3, seed=14))
         path = tmp_path / "values.csv"
         mask = np.zeros(data.n, dtype=bool)
         mask[:5] = True
+        mask[models._CSV_CHUNK_ROWS - 2 : models._CSV_CHUNK_ROWS + 3] = True
         write_values_csv(path, run, data, noise_mask=mask)
         cols = load_values_csv(path)
         assert np.array_equal(cols["index"], np.arange(data.n))
+        assert np.array_equal(cols["label"], data.labels)
         assert np.array_equal(cols["mean_value"], run.mean_values)  # 17g round-trips
-        assert np.array_equal(cols["is_noisy"][:5], np.ones(5, dtype=int))
+        assert np.array_equal(cols["is_noisy"], mask.astype(int))
         assert np.array_equal(cols["rank"], value_ranks(run.mean_values))
+
+    @pytest.mark.parametrize("short", ["noise_mask", "labels"])
+    def test_values_csv_refuses_short_columns(self, tmp_path, short):
+        data = tiny_task(seed=17, n=100)
+        run = run_valuation(data, ValuationConfig(epochs=1, seed=17))
+        mask = np.zeros(data.n, dtype=bool)
+        if short == "noise_mask":
+            mask = mask[:10]
+        else:
+            data = Dataset(data.features[:10], data.labels[:10])
+        path = tmp_path / "values.csv"
+        with pytest.raises(ValueError, match="has 10 rows, expected 100"):
+            write_values_csv(path, run, data, noise_mask=mask)
+        assert not path.exists()
 
     def test_values_csv_byte_identical(self, tmp_path):
         data = tiny_task(seed=15)
