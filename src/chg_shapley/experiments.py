@@ -54,9 +54,14 @@ class RemovalConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if not self.fractions:
+            raise ValueError("need at least one removal fraction")
         bad = [f for f in self.fractions if not 0.0 <= f <= 1.0]
         if bad:
             raise ValueError(f"removal fractions must be in [0, 1], got {bad}")
+        repeated = sorted({f for f in self.fractions if self.fractions.count(f) > 1})
+        if repeated:
+            raise ValueError(f"removal fractions must be distinct, got {repeated} more than once")
         if self.epochs < 1:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
         check_learning_rate(self.lr)
@@ -149,6 +154,14 @@ def inject_label_noise(
     return flipped, NoiseSpec(rate=rate, seed=seed, flip_mask=mask)
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Reject NaN and inf: lexsort would put them last in either direction."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"values must be finite, got {values[i]} at index {i}")
+
+
 def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
     """Sweep the inspected fraction over the ascending-value order.
 
@@ -160,6 +173,7 @@ def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
     mask = np.asarray(noise.flip_mask, dtype=bool)
     if values.shape != mask.shape:
         raise ValueError("values and noise mask must align")
+    _check_finite(values)
     total = int(mask.sum())
     if total == 0:
         raise ValueError("no noisy points to detect")
@@ -183,8 +197,9 @@ def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
 
 
 def _retrain_accuracy(
-    retained: np.ndarray, train: Dataset, test: Dataset, cfg: RemovalConfig
+    retained: np.ndarray | None, train: Dataset, test: Dataset, cfg: RemovalConfig
 ) -> float:
+    """Test accuracy after training on the rows `retained` (every row when None)."""
     model = init_model((train.n_features, train.n_classes), seed=cfg.seed)
     for _ in range(cfg.epochs):
         grads = per_example_loss_and_grad(model, train, retained).last_layer_grads
@@ -200,12 +215,16 @@ def point_removal_curve(
 
     Every arm reuses the same init seed, so curves differ only through
     the retained set.  Fractions that would empty the training set are
-    dropped.  Arms run on `cfg.threads` workers and are combined in a
-    fixed order, so the thread count never changes the result.
+    dropped.  One arm is trained per distinct retained set: removing 0
+    rows keeps every row whatever the order, so the keep-everything arm
+    is trained once and its accuracy shared by every order.  Arms run on
+    `cfg.threads` workers and are combined in a fixed order, so the
+    thread count never changes the result.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (train.n,):
         raise ValueError("values must align with the training data")
+    _check_finite(values)
     n = train.n
     ascending = np.lexsort((np.arange(n), values))
     orders = {
@@ -216,16 +235,18 @@ def point_removal_curve(
     fractions = np.array(
         [f for f in cfg.fractions if int(round(f * n)) < n], dtype=float
     )
-    jobs = [
-        (order_name, fi, np.sort(orders[order_name][int(round(f * n)) :]))
-        for order_name in REMOVAL_ORDERS
-        for fi, f in enumerate(fractions)
-    ]
-    results = np.empty((len(REMOVAL_ORDERS), fractions.size))
+    removed = [int(round(f * n)) for f in fractions]
+    # Arm key: (order, rows removed); every order keeps the same rows at 0.
+    keys = [(name if k else None, k) for name in REMOVAL_ORDERS for k in removed]
+    arms = list(dict.fromkeys(keys))
+
+    def train_arm(arm):
+        name, k = arm
+        return _retrain_accuracy(np.sort(orders[name][k:]) if k else None, train, test, cfg)
+
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        accs = list(pool.map(lambda job: _retrain_accuracy(job[2], train, test, cfg), jobs))
-    for (order_name, fi, _), acc in zip(jobs, accs):
-        results[REMOVAL_ORDERS.index(order_name), fi] = acc
+        accs = dict(zip(arms, pool.map(train_arm, arms)))
+    results = np.array([accs[key] for key in keys]).reshape(len(REMOVAL_ORDERS), len(removed))
     return RemovalCurve(
         fractions=fractions,
         accuracy={name: results[i] for i, name in enumerate(REMOVAL_ORDERS)},

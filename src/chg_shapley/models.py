@@ -231,27 +231,35 @@ def head_dataset(model: ModelState, data: Dataset) -> Dataset:
 
 
 def _head_inputs(model: ModelState, data: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Head inputs and labels of the rows `indices`; with None, `data`'s own arrays."""
     if indices is None:
-        idx = np.arange(data.n, dtype=np.intp)
-        phi = data.features
+        phi, labels = data.features, data.labels
     else:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= data.n):
             raise ValueError(f"indices out of range for n={data.n}")
-        phi = data.features[idx]
+        phi, labels = data.features[idx], data.labels[idx]
     if model.feature_map is not None:
         phi = model.feature_map.apply(phi)
-    return idx, phi
+    return phi, labels
 
 
 def _probs_and_losses(
-    model: ModelState, phi: np.ndarray, labels: np.ndarray, idx: np.ndarray
+    model: ModelState, phi: np.ndarray, labels: np.ndarray, indices
 ) -> tuple[np.ndarray, np.ndarray]:
     logits = phi @ model.weights.T + model.bias
     if not np.all(np.isfinite(logits)):
-        bad = int(idx[np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0]])
+        bad = int(np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0])
+        if indices is not None:
+            bad = int(np.asarray(indices, dtype=np.intp)[bad])
         raise NonFiniteBatchError(f"non-finite logits at example {bad}", index=bad)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # logits.max(axis=1) reduces the short class axis one row at a time;
+    # folding np.maximum across the columns is vectorised over the rows,
+    # and a max of finite numbers is exact in any order.
+    row_max = logits[:, 0].copy()
+    for c in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, c], out=row_max)
+    shifted = logits - row_max[:, None]
     log_z = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(labels.size)
     losses = log_z - shifted[rows, labels]
@@ -269,9 +277,8 @@ def per_example_loss_and_grad(
     gradient; it is returned factored, never built.  Example i's row
     depends only on example i and the current parameters.
     """
-    idx, phi = _head_inputs(model, data, indices)
-    labels = data.labels[idx]
-    probs, losses = _probs_and_losses(model, phi, labels, idx)
+    phi, labels = _head_inputs(model, data, indices)
+    probs, losses = _probs_and_losses(model, phi, labels, indices)
     delta = probs
     delta[np.arange(labels.size), labels] -= 1.0
     return PerExampleBatchResult(losses=losses, last_layer_grads=FactoredGrads(delta, phi))
@@ -279,8 +286,8 @@ def per_example_loss_and_grad(
 
 def per_example_losses(model: ModelState, data: Dataset, indices=None) -> np.ndarray:
     """Per-example cross-entropy, without any gradient."""
-    idx, phi = _head_inputs(model, data, indices)
-    return _probs_and_losses(model, phi, data.labels[idx], idx)[1]
+    phi, labels = _head_inputs(model, data, indices)
+    return _probs_and_losses(model, phi, labels, indices)[1]
 
 
 def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
@@ -289,9 +296,9 @@ def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
 
 
 def accuracy(model: ModelState, data: Dataset, indices=None) -> float:
-    idx, phi = _head_inputs(model, data, indices)
+    phi, labels = _head_inputs(model, data, indices)
     logits = phi @ model.weights.T + model.bias
-    return float(np.mean(logits.argmax(axis=1) == data.labels[idx]))
+    return float(np.mean(logits.argmax(axis=1) == labels))
 
 
 def check_learning_rate(lr: float) -> None:
@@ -321,7 +328,7 @@ def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset, indices=N
     The softmax Hessian in logit space is bounded by I/2, so
     L = mean_i ||[phi_i, 1]||^2 / 2 works for the flattened head params.
     """
-    idx, phi = _head_inputs(model, data, indices)
+    phi, _ = _head_inputs(model, data, indices)
     return float(0.5 * np.mean(np.einsum("iq,iq->i", phi, phi) + 1.0))
 
 

@@ -252,7 +252,10 @@ class TestRemovalCommand:
 
     @pytest.mark.parametrize(
         "bad",
-        [["--fractions", "-0.5", "0.5"], ["--fractions", "1.5"], ["--threads", "0"]],
+        [
+            ["--fractions", "-0.5", "0.5"], ["--fractions", "1.5"], ["--threads", "0"],
+            ["--fractions", "0.5", "0.5"],
+        ],
     )
     def test_bad_input_exits_1_before_any_output(self, tmp_path, capsys, bad):
         code = cli_main(["removal", "--n", "60", "--epochs", "2", "--out-dir", str(tmp_path)] + bad)

@@ -155,12 +155,78 @@ class TestDetectionCurve:
         with pytest.raises(ValueError):
             detection_curve(np.ones(4), NoiseSpec(rate=0.0, seed=0, flip_mask=np.zeros(4, bool)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected_naming_the_index(self, bad):
+        values = np.arange(10.0)
+        values[[3, 7]] = bad
+        mask = np.arange(10) % 2 == 0
+        with pytest.raises(ValueError, match="at index 3"):
+            detection_curve(values, NoiseSpec(rate=0.5, seed=0, flip_mask=mask))
+
 
 # ---------------------------------------------------------------------------
 # Point removal
 # ---------------------------------------------------------------------------
 
+def parent_removal_curve(values, train, test, cfg):
+    """The loop the curve replaced: one _retrain_accuracy per (order, fraction), nothing shared."""
+    n = train.n
+    orders = {
+        "lowest_first": np.lexsort((np.arange(n), values)),
+        "highest_first": np.lexsort((np.arange(n), -values)),
+        "random": np.random.default_rng([cfg.seed, 2]).permutation(n),
+    }
+    fractions = [f for f in cfg.fractions if int(round(f * n)) < n]
+    return {
+        name: np.array([
+            experiments._retrain_accuracy(
+                np.sort(orders[name][int(round(f * n)):]), train, test, cfg
+            )
+            for f in fractions
+        ])
+        for name in experiments.REMOVAL_ORDERS
+    }
+
+
 class TestPointRemoval:
+    @pytest.mark.parametrize("n_classes", [2, 10])
+    def test_bit_identical_to_one_arm_per_order_and_fraction(self, n_classes):
+        train = make_synthetic_dataset(90, 12, n_classes, 2.0, seed=n_classes)
+        test = make_synthetic_dataset(60, 12, n_classes, 2.0, seed=n_classes + 1)
+        values = np.random.default_rng(n_classes).standard_normal(90)
+        fractions = (0.0, 0.1, 0.5, 0.9, 1.0)
+        want = parent_removal_curve(
+            values, train, test, RemovalConfig(fractions=fractions, epochs=5, seed=3)
+        )
+        for threads in (1, 2):
+            cfg = RemovalConfig(fractions=fractions, epochs=5, seed=3, threads=threads)
+            curve = point_removal_curve(values, train, test, cfg)
+            assert curve.fractions.tolist() == [0.0, 0.1, 0.5, 0.9]
+            assert curve.accuracy.keys() == want.keys()
+            for order, accs in want.items():
+                assert curve.accuracy[order].tobytes() == accs.tobytes(), (order, threads)
+
+    @pytest.mark.parametrize(
+        "fractions, arms",
+        [((0.0, 0.2, 0.5), 3 * 3 - 2), ((0.2, 0.5), 3 * 2), ((0.5, 0.0), 3 * 2 - 2)],
+    )
+    def test_keep_everything_arm_trained_once(self, monkeypatch, fractions, arms):
+        calls = []
+        retrain = experiments._retrain_accuracy
+
+        def counting(retained, *args):
+            calls.append(None if retained is None else len(retained))
+            return retrain(retained, *args)
+
+        monkeypatch.setattr(experiments, "_retrain_accuracy", counting)
+        train = make_synthetic_dataset(40, 5, 2, 3.0, seed=4)
+        values = np.random.default_rng(4).standard_normal(40)
+        point_removal_curve(
+            values, train, train, RemovalConfig(fractions=fractions, epochs=2, threads=2)
+        )
+        assert len(calls) == arms
+        assert calls.count(None) == (0.0 in fractions)
+
     def test_fraction_zero_identical_across_orders(self):
         train = make_synthetic_dataset(120, 5, 2, 3.0, seed=8)
         test = make_synthetic_dataset(120, 5, 2, 3.0, seed=9)
@@ -215,7 +281,10 @@ class TestPointRemoval:
 
     @pytest.mark.parametrize(
         "bad",
-        [dict(fractions=(-0.5, 0.5)), dict(fractions=(1.5,)), dict(threads=0), dict(epochs=0)],
+        [
+            dict(fractions=(-0.5, 0.5)), dict(fractions=(1.5,)), dict(threads=0), dict(epochs=0),
+            dict(fractions=(0.5, 0.2, 0.5)), dict(fractions=()),
+        ],
     )
     def test_config_rejects_out_of_range_settings(self, bad):
         with pytest.raises(ValueError):
@@ -225,6 +294,14 @@ class TestPointRemoval:
         train = make_synthetic_dataset(30, 5, 2, 3.0, seed=14)
         with pytest.raises(ValueError):
             point_removal_curve(np.zeros(10), train, train, RemovalConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected_naming_the_index(self, bad):
+        train = make_synthetic_dataset(30, 5, 2, 3.0, seed=14)
+        values = np.zeros(30)
+        values[[5, 20]] = bad
+        with pytest.raises(ValueError, match="at index 5"):
+            point_removal_curve(values, train, train, RemovalConfig(epochs=1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from chg_shapley import models
 from chg_shapley.models import (
     Dataset,
     FactoredGrads,
@@ -250,6 +251,88 @@ class TestPerExample:
         result = per_example_loss_and_grad(model, data)
         assert result.last_layer_grads.shape == (data.n, model.n_parameters)
         assert model.n_parameters == 3 * 4 + 3
+
+
+def parent_probs_and_losses(model, phi, labels, idx):
+    """The forward pass as it was written with a row-wise max: the reference."""
+    logits = phi @ model.weights.T + model.bias
+    if not np.all(np.isfinite(logits)):
+        bad = int(idx[np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0]])
+        raise NonFiniteBatchError(f"non-finite logits at example {bad}", index=bad)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(labels.size)
+    losses = log_z - shifted[rows, labels]
+    probs = np.exp(shifted - log_z[:, None])
+    return probs, losses
+
+
+class FixedLogits:
+    """Head input whose product with any weights is `logits`, signed zeros included."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def __matmul__(self, other):
+        return self.logits.copy()
+
+
+def logit_cases(rng, m, c):
+    """Random, tied, signed-zero and near-overflow logits, m x c."""
+    yield rng.standard_normal((m, c)) * 5.0
+    yield rng.integers(-2, 3, size=(m, c)).astype(float)
+    yield rng.choice([-0.0, 0.0, -1.0, 1.0], size=(m, c))
+    yield rng.choice([-700.0, 700.0], size=(m, c)) + rng.uniform(-1.0, 1.0, (m, c))
+
+
+class TestForwardPassMatchesRowwiseMax:
+    @pytest.mark.parametrize("m", [0, 1, 7, 1000])
+    def test_bit_identical_for_every_class_count(self, m):
+        rng = np.random.default_rng(m)
+        for c in range(1, 13):
+            # Adding -0.0 keeps every logit, its sign included.
+            model = ModelState(weights=np.zeros((c, 1)), bias=np.full(c, -0.0))
+            labels = rng.integers(0, c, m)
+            for logits in logit_cases(rng, m, c):
+                phi = FixedLogits(logits)
+                assert (phi @ model.weights.T + model.bias).tobytes() == logits.tobytes()
+                want = parent_probs_and_losses(model, phi, labels, np.arange(m))
+                got = models._probs_and_losses(model, phi, labels, None)
+                for w, g in zip(want, got):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (c, logits)
+
+    @pytest.mark.parametrize("hidden_width", [None, 6])
+    def test_bit_identical_through_a_model(self, hidden_width):
+        rng = np.random.default_rng(3)
+        for c in (1, 2, 3, 10):
+            data = small_dataset(rng, n=200, p=5, n_classes=c)
+            model = init_model((5, c), seed=c, hidden_width=hidden_width)
+            model.weights[:] = rng.standard_normal(model.weights.shape)
+            phi = data.features if hidden_width is None else model.feature_map.apply(data.features)
+            want = parent_probs_and_losses(model, phi, data.labels, np.arange(data.n))
+            got = per_example_loss_and_grad(model, data)
+            assert got.losses.tobytes() == want[1].tobytes()
+            delta = want[0]
+            delta[np.arange(data.n), data.labels] -= 1.0
+            assert got.last_layer_grads.delta.tobytes() == delta.tobytes()
+
+    def test_whole_batch_is_read_in_place(self):
+        data = small_dataset(np.random.default_rng(2))
+        model = init_model((4, 3), seed=2)
+        phi, labels = models._head_inputs(model, data, None)
+        assert phi is data.features and labels is data.labels
+
+    def test_non_finite_logits_name_the_row_of_the_data(self):
+        features = np.ones((7, 1))
+        features[4] = 1e308
+        data = Dataset(features=features, labels=np.arange(7) % 2)
+        model = init_model((1, 2), seed=9)
+        model.weights[:] = 1e308
+        for indices in (None, [6, 2, 4, 0], np.random.default_rng(9).permutation(7)):
+            with np.errstate(over="ignore"):
+                with pytest.raises(NonFiniteBatchError, match="example 4") as err:
+                    per_example_loss_and_grad(model, data, indices)
+            assert err.value.index == 4
 
 
 # ---------------------------------------------------------------------------
