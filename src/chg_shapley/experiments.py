@@ -215,11 +215,12 @@ def point_removal_curve(
 
     Every arm reuses the same init seed, so curves differ only through
     the retained set.  Fractions that would empty the training set are
-    dropped.  One arm is trained per distinct retained set: removing 0
-    rows keeps every row whatever the order, so the keep-everything arm
-    is trained once and its accuracy shared by every order.  Arms run on
-    `cfg.threads` workers and are combined in a fixed order, so the
-    thread count never changes the result.
+    dropped, and ValueError names them when none is left.  One arm is
+    trained per distinct retained set: removing 0 rows keeps every row
+    whatever the order, so the keep-everything arm is trained once and
+    its accuracy shared by every order.  Arms run on `cfg.threads`
+    workers and are combined in a fixed order, so the thread count never
+    changes the result.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (train.n,):
@@ -235,6 +236,8 @@ def point_removal_curve(
     fractions = np.array(
         [f for f in cfg.fractions if int(round(f * n)) < n], dtype=float
     )
+    if not fractions.size:
+        raise ValueError(f"every removal fraction {list(cfg.fractions)} empties the training set")
     removed = [int(round(f * n)) for f in fractions]
     # Arm key: (order, rows removed); every order keeps the same rows at 0.
     keys = [(name if k else None, k) for name in REMOVAL_ORDERS for k in removed]

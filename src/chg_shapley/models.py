@@ -284,15 +284,9 @@ def per_example_loss_and_grad(
     return PerExampleBatchResult(losses=losses, last_layer_grads=FactoredGrads(delta, phi))
 
 
-def per_example_losses(model: ModelState, data: Dataset, indices=None) -> np.ndarray:
-    """Per-example cross-entropy, without any gradient."""
-    phi, labels = _head_inputs(model, data, indices)
-    return _probs_and_losses(model, phi, labels, indices)[1]
-
-
 def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
     """Mean cross-entropy over the batch."""
-    return float(per_example_losses(model, data, indices).mean())
+    return float(per_example_loss_and_grad(model, data, indices).losses.mean())
 
 
 def accuracy(model: ModelState, data: Dataset, indices=None) -> float:

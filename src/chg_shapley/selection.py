@@ -28,11 +28,10 @@ from .models import (
     head_dataset,
     init_model,
     per_example_loss_and_grad,
-    per_example_losses,
     sgd_step_weighted,
 )
 from .utilities import GradientSet, gradient_set_values, hardness_shapley
-from .valuation import TrainingDivergedError
+from .valuation import TrainingDivergedError, epoch_values
 
 # Guards against float noise in a * N_c (e.g. 0.1 * 30 = 3.0000000000000004)
 # so the ceiling rule never rounds an exact product up.
@@ -94,28 +93,30 @@ def per_class_count(fraction: float, class_size: int) -> int:
 
 def select_top_fraction_per_class(
     values_by_class: Mapping[int, tuple[np.ndarray, np.ndarray]], fraction: float
-) -> np.ndarray:
-    """Union of each class's top ceil(a*N_c) indices, ties by ascending index.
+) -> dict[int, np.ndarray]:
+    """Each class's top ceil(a*N_c) indices, sorted; ties by ascending index.
 
-    `values_by_class` maps class id to (global indices, their values).
-    Empty classes are skipped with a warning.
+    `values_by_class` maps class id to (global indices, their values); the
+    result maps it to the sorted picks.  An empty class maps to an empty
+    array, with a warning; ValueError if every class is empty.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    chosen: list[np.ndarray] = []
+    picks: dict[int, np.ndarray] = {}
     for label in sorted(values_by_class):
         indices, values = values_by_class[label]
         indices = np.asarray(indices, dtype=np.intp)
         values = np.asarray(values, dtype=float)
         if indices.size == 0:
             warnings.warn(f"class {label} is empty; skipped", stacklevel=2)
+            picks[label] = indices
             continue
         count = per_class_count(fraction, indices.size)
         order = np.lexsort((indices, -values))
-        chosen.append(indices[order[:count]])
-    if not chosen:
+        picks[label] = np.sort(indices[order[:count]])
+    if not any(idx.size for idx in picks.values()):
         raise ValueError("no non-empty classes to select from")
-    return np.sort(np.concatenate(chosen))
+    return picks
 
 
 def minmax_weights(values) -> np.ndarray:
@@ -171,37 +172,31 @@ def _training_loop(
 def _value_selection(
     model: ModelState, data: Dataset, cfg: SelectionConfig, epoch: int
 ) -> SelectionPlan:
+    """One forward pass; each class's top fraction by its class game
+    (`epoch_values` per class); weights from the union's own game."""
     try:
+        batch = per_example_loss_and_grad(model, data)
+        values, _ = epoch_values(batch, data, cfg.kind, per_class=True)
+        picks = select_top_fraction_per_class(
+            {label: (idx, values[idx]) for label, idx in enumerate(data.class_index)},
+            cfg.fraction,
+        )
+        subset = np.sort(np.concatenate(list(picks.values())))
+        losses = batch.losses[subset]
         if cfg.kind == "hardness":
-            losses = per_example_losses(model, data)
-
-            def values_of(idx):
-                return hardness_shapley(losses[idx]).values
+            subset_values = hardness_shapley(losses)
         else:
-            batch = per_example_loss_and_grad(model, data)
-            gs = GradientSet(batch.last_layer_grads, batch.losses)
-
-            def values_of(idx):
-                return gradient_set_values(gs.restrict(idx), cfg.kind).values
-
-        values_by_class: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for label, idx in enumerate(data.class_index):
-            values_by_class[label] = (idx, values_of(idx) if idx.size else np.empty(0))
-        subset = select_top_fraction_per_class(values_by_class, cfg.fraction)
-        # Re-value the union with the reference vector restricted to it.
-        subset_values = values_of(subset)
+            grads = batch.last_layer_grads.rows(subset)
+            subset_values = gradient_set_values(GradientSet(grads, losses), cfg.kind)
     except FloatingPointError as err:
         raise TrainingDivergedError(
             f"training diverged at epoch {epoch}: {err}", epoch=epoch
         ) from err
-    by_class = {
-        label: subset[np.isin(subset, idx)] for label, idx in enumerate(data.class_index)
-    }
     return SelectionPlan(
         subset=subset,
-        weights=minmax_weights(subset_values),
+        weights=minmax_weights(subset_values.values),
         epoch_created=epoch,
-        per_class_indices=by_class,
+        per_class_indices=picks,
     )
 
 

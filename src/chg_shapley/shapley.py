@@ -126,6 +126,14 @@ class ShapleyValues:
             raise ValueError("values must be finite")
 
 
+def closed_form_result(values: np.ndarray, grand_utility: float) -> ShapleyValues:
+    """A closed-form route's result; FloatingPointError when finite inputs
+    overflowed the values to non-finite numbers."""
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("closed-form values overflowed to non-finite numbers")
+    return ShapleyValues(values, grand_utility, "closed_form")
+
+
 def _validate_players_matrix(X, alpha):
     """Checked (X, alpha); a `FactoredGrads` X is checked without building it."""
     if not isinstance(X, FactoredGrads):
@@ -226,19 +234,20 @@ def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
         c_g = 2.0 * pairs - cross
         shared = (pairs - others) * float(s.sq.sum()) - pairs * s.g_sq
         values = c_sq * s.sq + c_g * s.x_g + shared + _linear_values(s)
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("closed-form values overflowed to non-finite numbers")
-    return ShapleyValues(values, s.grand_utility, "closed_form")
+    return closed_form_result(values, s.grand_utility)
 
 
 def shapley_linear_term(X, alpha) -> ShapleyValues:
     """Shapley values of the linear part U(S) = 2*<mean_{i in S} x_i, alpha>.
 
     X is a dense n x d array or a `FactoredGrads`; the values are the
-    linear part of `chg_closed_form_shapley`, for every n >= 1.
+    linear part of `chg_closed_form_shapley`, for every n >= 1.  Raises
+    FloatingPointError when finite inputs overflow to non-finite values.
     """
     s = closed_form_statistics(X, alpha)
-    return ShapleyValues(_linear_values(s), 2.0 * s.g_alpha / s.n, "closed_form")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, grand = _linear_values(s), 2.0 * s.g_alpha / s.n
+    return closed_form_result(values, grand)
 
 
 def _popcounts(n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .shapley import (
     GameSpec,
     ShapleyValues,
     chg_closed_form_shapley,
+    closed_form_result,
     mean_game_weights,
 )
 
@@ -158,12 +159,15 @@ def gradient_set_values(gs: GradientSet, kind: str) -> ShapleyValues:
 
 
 def hardness_shapley(losses) -> ShapleyValues:
-    """Closed-form Shapley values of the mean-loss game U(S) = mean_S l."""
+    """Closed-form Shapley values of the mean-loss game U(S) = mean_S l; FloatingPointError
+    when finite losses overflow them."""
     l = np.asarray(losses, dtype=float)
     if l.ndim != 1 or l.size < 1:
         raise ValueError(f"losses must be a non-empty vector, got shape {l.shape}")
     if not np.all(np.isfinite(l)):
         raise ValueError("non-finite losses")
     own, total = mean_game_weights(l.size)
-    return ShapleyValues(own * l + total * float(l.sum()), float(l.mean()), "closed_form")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, grand = own * l + total * float(l.sum()), float(l.mean())
+    return closed_form_result(values, grand)
 

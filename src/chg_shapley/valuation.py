@@ -92,7 +92,7 @@ class EfficiencyAudit:
     per_epoch_violation: np.ndarray
 
 
-def _epoch_values(
+def epoch_values(
     batch: PerExampleBatchResult, data: Dataset, kind: str, per_class: bool
 ) -> tuple[np.ndarray, float]:
     """Values and U(N) from `batch`, whole or summed over per-class games.
@@ -142,7 +142,7 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     for epoch in range(config.epochs):
         try:
             batch = per_example_loss_and_grad(model, head_data)
-            per_epoch[epoch], utilities[epoch] = _epoch_values(
+            per_epoch[epoch], utilities[epoch] = epoch_values(
                 batch, head_data, config.kind, config.per_class
             )
         except FloatingPointError as err:

@@ -154,6 +154,26 @@ class TestValueCommand:
         assert code == EXIT_NUMERIC
         assert "diverged at epoch 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["value", "select"])
+    def test_hardness_overflow_exits_two_and_names_epoch(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(1)
+        rows = [
+            f"{a:.17g},{b:.17g},{y}"
+            for a, b, y in zip(
+                1.7e308 * rng.uniform(-1.0, 1.0, 2000),
+                rng.standard_normal(2000),
+                rng.integers(0, 2, 2000),
+            )
+        ]
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        code = cli_main(
+            [command, "--data", str(csv_path), "--scheme", "hardness", "--epochs", "2",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == EXIT_NUMERIC
+        assert "diverged at epoch 0" in capsys.readouterr().err
+
     def test_malformed_csv_exits_one_naming_the_line(self, tmp_path, capsys):
         csv_path = tmp_path / "ragged.csv"
         csv_path.write_text("a,b,label\n1,2,0\n3,4\n")
@@ -254,7 +274,7 @@ class TestRemovalCommand:
         "bad",
         [
             ["--fractions", "-0.5", "0.5"], ["--fractions", "1.5"], ["--threads", "0"],
-            ["--fractions", "0.5", "0.5"],
+            ["--fractions", "0.5", "0.5"], ["--fractions", "1.0"],
         ],
     )
     def test_bad_input_exits_1_before_any_output(self, tmp_path, capsys, bad):

@@ -257,6 +257,13 @@ class TestPointRemoval:
         )
         assert curve.fractions.tolist() == [0.0, 0.5]
 
+    def test_every_fraction_dropped_rejected(self):
+        train = make_synthetic_dataset(20, 5, 2, 3.0, seed=12)
+        with pytest.raises(ValueError, match=r"\[0\.98, 1\.0\]"):
+            point_removal_curve(
+                np.arange(20.0), train, train, RemovalConfig(fractions=(0.98, 1.0), epochs=1)
+            )
+
     def test_removal_directions_on_noisy_task(self):
         # Mean over 10 seeds: deleting the best-valued data first hurts at
         # least as much as random deletion, and deleting the lowest-valued

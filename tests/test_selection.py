@@ -1,14 +1,18 @@
 """Tests for per-class top-fraction selection and weighted training."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import chg_shapley.models as models
+import chg_shapley.selection as selection
 from chg_shapley.experiments import make_synthetic_dataset
 from chg_shapley.models import Dataset
 from chg_shapley.selection import (
     SelectionConfig,
+    SelectionPlan,
     minmax_weights,
     per_class_count,
     random_baseline_training,
@@ -17,6 +21,7 @@ from chg_shapley.selection import (
     write_metrics_csv,
     write_selection_history_jsonl,
 )
+from chg_shapley.utilities import GradientSet, gradient_set_values, hardness_shapley
 
 
 def identical_rows_dataset(n=60, d=5, seed=0) -> Dataset:
@@ -29,18 +34,22 @@ def identical_rows_dataset(n=60, d=5, seed=0) -> Dataset:
 # Top-fraction selection
 # ---------------------------------------------------------------------------
 
+def as_lists(picks) -> dict[int, list[int]]:
+    return {label: idx.tolist() for label, idx in picks.items()}
+
+
 class TestSelectTopFraction:
     def test_half_of_one_class(self):
         picked = select_top_fraction_per_class(
             {0: (np.arange(4), np.array([1.0, 3.0, 2.0, 4.0]))}, fraction=0.5
         )
-        assert picked.tolist() == [1, 3]
+        assert as_lists(picked) == {0: [1, 3]}
 
     def test_full_fraction_keeps_everything(self):
         picked = select_top_fraction_per_class(
             {0: (np.arange(5), np.array([5.0, 1.0, 3.0, 2.0, 4.0]))}, fraction=1.0
         )
-        assert picked.tolist() == [0, 1, 2, 3, 4]
+        assert as_lists(picked) == {0: [0, 1, 2, 3, 4]}
 
     def test_ceiling_counts_across_classes(self):
         rng = np.random.default_rng(1)
@@ -49,13 +58,23 @@ class TestSelectTopFraction:
             1: (np.arange(10, 40), rng.standard_normal(30)),
         }
         picked = select_top_fraction_per_class(by_class, fraction=0.1)
-        assert picked.size == 1 + 3
+        assert {label: idx.size for label, idx in picked.items()} == {0: 1, 1: 3}
+        assert np.all((10 <= picked[1]) & (picked[1] < 40))
 
     def test_ties_break_by_ascending_index(self):
         picked = select_top_fraction_per_class(
             {0: (np.array([4, 7, 9]), np.array([1.0, 1.0, 1.0]))}, fraction=0.5
         )
-        assert picked.tolist() == [4, 7]
+        assert as_lists(picked) == {0: [4, 7]}
+
+    def test_picks_sorted_by_index_not_by_value(self):
+        picked = select_top_fraction_per_class(
+            {2: (np.array([9, 3, 5]), np.array([3.0, 1.0, 2.0])),
+             0: (np.array([8, 1]), np.array([0.0, 1.0]))},
+            fraction=0.6,
+        )
+        assert list(picked) == [0, 2]
+        assert as_lists(picked) == {0: [1, 8], 2: [5, 9]}
 
     def test_empty_class_skipped_with_warning(self):
         by_class = {
@@ -64,7 +83,13 @@ class TestSelectTopFraction:
         }
         with pytest.warns(UserWarning, match="empty"):
             picked = select_top_fraction_per_class(by_class, fraction=0.5)
-        assert picked.tolist() == [1, 2]
+        assert as_lists(picked) == {0: [1, 2], 1: []}
+
+    def test_every_class_empty_rejected(self):
+        empty = (np.array([], dtype=int), np.array([]))
+        with pytest.warns(UserWarning, match="empty"):
+            with pytest.raises(ValueError, match="no non-empty classes"):
+                select_top_fraction_per_class({0: empty, 1: empty}, fraction=0.5)
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
@@ -81,11 +106,10 @@ class TestSelectTopFraction:
         values = rng.standard_normal(12)
         by_class = {0: (np.arange(12), values)}
         scaled = {0: (np.arange(12), 4.0 * values)}
-        assert np.array_equal(
-            select_top_fraction_per_class(by_class, 0.4),
-            select_top_fraction_per_class(scaled, 0.4),
+        assert as_lists(select_top_fraction_per_class(by_class, 0.4)) == as_lists(
+            select_top_fraction_per_class(scaled, 0.4)
         )
-        kept = select_top_fraction_per_class(by_class, 0.4)
+        kept = select_top_fraction_per_class(by_class, 0.4)[0]
         assert np.array_equal(
             minmax_weights(values[kept]), minmax_weights(4.0 * values[kept])
         )
@@ -210,6 +234,148 @@ class TestRandomBaselines:
         _, adaptive = random_baseline_training(data, cfg, adaptive=True)
         assert np.array_equal(plain.events[0].subset, adaptive.events[0].subset)
         assert len(plain.events) == len(adaptive.events) == 1
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with the selection code the per-class games replaced
+# ---------------------------------------------------------------------------
+
+def parent_select_top_fraction_per_class(values_by_class, fraction):
+    """Each class's top ceil(a*N_c) indices, returned only as their sorted union."""
+    chosen = []
+    for label in sorted(values_by_class):
+        indices, values = values_by_class[label]
+        indices = np.asarray(indices, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        if indices.size == 0:
+            warnings.warn(f"class {label} is empty; skipped", stacklevel=2)
+            continue
+        count = per_class_count(fraction, indices.size)
+        order = np.lexsort((indices, -values))
+        chosen.append(indices[order[:count]])
+    return np.sort(np.concatenate(chosen))
+
+
+def parent_value_selection(model, data, cfg, epoch):
+    """A losses-only pass for hardness, a per-class loop, picks rebuilt with np.isin."""
+    if cfg.kind == "hardness":
+        phi, labels = models._head_inputs(model, data, None)
+        losses = models._probs_and_losses(model, phi, labels, None)[1]
+
+        def values_of(idx):
+            return hardness_shapley(losses[idx]).values
+    else:
+        batch = models.per_example_loss_and_grad(model, data)
+        gs = GradientSet(batch.last_layer_grads, batch.losses)
+
+        def values_of(idx):
+            return gradient_set_values(gs.restrict(idx), cfg.kind).values
+
+    values_by_class = {
+        label: (idx, values_of(idx) if idx.size else np.empty(0))
+        for label, idx in enumerate(data.class_index)
+    }
+    subset = parent_select_top_fraction_per_class(values_by_class, cfg.fraction)
+    by_class = {
+        label: subset[np.isin(subset, idx)] for label, idx in enumerate(data.class_index)
+    }
+    return SelectionPlan(subset, minmax_weights(values_of(subset)), epoch, by_class)
+
+
+def parent_uniform_plan(data, cfg, epoch, event):
+    rng = np.random.default_rng([cfg.seed, 1000 + event])
+    by_class = {}
+    for label, idx in enumerate(data.class_index):
+        if idx.size == 0:
+            warnings.warn(f"class {label} is empty; skipped", stacklevel=2)
+            by_class[label] = idx
+            continue
+        count = per_class_count(cfg.fraction, idx.size)
+        by_class[label] = np.sort(rng.choice(idx, size=count, replace=False))
+    subset = np.sort(np.concatenate(list(by_class.values())))
+    return SelectionPlan(subset, np.ones(subset.size), epoch, by_class)
+
+
+def parent_batch_loss(model, data, indices=None):
+    """The mean of a losses-only forward pass."""
+    phi, labels = models._head_inputs(model, data, indices)
+    return float(models._probs_and_losses(model, phi, labels, indices)[1].mean())
+
+
+def reference_task(empty_class: bool) -> tuple[Dataset, Dataset]:
+    """A 3-class train/test pair; with `empty_class`, 4 classes and class 1 has no rows."""
+    train = make_synthetic_dataset(90, 6, 3, 2.0, seed=40)
+    test = make_synthetic_dataset(60, 6, 3, 2.0, seed=41)
+    if not empty_class:
+        return train, test
+
+    def spread(d):
+        return Dataset(d.features, np.where(d.labels == 0, 0, d.labels + 1), n_classes=4)
+
+    return spread(train), spread(test)
+
+
+def assert_same_training(got, want, tmp_path):
+    (got_model, got_history), (want_model, want_history) = got, want
+    assert got_model.weights.tobytes() == want_model.weights.tobytes()
+    assert got_model.bias.tobytes() == want_model.bias.tobytes()
+    assert (got_model.feature_map is None) == (want_model.feature_map is None)
+    assert len(got_history.events) == len(want_history.events)
+    for g, w in zip(got_history.events, want_history.events):
+        assert g.epoch_created == w.epoch_created
+        assert g.subset.dtype == w.subset.dtype
+        assert g.subset.tobytes() == w.subset.tobytes()
+        assert g.weights.tobytes() == w.weights.tobytes()
+        assert list(g.per_class_indices) == list(w.per_class_indices)
+        for label, picks in g.per_class_indices.items():
+            assert picks.tobytes() == w.per_class_indices[label].tobytes(), label
+    assert [(m.epoch, m.train_loss, m.test_accuracy) for m in got_history.metrics] == [
+        (m.epoch, m.train_loss, m.test_accuracy) for m in want_history.metrics
+    ]
+    write_selection_history_jsonl(tmp_path / "got.jsonl", got_history)
+    write_selection_history_jsonl(tmp_path / "want.jsonl", want_history)
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+def train_both(monkeypatch, train, data, cfg, test, empty_class, **kwargs):
+    """(this code's run, the parent code's run) of `train`, each checked for the warning."""
+    runs = []
+    for parent in (False, True):
+        with monkeypatch.context() as patch:
+            if parent:
+                patch.setattr(selection, "_value_selection", parent_value_selection)
+                patch.setattr(selection, "_uniform_plan", parent_uniform_plan)
+                patch.setattr(selection, "batch_loss", parent_batch_loss)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                runs.append(train(data, cfg, test_data=test, **kwargs))
+        assert any("empty" in str(w.message) for w in caught) == empty_class
+    return runs
+
+
+@pytest.mark.parametrize("hidden_width", [None, 8])
+@pytest.mark.parametrize("empty_class", [False, True])
+class TestParentBitIdentity:
+    @pytest.mark.parametrize("kind", ["chg", "gradient", "hardness"])
+    def test_value_selection(self, monkeypatch, tmp_path, kind, empty_class, hidden_width):
+        train, test = reference_task(empty_class)
+        cfg = SelectionConfig(
+            fraction=0.2, interval=2, epochs=6, seed=42, kind=kind, hidden_width=hidden_width
+        )
+        got, want = train_both(monkeypatch, run_selection_training, train, cfg, test, empty_class)
+        assert len(got[1].events) == 3
+        assert_same_training(got, want, tmp_path)
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_random_baseline(self, monkeypatch, tmp_path, adaptive, empty_class, hidden_width):
+        train, test = reference_task(empty_class)
+        cfg = SelectionConfig(
+            fraction=0.3, interval=2, epochs=6, seed=43, hidden_width=hidden_width
+        )
+        got, want = train_both(
+            monkeypatch, random_baseline_training, train, cfg, test, empty_class, adaptive=adaptive
+        )
+        assert_same_training(got, want, tmp_path)
 
 
 # ---------------------------------------------------------------------------

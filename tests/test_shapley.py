@@ -311,6 +311,11 @@ class TestLinearTerm:
         values = shapley_linear_term(X, alpha).values
         assert values == pytest.approx([2.0 * float(X[0] @ alpha)], abs=1e-12)
 
+    def test_overflowing_values_raise_floating_point_error(self):
+        X = np.full((3, 1), 1e200)
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            shapley_linear_term(X, X.mean(axis=0))
+
 
 # ---------------------------------------------------------------------------
 # Exact rational reference, from the expected marginal at each coalition size

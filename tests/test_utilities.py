@@ -244,6 +244,10 @@ class TestHardnessShapley:
     def test_single_datum_takes_its_loss(self):
         assert hardness_shapley(np.array([1.7])).values == pytest.approx([1.7])
 
+    def test_overflowing_losses_raise_floating_point_error(self):
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            hardness_shapley(np.array([1.7e308, 1.7e308, 0.0]))
+
     def test_n4_basis_fixture(self):
         expected = np.array(
             [float(line) for line in (FIXTURES / "hardness_values_n4_e1.txt").read_text().split()]

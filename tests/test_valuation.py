@@ -232,6 +232,21 @@ class TestFactoredRoute:
             run_selection_training(data, SelectionConfig(fraction=0.5, epochs=3, lr=10.0))
         assert err.value.epoch == 0
 
+    def test_hardness_overflow_names_the_epoch(self):
+        # Finite losses near 1e306 whose sum overflows the mean-loss game.
+        rng = np.random.default_rng(26)
+        features = np.column_stack(
+            [1.7e308 * rng.uniform(-1.0, 1.0, 2000), rng.standard_normal(2000)]
+        )
+        data = Dataset(features=features, labels=rng.integers(0, 2, 2000))
+        for per_class in (False, True):
+            with pytest.raises(TrainingDivergedError, match="epoch 0: closed-form") as err:
+                run_valuation(data, ValuationConfig(kind="hardness", epochs=2, per_class=per_class))
+            assert err.value.epoch == 0
+        cfg = SelectionConfig(fraction=0.5, epochs=2, kind="hardness")
+        with pytest.raises(TrainingDivergedError, match="epoch 0: closed-form"):
+            run_selection_training(data, cfg)
+
 
 # ---------------------------------------------------------------------------
 # Efficiency audit
