@@ -16,8 +16,10 @@ import numpy as np
 
 from .models import (
     Dataset,
+    TrainingDivergedError,
     accuracy,
     check_learning_rate,
+    epoch_guard,
     init_model,
     per_example_loss_and_grad,
     sgd_step_weighted,
@@ -199,11 +201,15 @@ def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
 def _retrain_accuracy(
     retained: np.ndarray | None, train: Dataset, test: Dataset, cfg: RemovalConfig
 ) -> float:
-    """Test accuracy after training on the rows `retained` (every row when None)."""
+    """Test accuracy after training on the rows `retained` (every row when None).
+
+    Raises TrainingDivergedError naming the epoch of a non-finite pass or step.
+    """
     model = init_model((train.n_features, train.n_classes), seed=cfg.seed)
-    for _ in range(cfg.epochs):
-        grads = per_example_loss_and_grad(model, train, retained).last_layer_grads
-        model = sgd_step_weighted(model, grads, cfg.lr)
+    for epoch in range(cfg.epochs):
+        with epoch_guard(epoch):
+            grads = per_example_loss_and_grad(model, train, retained).last_layer_grads
+            model = sgd_step_weighted(model, grads, cfg.lr)
         del grads  # free the factors before the next forward pass
     return accuracy(model, test)
 
@@ -239,13 +245,22 @@ def point_removal_curve(
     if not fractions.size:
         raise ValueError(f"every removal fraction {list(cfg.fractions)} empties the training set")
     removed = [int(round(f * n)) for f in fractions]
+    fraction_of = dict(zip(removed, fractions.tolist()))
     # Arm key: (order, rows removed); every order keeps the same rows at 0.
     keys = [(name if k else None, k) for name in REMOVAL_ORDERS for k in removed]
     arms = list(dict.fromkeys(keys))
 
     def train_arm(arm):
         name, k = arm
-        return _retrain_accuracy(np.sort(orders[name][k:]) if k else None, train, test, cfg)
+        try:
+            return _retrain_accuracy(np.sort(orders[name][k:]) if k else None, train, test, cfg)
+        except TrainingDivergedError as err:
+            order = name or "every order"
+            raise TrainingDivergedError(
+                f"removal arm {order} at fraction {fraction_of[k]:g} ({k} of {n} rows"
+                f" removed): {err}",
+                epoch=err.epoch,
+            ) from err
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         accs = dict(zip(arms, pool.map(train_arm, arms)))

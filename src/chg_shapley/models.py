@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +24,25 @@ class NonFiniteBatchError(FloatingPointError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
+
+
+class TrainingDivergedError(FloatingPointError):
+    """Training produced non-finite losses, statistics or values; carries the epoch."""
+
+    def __init__(self, message: str, epoch: int):
+        super().__init__(message)
+        self.epoch = epoch
+
+
+@contextmanager
+def epoch_guard(epoch: int):
+    """Re-raise a FloatingPointError from the block as a TrainingDivergedError naming `epoch`."""
+    try:
+        yield
+    except FloatingPointError as err:
+        raise TrainingDivergedError(
+            f"training diverged at epoch {epoch}: {err}", epoch=epoch
+        ) from err
 
 
 @dataclass
@@ -164,8 +184,23 @@ class FactoredGrads:
         return delta_sq * (np.einsum("iq,iq->i", self.phi, self.phi) + 1.0)
 
     def column_sum(self) -> np.ndarray:
-        """sum_i x_i, from G = delta^T [Phi, 1]."""
-        return np.concatenate([(self.delta.T @ self.phi).ravel(), self.delta.sum(axis=0)])
+        """sum_i x_i, from G = delta^T [Phi, 1]; FloatingPointError if finite rows overflow it.
+
+        From two classes up the bias block is an einsum: it adds the rows
+        in the same order as `delta.sum(axis=0)`, the same bits, without
+        an inner-loop call per row.  A single column numpy sums pairwise,
+        so there `sum` stays.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = self.delta.T @ self.phi
+            if self.delta.shape[1] > 1:
+                bias = np.einsum("ic->c", self.delta)
+            else:
+                bias = self.delta.sum(axis=0)
+        total = np.concatenate([weights.ravel(), bias])
+        if not np.all(np.isfinite(total)):
+            raise FloatingPointError("gradient sum overflowed to non-finite numbers")
+        return total
 
     def inner(self, vectors) -> np.ndarray:
         """k x n matrix of <x_i, v_k> for the k rows of `vectors` (k x d)."""
@@ -244,26 +279,83 @@ def _head_inputs(model: ModelState, data: Dataset, indices) -> tuple[np.ndarray,
     return phi, labels
 
 
+# Below this many classes numpy adds up a row left to right, so a fold of
+# column adds gives its bits; from here up it sums a row pairwise.
+_FOLD_CLASSES = 8
+
+
+def _label_positions(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Flat positions of (i, labels[i]) in a C-contiguous n x `n_classes` array."""
+    return np.arange(0, labels.size * n_classes, n_classes) + labels
+
+
+def _check_finite_rows(values: np.ndarray, what: str, indices) -> None:
+    """NonFiniteBatchError naming the data row of the first row of `values`
+    (n or n x C) with a non-finite entry."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    if finite.ndim > 1:
+        finite = finite.all(axis=1)
+    bad = int(np.flatnonzero(~finite)[0])
+    if indices is not None:
+        bad = int(np.asarray(indices, dtype=np.intp)[bad])
+    raise NonFiniteBatchError(f"non-finite {what} at example {bad}", index=bad)
+
+
+def _subtract_per_row(logits: np.ndarray, columns, values: np.ndarray) -> None:
+    """logits -= values[:, None] in place, column by column when `columns` are given."""
+    if columns:
+        for column in columns:
+            column -= values
+    else:
+        logits -= values[:, None]
+
+
 def _probs_and_losses(
     model: ModelState, phi: np.ndarray, labels: np.ndarray, indices
 ) -> tuple[np.ndarray, np.ndarray]:
-    logits = phi @ model.weights.T + model.bias
-    if not np.all(np.isfinite(logits)):
-        bad = int(np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0])
-        if indices is not None:
-            bad = int(np.asarray(indices, dtype=np.intp)[bad])
-        raise NonFiniteBatchError(f"non-finite logits at example {bad}", index=bad)
-    # logits.max(axis=1) reduces the short class axis one row at a time;
-    # folding np.maximum across the columns is vectorised over the rows,
-    # and a max of finite numbers is exact in any order.
+    """Softmax probabilities and cross-entropy losses in two n x C buffers.
+
+    The textbook pass, shifted = z - max_c z, log_z = log sum_c
+    exp(shifted), probs = exp(shifted - log_z), allocates four n x C
+    arrays.  Here the logits buffer is shifted, and later moved by log_z,
+    in place, and the probabilities are exp'd into the second buffer
+    twice, so every element goes through the same operations and the
+    bits are the same.  Below `_FOLD_CLASSES` classes the row-wise steps
+    run on column views: numpy takes one inner-loop call per row for a
+    reduction or broadcast along so short an axis, and sums such a row in
+    the same left-to-right order as the fold of columns.
+    """
+    c = model.n_classes
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the row
+        logits = phi @ model.weights.T
+        columns = [logits[:, k] for k in range(c)] if c < _FOLD_CLASSES else None
+        if columns:
+            for column, bias in zip(columns, model.bias):
+                column += bias
+        else:
+            logits += model.bias
+    _check_finite_rows(logits, "logits", indices)
+    # A max of finite numbers is exact in any order, so it folds at every C.
     row_max = logits[:, 0].copy()
-    for c in range(1, logits.shape[1]):
-        np.maximum(row_max, logits[:, c], out=row_max)
-    shifted = logits - row_max[:, None]
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    rows = np.arange(labels.size)
-    losses = log_z - shifted[rows, labels]
-    probs = np.exp(shifted - log_z[:, None])
+    for k in range(1, c):
+        np.maximum(row_max, logits[:, k], out=row_max)
+    with np.errstate(over="ignore"):  # logits further apart than the float range: checked below
+        _subtract_per_row(logits, columns, row_max)
+    del row_max
+    probs = np.exp(logits)
+    if columns:
+        row_sum = probs[:, 0].copy()
+        for k in range(1, c):
+            row_sum += probs[:, k]
+    else:
+        row_sum = probs.sum(axis=1)
+    log_z = np.log(row_sum, out=row_sum)
+    losses = log_z - logits.reshape(-1)[_label_positions(labels, c)]
+    _check_finite_rows(losses, "loss", indices)
+    _subtract_per_row(logits, columns, log_z)
+    np.exp(logits, out=probs)
     return probs, losses
 
 
@@ -278,9 +370,9 @@ def per_example_loss_and_grad(
     depends only on example i and the current parameters.
     """
     phi, labels = _head_inputs(model, data, indices)
-    probs, losses = _probs_and_losses(model, phi, labels, indices)
-    delta = probs
-    delta[np.arange(labels.size), labels] -= 1.0
+    delta, losses = _probs_and_losses(model, phi, labels, indices)
+    # delta is C-contiguous, so reshape(-1) is a view and the subtraction lands in it.
+    delta.reshape(-1)[_label_positions(labels, delta.shape[1])] -= 1.0
     return PerExampleBatchResult(losses=losses, last_layer_grads=FactoredGrads(delta, phi))
 
 
@@ -306,6 +398,7 @@ def sgd_step_weighted(model: ModelState, grads: FactoredGrads, lr: float) -> Mod
 
     `grads` are the per-example gradients at `model`; `grads.scaled(w)`
     weights the step.  Returns a new state; the input model is untouched.
+    Raises FloatingPointError when the gradient sum overflows.
     """
     grad = grads.column_sum() / grads.shape[0]
     split = model.weights.size

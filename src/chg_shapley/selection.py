@@ -25,13 +25,14 @@ from .models import (
     batch_loss,
     accuracy,
     check_learning_rate,
+    epoch_guard,
     head_dataset,
     init_model,
     per_example_loss_and_grad,
     sgd_step_weighted,
 )
 from .utilities import GradientSet, gradient_set_values, hardness_shapley
-from .valuation import TrainingDivergedError, epoch_values
+from .valuation import epoch_values
 
 # Guards against float noise in a * N_c (e.g. 0.1 * 30 = 3.0000000000000004)
 # so the ceiling rule never rounds an exact product up.
@@ -155,13 +156,15 @@ def _training_loop(
         if epoch % cfg.interval == 0:
             plan = select(model, data, epoch, len(history.events))
             history.events.append(plan)
-        batch = per_example_loss_and_grad(model, data, plan.subset)
-        model = sgd_step_weighted(model, batch.last_layer_grads.scaled(plan.weights), cfg.lr)
-        del batch  # free the factors before the evaluation passes
+        with epoch_guard(epoch):
+            batch = per_example_loss_and_grad(model, data, plan.subset)
+            model = sgd_step_weighted(model, batch.last_layer_grads.scaled(plan.weights), cfg.lr)
+            del batch  # free the factors before the evaluation passes
+            train_loss = batch_loss(model, data, plan.subset)
         history.metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                train_loss=batch_loss(model, data, plan.subset),
+                train_loss=train_loss,
                 test_accuracy=accuracy(model, eval_data),
                 wall_time=time.perf_counter() - started,
             )
@@ -173,25 +176,21 @@ def _value_selection(
     model: ModelState, data: Dataset, cfg: SelectionConfig, epoch: int
 ) -> SelectionPlan:
     """One forward pass; each class's top fraction by its class game
-    (`epoch_values` per class); weights from the union's own game."""
-    try:
+    (`epoch_values` per class); weights from the union's own game.  The
+    pass's factors are scanned for finiteness once, for all the games."""
+    with epoch_guard(epoch):
         batch = per_example_loss_and_grad(model, data)
-        values, _ = epoch_values(batch, data, cfg.kind, per_class=True)
+        gs = None if cfg.kind == "hardness" else GradientSet(batch.last_layer_grads, batch.losses)
+        values, _ = epoch_values(batch, data, cfg.kind, per_class=True, gs=gs)
         picks = select_top_fraction_per_class(
             {label: (idx, values[idx]) for label, idx in enumerate(data.class_index)},
             cfg.fraction,
         )
         subset = np.sort(np.concatenate(list(picks.values())))
-        losses = batch.losses[subset]
-        if cfg.kind == "hardness":
-            subset_values = hardness_shapley(losses)
+        if gs is None:
+            subset_values = hardness_shapley(batch.losses[subset])
         else:
-            grads = batch.last_layer_grads.rows(subset)
-            subset_values = gradient_set_values(GradientSet(grads, losses), cfg.kind)
-    except FloatingPointError as err:
-        raise TrainingDivergedError(
-            f"training diverged at epoch {epoch}: {err}", epoch=epoch
-        ) from err
+            subset_values = gradient_set_values(gs.restrict(subset), cfg.kind)
     return SelectionPlan(
         subset=subset,
         weights=minmax_weights(subset_values.values),

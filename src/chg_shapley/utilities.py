@@ -13,6 +13,7 @@ losses.  A dense gradient matrix is valued directly by
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,7 @@ def _check_kind(kind: str) -> None:
 
 def _mean(vectors: FactoredGrads) -> np.ndarray:
     """Column mean; FloatingPointError if finite rows overflow it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = vectors.column_sum() / vectors.shape[0]
-    if not np.all(np.isfinite(mean)):
-        raise FloatingPointError("mean gradient overflowed to non-finite numbers")
-    return mean
+    return vectors.column_sum() / vectors.shape[0]
 
 
 @dataclass
@@ -81,9 +78,17 @@ class GradientSet:
         return self.vectors.scaled(self.losses)
 
     def restrict(self, indices) -> "GradientSet":
-        """The sub-collection at `indices`; ValueError if any is out of range."""
+        """The sub-collection at `indices`; ValueError if any is out of range.
+
+        Rows of a checked set are finite and non-negative, so the
+        sub-collection is not scanned again.
+        """
         idx = _subset_indices(self, indices)
-        return GradientSet(self.vectors.rows(idx), self.losses[idx])
+        if idx.size == 0:
+            raise ValueError("cannot restrict to an empty subset")
+        sub = copy.copy(self)
+        sub.vectors, sub.losses = self.vectors.rows(idx), self.losses[idx]
+        return sub
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ from . import __version__
 from .models import (
     Dataset,
     PerExampleBatchResult,
+    TrainingDivergedError,  # noqa: F401  (raised by the loop; callers catch it from here)
     _write_csv,
     check_learning_rate,
+    epoch_guard,
     head_dataset,
     init_model,
     per_example_loss_and_grad,
@@ -30,14 +32,6 @@ from .models import (
 from .utilities import GradientSet, gradient_set_values, hardness_shapley
 
 EFFICIENCY_TOLERANCE = 1e-9
-
-
-class TrainingDivergedError(FloatingPointError):
-    """Training produced non-finite losses, statistics or values; carries the epoch."""
-
-    def __init__(self, message: str, epoch: int):
-        super().__init__(message)
-        self.epoch = epoch
 
 
 class EfficiencyAuditError(RuntimeError):
@@ -93,12 +87,18 @@ class EfficiencyAudit:
 
 
 def epoch_values(
-    batch: PerExampleBatchResult, data: Dataset, kind: str, per_class: bool
+    batch: PerExampleBatchResult,
+    data: Dataset,
+    kind: str,
+    per_class: bool,
+    gs: GradientSet | None = None,
 ) -> tuple[np.ndarray, float]:
     """Values and U(N) from `batch`, whole or summed over per-class games.
 
-    Each game's U(N) comes with its values.  Raises FloatingPointError
-    when the values or U(N) are not finite.
+    Each game's U(N) comes with its values.  `gs` is the batch's
+    `GradientSet` when the caller holds one already; its factors are then
+    not scanned again.  Raises FloatingPointError when the values or U(N)
+    are not finite.
     """
     if kind == "hardness":
         losses = batch.losses
@@ -106,7 +106,8 @@ def epoch_values(
         def group(idx):
             return hardness_shapley(losses if idx is None else losses[idx])
     else:
-        gs = GradientSet(batch.last_layer_grads, batch.losses)
+        if gs is None:
+            gs = GradientSet(batch.last_layer_grads, batch.losses)
 
         def group(idx):
             return gradient_set_values(gs if idx is None else gs.restrict(idx), kind)
@@ -140,16 +141,12 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     per_epoch = np.empty((config.epochs, data.n))
     utilities = np.empty(config.epochs)
     for epoch in range(config.epochs):
-        try:
+        with epoch_guard(epoch):
             batch = per_example_loss_and_grad(model, head_data)
             per_epoch[epoch], utilities[epoch] = epoch_values(
                 batch, head_data, config.kind, config.per_class
             )
-        except FloatingPointError as err:
-            raise TrainingDivergedError(
-                f"training diverged at epoch {epoch}: {err}", epoch=epoch
-            ) from err
-        model = sgd_step_weighted(model, batch.last_layer_grads, config.lr)
+            model = sgd_step_weighted(model, batch.last_layer_grads, config.lr)
         del batch  # free the factors before the next forward pass
     mean_values = per_epoch[config.skip_first_epochs :].mean(axis=0)
     return ValuationRun(

@@ -174,6 +174,28 @@ class TestValueCommand:
         assert code == EXIT_NUMERIC
         assert "diverged at epoch 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["value", "select"])
+    def test_step_overflow_exits_two_and_names_epoch(self, tmp_path, capsys, command):
+        # The epoch-0 values are finite; the step's gradient sum overflows.
+        rng = np.random.default_rng(26)
+        rows = [
+            f"{a:.17g},{b:.17g},{y}"
+            for a, b, y in zip(
+                1.7e308 * rng.uniform(-1.0, 1.0, 400),
+                rng.standard_normal(400),
+                rng.integers(0, 2, 400),
+            )
+        ]
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        per_class = ["--per-class"] if command == "value" else []  # select is per class
+        code = cli_main(
+            [command, "--data", str(csv_path), "--scheme", "hardness", *per_class,
+             "--epochs", "3", "--out-dir", str(tmp_path)]
+        )
+        assert code == EXIT_NUMERIC
+        assert "diverged at epoch 0: gradient sum overflowed" in capsys.readouterr().err
+
     def test_malformed_csv_exits_one_naming_the_line(self, tmp_path, capsys):
         csv_path = tmp_path / "ragged.csv"
         csv_path.write_text("a,b,label\n1,2,0\n3,4\n")

@@ -18,7 +18,7 @@ from chg_shapley.experiments import (
 )
 from chg_shapley.models import Dataset
 from chg_shapley.selection import SelectionConfig, random_baseline_training
-from chg_shapley.valuation import ValuationConfig, run_valuation
+from chg_shapley.valuation import TrainingDivergedError, ValuationConfig, run_valuation
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +301,24 @@ class TestPointRemoval:
         train = make_synthetic_dataset(30, 5, 2, 3.0, seed=14)
         with pytest.raises(ValueError):
             point_removal_curve(np.zeros(10), train, train, RemovalConfig())
+
+    @pytest.mark.parametrize(
+        "fractions, arm",
+        [((0.0, 0.5), "every order at fraction 0 (0 of 400"),
+         ((0.5,), "lowest_first at fraction 0.5 (200 of 400")],
+    )
+    def test_divergent_arm_names_order_fraction_and_epoch(self, fractions, arm):
+        # The first step's gradient sum delta^T Phi overflows on these rows.
+        rng = np.random.default_rng(26)
+        features = np.column_stack(
+            [1.7e308 * rng.uniform(-1.0, 1.0, 400), rng.standard_normal(400)]
+        )
+        train = Dataset(features=features, labels=rng.integers(0, 2, 400))
+        cfg = RemovalConfig(fractions=fractions, epochs=3)
+        with pytest.raises(TrainingDivergedError) as err:
+            point_removal_curve(np.arange(400.0), train, train, cfg)
+        assert f"removal arm {arm} rows removed): training diverged at epoch 0" in str(err.value)
+        assert err.value.epoch == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected_naming_the_index(self, bad):

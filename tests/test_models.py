@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,114 @@ class TestForwardPassMatchesRowwiseMax:
                 with pytest.raises(NonFiniteBatchError, match="example 4") as err:
                     per_example_loss_and_grad(model, data, indices)
             assert err.value.index == 4
+
+    def test_overflowing_logits_are_reported_not_warned(self):
+        # Under pytest a RuntimeWarning is an error, so this also shows that
+        # the matmul's overflow reaches the check instead of warning.
+        data = Dataset(features=np.array([[1.0], [1e308]]), labels=np.array([0, 1]))
+        model = init_model((1, 2), seed=9)
+        model.weights[:] = 1e308
+        with pytest.raises(NonFiniteBatchError, match="example 1"):
+            per_example_loss_and_grad(model, data)
+
+    def test_logits_further_apart_than_the_float_range_name_the_row(self):
+        # Row 1's logits are finite but 2e308 apart: the shift overflows, and
+        # the infinite loss is reported instead of returned.
+        model = ModelState(weights=np.array([[1e308], [-1e308]]), bias=np.zeros(2))
+        data = Dataset(features=np.array([[0.5], [1.0]]), labels=np.array([1, 1]))
+        with pytest.raises(NonFiniteBatchError, match="non-finite loss at example 1"):
+            per_example_loss_and_grad(model, data)
+
+
+def unfused_probs_and_losses(model, phi, labels, indices):
+    """The forward pass with a new n x C array per step, as it was written
+    before it ran in place: the reference for the in-place kernel."""
+    logits = phi @ model.weights.T + model.bias
+    if not np.all(np.isfinite(logits)):
+        bad = int(np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0])
+        if indices is not None:
+            bad = int(np.asarray(indices, dtype=np.intp)[bad])
+        raise NonFiniteBatchError(f"non-finite logits at example {bad}", index=bad)
+    # logits.max(axis=1) reduces the short class axis one row at a time;
+    # folding np.maximum across the columns is vectorised over the rows,
+    # and a max of finite numbers is exact in any order.
+    row_max = logits[:, 0].copy()
+    for c in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, c], out=row_max)
+    shifted = logits - row_max[:, None]
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(labels.size)
+    losses = log_z - shifted[rows, labels]
+    probs = np.exp(shifted - log_z[:, None])
+    return probs, losses
+
+
+def unfused_column_sum(grads):
+    """`FactoredGrads.column_sum` as it was written with `sum(axis=0)`: the reference."""
+    return np.concatenate([(grads.delta.T @ grads.phi).ravel(), grads.delta.sum(axis=0)])
+
+
+class TestInPlaceKernelIsBitIdentical:
+    """The in-place forward pass and the einsum column sum against the
+    unfused formulas, byte for byte.  The row-sum fold and the einsum
+    order are numpy internals, so this runs on every numpy CI tests with."""
+
+    @pytest.mark.parametrize("c", range(1, 18))
+    def test_sweep(self, c):
+        rng = np.random.default_rng([c, 31])
+        for n in (1, 2, 7, 33, 1000, 4099):
+            for p in (1, 3, 20):
+                phi = rng.standard_normal((n, p))
+                labels = rng.integers(0, c, n)
+                data = Dataset(phi, labels, n_classes=c)
+                for scale in (0.1, 10.0, 300.0):
+                    model = ModelState(
+                        weights=rng.standard_normal((c, p)) * scale / math.sqrt(p),
+                        bias=rng.standard_normal(c) * scale,
+                    )
+                    want_probs, want_losses = unfused_probs_and_losses(model, phi, labels, None)
+                    got_probs, got_losses = models._probs_and_losses(model, phi, labels, None)
+                    assert got_probs.tobytes() == want_probs.tobytes(), (n, p, scale)
+                    assert got_losses.tobytes() == want_losses.tobytes(), (n, p, scale)
+
+                    got = per_example_loss_and_grad(model, data)
+                    want_delta = want_probs
+                    want_delta[np.arange(n), labels] -= 1.0
+                    assert got.losses.tobytes() == want_losses.tobytes(), (n, p, scale)
+                    grads = got.last_layer_grads
+                    assert grads.delta.tobytes() == want_delta.tobytes(), (n, p, scale)
+                    # The step sums delta; the chg kind sums the loss-weighted
+                    # delta.  At one class delta is 0, so random rows cover it.
+                    spread = rng.standard_normal((n, c)) * rng.uniform(0.0, 1e3, (n, 1))
+                    for summed in (grads, grads.scaled(got.losses), FactoredGrads(spread, phi)):
+                        want_sum = unfused_column_sum(summed)
+                        assert summed.column_sum().tobytes() == want_sum.tobytes(), (n, p, scale)
+
+    def test_forward_pass_peak_memory(self):
+        n, p, c = 200_000, 20, 10
+        rng = np.random.default_rng(32)
+        data = Dataset(rng.standard_normal((n, p)), rng.integers(0, c, n), n_classes=c)
+        model = init_model((p, c), seed=32)
+        tracemalloc.start()
+        try:
+            result = per_example_loss_and_grad(model, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = result.last_layer_grads.delta.nbytes + result.losses.nbytes  # 17.6 MB
+        # The unfused pass peaks at 4.0x (four n x C arrays alive at once);
+        # in place it holds the logits and the probabilities.
+        assert peak <= 2.5 * held, peak / held
+
+    def test_column_sum_overflow_raises(self):
+        grads = FactoredGrads(np.ones((2, 2)), np.full((2, 1), 1.7e308))
+        with pytest.raises(FloatingPointError, match="gradient sum overflowed"):
+            grads.column_sum()
+        with pytest.raises(FloatingPointError, match="gradient sum overflowed"):
+            FactoredGrads(np.full((2, 1), 1.7e308), np.ones((2, 1))).column_sum()
+        model = init_model((1, 2), seed=0)
+        with pytest.raises(FloatingPointError, match="gradient sum overflowed"):
+            sgd_step_weighted(model, grads, lr=0.1)
 
 
 # ---------------------------------------------------------------------------

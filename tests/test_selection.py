@@ -9,7 +9,7 @@ import pytest
 import chg_shapley.models as models
 import chg_shapley.selection as selection
 from chg_shapley.experiments import make_synthetic_dataset
-from chg_shapley.models import Dataset
+from chg_shapley.models import Dataset, FactoredGrads
 from chg_shapley.selection import (
     SelectionConfig,
     SelectionPlan,
@@ -195,6 +195,26 @@ class TestSelectionTraining:
             cfg = SelectionConfig(fraction=0.4, interval=3, epochs=4, seed=8, kind=kind)
             _, history = run_selection_training(data, cfg)
             assert len(history.metrics) == 4
+
+
+    @pytest.mark.parametrize("kind", ["chg", "gradient"])
+    def test_factors_scanned_once_per_event(self, monkeypatch, kind):
+        # One scan of the forward pass's factors, then one per closed form:
+        # the class games and the union's game.  Restricted sets are not
+        # scanned again.
+        scans = []
+        all_finite = FactoredGrads.all_finite
+
+        def counting(grads):
+            scans.append(grads.shape[0])
+            return all_finite(grads)
+
+        monkeypatch.setattr(FactoredGrads, "all_finite", counting)
+        data = make_synthetic_dataset(400, 12, 10, 3.0, seed=9)
+        cfg = SelectionConfig(fraction=0.1, interval=2, epochs=4, seed=9, kind=kind)
+        _, history = run_selection_training(data, cfg)
+        assert len(history.events) == 2
+        assert len(scans) <= (data.n_classes + 2) * len(history.events)
 
 
 class TestRandomBaselines:

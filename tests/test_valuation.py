@@ -247,6 +247,24 @@ class TestFactoredRoute:
         with pytest.raises(TrainingDivergedError, match="epoch 0: closed-form"):
             run_selection_training(data, cfg)
 
+    def test_overflowing_step_names_its_epoch(self):
+        # On 400 such rows the per-class mean-loss games stay finite, but
+        # the step's gradient sum delta^T Phi overflows at epoch 0.
+        rng = np.random.default_rng(26)
+        features = np.column_stack(
+            [1.7e308 * rng.uniform(-1.0, 1.0, 400), rng.standard_normal(400)]
+        )
+        data = Dataset(features=features, labels=rng.integers(0, 2, 400))
+        config = ValuationConfig(kind="hardness", epochs=3, per_class=True)
+        with pytest.raises(TrainingDivergedError, match="epoch 0: gradient sum") as err:
+            run_valuation(data, config)
+        assert err.value.epoch == 0
+        # In selection the epoch-0 event values the data; the step after it overflows.
+        cfg = SelectionConfig(fraction=0.1, epochs=3, kind="hardness")
+        with pytest.raises(TrainingDivergedError, match="epoch 0: gradient sum") as err:
+            run_selection_training(data, cfg)
+        assert err.value.epoch == 0
+
 
 # ---------------------------------------------------------------------------
 # Efficiency audit
