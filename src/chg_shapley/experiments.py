@@ -183,8 +183,8 @@ def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
     if grid is None:
         grid = np.linspace(0.0, 1.0, 101)
     fractions = np.unique(np.concatenate([[0.0, 1.0], np.asarray(grid, dtype=float)]))
-    if fractions.min() < 0 or fractions.max() > 1:
-        raise ValueError("grid fractions must lie in [0, 1]")
+    if not np.all((fractions >= 0) & (fractions <= 1)):  # NaN fails both
+        raise ValueError(f"grid fractions must lie in [0, 1], got grid {grid}")
     order = np.lexsort((np.arange(n), values))  # ascending value, ties by index
     found = np.concatenate([[0], np.cumsum(mask[order])])
     inspected = np.round(fractions * n).astype(int)

@@ -398,15 +398,17 @@ def sgd_step_weighted(model: ModelState, grads: FactoredGrads, lr: float) -> Mod
 
     `grads` are the per-example gradients at `model`; `grads.scaled(w)`
     weights the step.  Returns a new state; the input model is untouched.
-    Raises FloatingPointError when the gradient sum overflows.
+    Raises FloatingPointError when the gradient sum or the new parameters
+    overflow, so the step's own epoch reports it.
     """
     grad = grads.column_sum() / grads.shape[0]
     split = model.weights.size
-    return replace(
-        model,
-        weights=model.weights - lr * grad[:split].reshape(model.weights.shape),
-        bias=model.bias - lr * grad[split:],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = model.weights - lr * grad[:split].reshape(model.weights.shape)
+        bias = model.bias - lr * grad[split:]
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+        raise FloatingPointError("SGD step overflowed the parameters to non-finite numbers")
+    return replace(model, weights=weights, bias=bias)
 
 
 def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset, indices=None) -> float:

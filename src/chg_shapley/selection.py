@@ -31,7 +31,7 @@ from .models import (
     per_example_loss_and_grad,
     sgd_step_weighted,
 )
-from .utilities import GradientSet, gradient_set_values, hardness_shapley
+from .utilities import GradientSet, _check_kind, gradient_set_values, hardness_shapley
 from .valuation import epoch_values
 
 # Guards against float noise in a * N_c (e.g. 0.1 * 30 = 3.0000000000000004)
@@ -56,6 +56,7 @@ class SelectionConfig:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
         if self.epochs < 1:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        _check_kind(self.kind)
         check_learning_rate(self.lr)
 
 

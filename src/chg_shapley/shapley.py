@@ -1,12 +1,12 @@
 """Exact, sampled, and closed-form Shapley values for set-function games.
 
 The closed form covers the quadratic "mean-distance" utility
-``U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2``, the subset-mean
-game on 2<x_i, alpha> minus the mean-square game ||mean_{i in S} x_i||^2,
-with one weights function per game for every n >= 1.  It runs in
-O(n*d) on a dense X, or in O(n*(C+w)) memory on a factored gradient
-matrix; the enumeration and permutation-sampling routes work for any
-set function and serve as ground-truth oracles for it.
+``U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2``.  Centred on the
+mean row it is a constant, a subset-mean game and a mean-square game,
+with one weight function per game for every n >= 1.  It runs in O(n*d)
+on a dense X, or in O(n*(C+w)) memory on a factored gradient matrix; the
+enumeration and permutation-sampling routes work for any set function
+and serve as ground-truth oracles for it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .models import FactoredGrads
 
 DEFAULT_EXACT_LIMIT = 20
+_CENTRED_BLOCK = 1 << 15  # dense entries centred at a time
 
 UtilityFn = Callable[[np.ndarray], float]
 
@@ -69,31 +70,31 @@ def mean_game_weights(n: int) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def mean_square_game_weights(n: int) -> tuple[float, float, float, float]:
-    """(own, cross, others, pairs) weights of the game Q(S) = ||mean_{i in S} x_i||^2.
+def mean_square_game_weight(n: int) -> float:
+    """kappa_n of the mean-square game Q(S) = ||mean_{i in S} y_i||^2 on rows summing to 0.
 
-    Datum k's Shapley value is the average, over the n equally likely
-    sizes of the coalition it joins, of its expected marginal; in terms of
-    G_k = sum_{i != k} x_i, T_k = sum_{i != k} ||x_i||^2 and the cross terms
-    P_k = ||G_k||^2 - T_k it is
-
-        own*||x_k||^2 + cross*<x_k, G_k> + others*T_k + pairs*P_k
-
-    with own = H2/n, cross = 2(H1 - H2)/(n(n-1)),
-    others = (1/n - H2)/(n(n-1)) and
-    pairs = (1 - 1/n - 2H1 + 2H2)/(n(n-1)(n-2)).  A weight whose term has
-    nothing to sum (no other datum, or no pair of other data) is 0, as is
-    its numerator there.
+    Datum k's value is kappa_n (d_k - mean_j d_j), d_k = ||y_k||^2, with
+    kappa_n = (n^2 H2 - 2n H1 + 1)/(n(n-1)(n-2)), or 1 and 3/4 at n = 1, 2.
+    Those values sum to 0 for any kappa_n, so no efficiency audit sees a
+    wrong one: each n checks it once against the direct average over
+    coalition sizes and raises FloatingPointError naming n beyond
+    max(1e-12, 2n eps) relative, the bound on summing H1, H2 left to right.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n < 3:
+        return (1.0, 0.75)[n - 1]
     h = harmonic_sums(n)
-    h1, h2, inv_n = h.h1, h.h2, 1.0 / n
-    own = h2 * inv_n
-    cross = 2.0 * (h1 - h2) / (n * (n - 1)) if n > 1 else 0.0
-    others = (inv_n - h2) / (n * (n - 1)) if n > 1 else 0.0
-    pairs = (1.0 - inv_n - 2.0 * h1 + 2.0 * h2) / (n * (n - 1) * (n - 2)) if n > 2 else 0.0
-    return own, cross, others, pairs
+    denom = n * (n - 1) * (n - 2)
+    kappa = (n * n * h.h2 - 2.0 * n * h.h1 + 1.0) / denom
+    # Joining s of the other rows (they sum to -y_k), datum k's expected marginal
+    # carries d_k times [(n-1-s)(n-2-2s)/(s+1)^2 + (n-2s)/s]/((n-1)(n-2)); 1 at s = 0.
+    s = np.arange(1, n, dtype=float)
+    terms = (n - 1 - s) * (n - 2 - 2 * s) / (s + 1) ** 2 + (n - 2 * s) / s
+    direct = ((n - 1) * (n - 2) + float(terms.sum())) / denom
+    if not abs(direct - kappa) <= max(1e-12, 2 * n * np.finfo(float).eps) * abs(kappa):
+        raise FloatingPointError(f"kappa_n at n={n}: harmonic form {kappa!r} != direct {direct!r}")
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -171,82 +172,79 @@ def chg_game(X, alpha) -> GameSpec:
 
 @dataclass(frozen=True)
 class ClosedFormStatistics:
-    """Everything the closed form reads from (X, alpha), with g = sum_i x_i."""
+    """Everything the closed form reads from (X, alpha): m is the mean row, r = m - alpha."""
 
-    sq: np.ndarray  # ||x_i||^2
-    x_g: np.ndarray  # <x_i, g>
-    x_alpha: np.ndarray  # <x_i, alpha>
-    g_sq: float  # ||g||^2
-    g_alpha: float  # <g, alpha>
-    grand_utility: float  # U(N) = ||alpha||^2 - ||g/n - alpha||^2
+    d: np.ndarray  # ||x_i - m||^2
+    e: np.ndarray  # <x_i - m, r>
+    y_alpha: np.ndarray  # <x_i - m, alpha>
+    m_alpha: float  # <m, alpha>
+    grand_utility: float  # U(N) = ||alpha||^2 - ||r||^2
 
     @property
     def n(self) -> int:
-        return self.sq.size
+        return self.d.size
 
 
 def closed_form_statistics(X, alpha) -> ClosedFormStatistics:
-    """Reduce a dense X, or a `FactoredGrads` without densifying it, to the
-    per-datum and shared statistics of the closed form.
+    """Centred statistics of a dense X, or of a `FactoredGrads` without densifying it.
 
-    Dense reductions use numpy's pairwise summation, which keeps the
-    efficiency identity sum(values) = U(N) tight at n >= 1e4.
+    A dense X is centred in blocks of `_CENTRED_BLOCK` entries before it is
+    squared; a factored X forms d_i = ||x_i||^2 - 2<x_i, m> + ||m||^2.
     """
     X, alpha = _validate_players_matrix(X, alpha)
+    (n, width), factored = X.shape, isinstance(X, FactoredGrads)
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(X, FactoredGrads):
-            g = X.column_sum()
-            sq = X.row_sq_norms()
-            x_g, x_alpha = X.inner(np.stack([g, alpha]))
+        m = (X.column_sum() if factored else X.sum(axis=0)) / n
+        r = m - alpha
+        if factored:
+            m_sq = float(m @ m)
+            x_m, x_r = X.inner(np.stack([m, r]))
+            e = x_r - float(m @ r)
+            d = X.row_sq_norms() - 2.0 * x_m + m_sq
+            y_alpha = x_m - m_sq - e
         else:
-            g = X.sum(axis=0)
-            sq = np.einsum("ij,ij->i", X, X)
-            x_g, x_alpha = X @ g, X @ alpha
-        gap = g / X.shape[0] - alpha
-        grand = float(alpha @ alpha) - float(gap @ gap)
-        return ClosedFormStatistics(sq, x_g, x_alpha, float(g @ g), float(g @ alpha), grand)
-
-
-def _linear_values(s: ClosedFormStatistics) -> np.ndarray:
-    """Values of the linear part 2<mean_S x, alpha>: the mean game on y_i = 2<x_i, alpha>."""
-    own, total = mean_game_weights(s.n)
-    return 2.0 * own * s.x_alpha + 2.0 * total * s.g_alpha
+            d, e, y_alpha = np.empty((3, n))
+            step = max(1, _CENTRED_BLOCK // width)
+            for lo in range(0, n, step):
+                Y = X[lo:lo + step] - m
+                d[lo:lo + step] = np.einsum("ij,ij->i", Y, Y)
+                e[lo:lo + step], y_alpha[lo:lo + step] = np.stack([r, alpha]) @ Y.T
+        grand = float(alpha @ alpha) - float(r @ r)
+        return ClosedFormStatistics(d, e, y_alpha, float(m @ alpha), grand)
 
 
 def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
     """O(n*d) Shapley values of the quadratic mean-distance utility.
 
-    U(S) = 2<mean_S x, alpha> - ||mean_S x||^2 is the linear mean game
-    minus the mean-square game, so each value is the `mean_game_weights`
-    value of y_i = 2<x_i, alpha> minus the `mean_square_game_weights`
-    value, regrouped onto the `ClosedFormStatistics` with g = sum_i x_i:
-    <x_k, G_k> = <x_k, g> - ||x_k||^2, T_k = sum_i ||x_i||^2 - ||x_k||^2 and
-    P_k = ||g||^2 - 2<x_k, g> + ||x_k||^2 - T_k.  X is a dense n x d array
-    or a `FactoredGrads`; both reduce to the same statistics.
+    On every non-empty S, U(S) = U(N) - 2<mean_S (x - m), r> - ||mean_S (x - m)||^2:
+    a constant, a mean game and a mean-square game on centred rows, so
 
-    Raises FloatingPointError when finite inputs overflow to non-finite
-    statistics or values.
+        value_k = U(N)/n + kappa_n (mean_j d_j - d_k) - 2 own_n e_k
+
+    with the `ClosedFormStatistics`, kappa_n = `mean_square_game_weight(n)`
+    and own_n from `mean_game_weights(n)`.  X is a dense n x d array or a
+    `FactoredGrads`.  Raises FloatingPointError when finite inputs
+    overflow to non-finite statistics or values.
     """
     s = closed_form_statistics(X, alpha)
-    own, cross, others, pairs = mean_square_game_weights(s.n)
+    kappa, (own, _) = mean_square_game_weight(s.n), mean_game_weights(s.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        c_sq = cross + others - own - 2.0 * pairs
-        c_g = 2.0 * pairs - cross
-        shared = (pairs - others) * float(s.sq.sum()) - pairs * s.g_sq
-        values = c_sq * s.sq + c_g * s.x_g + shared + _linear_values(s)
+        values = s.grand_utility / s.n + kappa * (float(s.d.mean()) - s.d) - 2.0 * own * s.e
     return closed_form_result(values, s.grand_utility)
 
 
 def shapley_linear_term(X, alpha) -> ShapleyValues:
     """Shapley values of the linear part U(S) = 2*<mean_{i in S} x_i, alpha>.
 
-    X is a dense n x d array or a `FactoredGrads`; the values are the
-    linear part of `chg_closed_form_shapley`, for every n >= 1.  Raises
-    FloatingPointError when finite inputs overflow to non-finite values.
+    That is 2<m, alpha> plus the mean game on 2<x_i - m, alpha>, which sums
+    to 0, so value_k = 2<m, alpha>/n + 2 own_n <x_k - m, alpha>.  X is a
+    dense n x d array or a `FactoredGrads`.  Raises FloatingPointError when
+    finite inputs overflow to non-finite values.
     """
     s = closed_form_statistics(X, alpha)
+    own, _ = mean_game_weights(s.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        values, grand = _linear_values(s), 2.0 * s.g_alpha / s.n
+        values, grand = 2.0 * s.m_alpha / s.n + 2.0 * own * s.y_alpha, 2.0 * s.m_alpha
     return closed_form_result(values, grand)
 
 

@@ -29,7 +29,7 @@ from .models import (
     per_example_loss_and_grad,
     sgd_step_weighted,
 )
-from .utilities import GradientSet, gradient_set_values, hardness_shapley
+from .utilities import GradientSet, _check_kind, gradient_set_values, hardness_shapley
 
 EFFICIENCY_TOLERANCE = 1e-9
 
@@ -55,6 +55,7 @@ class ValuationConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        _check_kind(self.kind)
         check_learning_rate(self.lr)
         if not 0 <= self.skip_first_epochs < self.epochs:
             raise ValueError("skip_first_epochs must be in [0, epochs)")

@@ -155,6 +155,12 @@ class TestDetectionCurve:
         with pytest.raises(ValueError):
             detection_curve(np.ones(4), NoiseSpec(rate=0.0, seed=0, flip_mask=np.zeros(4, bool)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_grid_outside_unit_interval_rejected(self, bad):
+        mask = np.arange(10) % 2 == 0
+        with pytest.raises(ValueError, match="grid"):
+            detection_curve(np.arange(10.0), NoiseSpec(rate=0.5, seed=0, flip_mask=mask), [0.5, bad])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected_naming_the_index(self, bad):
         values = np.arange(10.0)

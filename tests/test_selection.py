@@ -432,6 +432,8 @@ class TestHistoryFiles:
 def test_config_validation():
     with pytest.raises(ValueError):
         SelectionConfig(fraction=0.0)
+    with pytest.raises(ValueError, match="unknown utility kind 'chgg'"):
+        SelectionConfig(fraction=0.1, kind="chgg")
     with pytest.raises(ValueError):
         SelectionConfig(fraction=1.5)
     with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from chg_shapley.shapley import (
     harmonic_sums,
     mean_distance_utility,
     mean_game_weights,
-    mean_square_game_weights,
+    mean_square_game_weight,
     permutation_shapley,
     shapley_linear_term,
 )
@@ -88,24 +88,57 @@ class TestHarmonicSums:
 
 
 # ---------------------------------------------------------------------------
-# Mean-square game Q(S) = ||mean_{i in S} x_i||^2: weights of the closed form
+# Mean-square game Q(S) = ||mean_{i in S} y_i||^2 on centred rows: kappa_n
 # ---------------------------------------------------------------------------
+
+def four_weight_kappa(n: int) -> float:
+    """kappa_n = own - cross - others + 2*pairs from the four mean-square
+    game weights on uncentred rows, each in its own harmonic form."""
+    h = harmonic_sums(n)
+    h1, h2, inv_n = h.h1, h.h2, 1.0 / n
+    own = h2 * inv_n
+    cross = 2.0 * (h1 - h2) / (n * (n - 1)) if n > 1 else 0.0
+    others = (inv_n - h2) / (n * (n - 1)) if n > 1 else 0.0
+    pairs = (1.0 - inv_n - 2.0 * h1 + 2.0 * h2) / (n * (n - 1) * (n - 2)) if n > 2 else 0.0
+    return own - cross - others + 2.0 * pairs
+
 
 class TestCoefficients:
     def test_zero_rejected_small_n_finite(self):
         with pytest.raises(ValueError):
-            mean_square_game_weights(0)
-        assert mean_square_game_weights(1) == (1.0, 0.0, 0.0, 0.0)
-        own, cross, others, pairs = mean_square_game_weights(2)
-        assert all(math.isfinite(w) for w in (own, cross, others))
-        assert pairs == 0.0
+            mean_square_game_weight(0)
+        assert mean_square_game_weight(1) == 1.0
+        assert mean_square_game_weight(2) == 0.75
 
     def test_finite_at_boundary(self):
-        assert all(math.isfinite(w) for w in mean_square_game_weights(3))
+        assert mean_square_game_weight(3) == pytest.approx(0.375, rel=1e-15)
 
     def test_recomputation_bit_identical(self):
         for n in (1, 2, 3, 7, 100, 12345):
-            assert mean_square_game_weights(n) == mean_square_game_weights.__wrapped__(n)
+            assert mean_square_game_weight(n) == mean_square_game_weight.__wrapped__(n)
+
+    # The left-to-right H2 sum rounds by 6e-13 relative at n = 10**7 (2e-11
+    # at 3*10**7), so the harmonic form's self-check allows 2n eps there.
+    @pytest.mark.parametrize("n", [3, 4, 7, 300, 12345, 10**6, 10**7])
+    def test_agrees_with_four_weight_form(self, n):
+        kappa = mean_square_game_weight(n)
+        assert abs(kappa - four_weight_kappa(n)) <= 1e-12 * kappa
+
+    def test_wrong_harmonic_sums_raise_naming_n(self, monkeypatch):
+        # The efficiency audit cannot see a wrong kappa_n; the direct sum can.
+        true_sums = shapley.harmonic_sums
+
+        def perturbed(n):
+            h = true_sums(n)
+            return shapley.HarmonicSums(n, h.h1, h.h2 * (1 + 1e-9))
+
+        monkeypatch.setattr(shapley, "harmonic_sums", perturbed)
+        mean_square_game_weight.cache_clear()
+        try:
+            with pytest.raises(FloatingPointError, match=r"\bn=57\b"):
+                mean_square_game_weight(57)
+        finally:
+            mean_square_game_weight.cache_clear()
 
     @pytest.mark.parametrize("n", [3, 10])
     def test_boundary_sizes_match_oracle(self, n):
@@ -233,6 +266,15 @@ class TestFactoredClosedForm:
         factored = chg_closed_form_shapley(grads, alpha).values
         assert np.max(np.abs(factored - dense)) <= 1e-12 * np.ptp(dense)
         assert np.array_equal(np.argsort(factored), np.argsort(dense))
+
+    def test_dense_row_blocks_do_not_change_values(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        X = rng.standard_normal((200, 9)) + 50.0
+        alpha = rng.standard_normal(9)
+        whole = chg_closed_form_shapley(X, alpha).values
+        monkeypatch.setattr(shapley, "_CENTRED_BLOCK", 7 * 9)  # 28 blocks of 7 rows, then 4
+        blocked = chg_closed_form_shapley(X, alpha).values
+        assert np.max(np.abs(blocked - whole)) <= 1e-13 * np.ptp(whole)
 
     def test_alpha_shape_checked_against_factored_width(self):
         grads = random_factored(np.random.default_rng(50), 4)
@@ -368,10 +410,12 @@ def exact_chg_values(X: np.ndarray, alpha: np.ndarray) -> list[Fraction]:
 
 
 class TestExactRationalReference:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 300])
     def test_weights_are_size_averages(self, n):
-        linear, square = exact_weights(n)
-        for got, want in zip(mean_game_weights(n) + mean_square_game_weights(n), linear + square):
+        (linear_own, linear_total), (own, cross, others, pairs) = exact_weights(n)
+        kappa = own - cross - others + 2 * pairs
+        weights = mean_game_weights(n) + (mean_square_game_weight(n),)
+        for got, want in zip(weights, (linear_own, linear_total, kappa)):
             if want == 0:
                 assert got == 0.0
             else:
@@ -397,6 +441,24 @@ class TestExactRationalReference:
         spread = max(exact) - min(exact)
         worst = max(abs(Fraction(float(c)) - e) for c, e in zip(closed, exact))
         assert worst <= Fraction(1, 10**12) * spread
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e7])
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_large_offset_stays_at_the_precision_floor(self, offset, factored):
+        # Any float value near U(N)/n is off by about eps * |U(N)|/n, which
+        # a large common offset makes large against the spread.  Without
+        # an offset U(N)/n is tiny, and the values' own rounding,
+        # eps * spread, is the floor.
+        rng = np.random.default_rng(300)
+        X = rng.integers(-9, 10, size=(300, 2)) + offset
+        alpha = rng.integers(-9, 10, size=2) + offset
+        exact = exact_chg_values(X, alpha)
+        spread = max(exact) - min(exact)
+        floor = np.finfo(float).eps * max(abs(sum(exact)) / 300, spread) / spread
+        rows = FactoredGrads(X, np.zeros((300, 0))) if factored else X
+        closed = chg_closed_form_shapley(rows, alpha).values
+        worst = max(abs(Fraction(float(c)) - e) for c, e in zip(closed, exact))
+        assert worst / spread <= (5 if factored else 2) * floor
 
 
 # ---------------------------------------------------------------------------
@@ -529,21 +591,14 @@ class TestProperties:
         X = rng.standard_normal((9, 4))
         alpha = rng.standard_normal(4)
         values = chg_closed_form_shapley(X, alpha).values
-        own, cross, others, pairs = mean_square_game_weights(9)
-        linear_own, _ = mean_game_weights(9)
-        g = X.sum(axis=0)
-        sq = np.einsum("ij,ij->i", X, X)
-
-        def own_terms(k):
-            # Datum k's value minus everything shared by all data.
-            G = g - X[k]
-            T = sq.sum() - sq[k]
-            square = own * sq[k] + cross * float(X[k] @ G) + others * T + pairs * (G @ G - T)
-            return 2.0 * linear_own * float(X[k] @ alpha) - square
-
+        kappa = mean_square_game_weight(9)
+        own, _ = mean_game_weights(9)
+        Y = X - X.mean(axis=0)
+        d = np.einsum("ij,ij->i", Y, Y)
+        e = Y @ (X.mean(axis=0) - alpha)
         for j in range(9):
             for k in range(9):
-                gap = own_terms(j) - own_terms(k)
+                gap = kappa * (d[k] - d[j]) + 2.0 * own * (e[k] - e[j])
                 assert values[j] - values[k] == pytest.approx(gap, abs=1e-9)
 
     def test_mc_error_shrinks_with_samples(self):

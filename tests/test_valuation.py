@@ -86,13 +86,24 @@ class TestRunValuation:
         assert epoch_efficiency_audit(run).max_violation <= 1e-9
 
     def test_divergence_reports_epoch(self):
+        # The first step overflows the parameters: epoch 0 reports it, not
+        # the next epoch's forward pass.
         data = Dataset(
             features=np.array([[1e30], [-1e30]]), labels=np.array([0, 1]), n_classes=2
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError) as err:
+            with pytest.raises(TrainingDivergedError, match="SGD step overflowed") as err:
                 run_valuation(data, ValuationConfig(epochs=50, seed=8, lr=1e280))
-        assert err.value.epoch > 0
+        assert err.value.epoch == 0
+
+    def test_selection_divergence_reports_the_step_epoch(self):
+        data = Dataset(
+            features=np.array([[1e30], [-1e30]]), labels=np.array([0, 1]), n_classes=2
+        )
+        cfg = SelectionConfig(fraction=1.0, interval=1, epochs=50, seed=8, lr=1e280)
+        with pytest.raises(TrainingDivergedError, match="SGD step overflowed") as err:
+            run_selection_training(data, cfg)
+        assert err.value.epoch == 0
 
     def test_scale_response_is_quadratic(self):
         # Single-epoch property of the value computation: scaling every
@@ -365,5 +376,7 @@ class TestOutputs:
 def test_config_validation():
     with pytest.raises(ValueError):
         ValuationConfig(epochs=0)
+    with pytest.raises(ValueError, match="unknown utility kind 'chgg'"):
+        ValuationConfig(kind="chgg")
     with pytest.raises(ValueError):
         ValuationConfig(epochs=3, skip_first_epochs=3)
