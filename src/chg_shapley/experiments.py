@@ -208,7 +208,7 @@ def _retrain_accuracy(
     model = init_model((train.n_features, train.n_classes), seed=cfg.seed)
     for epoch in range(cfg.epochs):
         with epoch_guard(epoch):
-            grads = per_example_loss_and_grad(model, train, retained).last_layer_grads
+            grads = per_example_loss_and_grad(model, train, retained).vectors
             model = sgd_step_weighted(model, grads, cfg.lr)
         del grads  # free the factors before the next forward pass
     return accuracy(model, test)

@@ -6,6 +6,9 @@ Example i's flattened gradient row is the outer product of its logit
 residual delta_i (classes) and its head input [phi_i, 1] (width + 1), so
 the n gradient rows are kept in that factored form: O(n * (classes +
 width)) memory instead of the O(n * classes * width) dense matrix.
+
+The forward pass returns them as the `GradientSet` every game values,
+unscanned, as are the rows `restrict` takes; the public constructor scans.
 """
 
 from __future__ import annotations
@@ -214,11 +217,75 @@ class FactoredGrads:
 
 
 @dataclass
-class PerExampleBatchResult:
-    """Per-example cross-entropy losses and factored last-layer gradients."""
+class GradientSet:
+    """Per-datum factored gradients and their losses, scanned for
+    finiteness and non-negative losses unless built by `_unscanned`."""
 
-    losses: np.ndarray  # m
-    last_layer_grads: FactoredGrads  # m x (n_classes * width + n_classes)
+    vectors: FactoredGrads  # n x d
+    losses: np.ndarray  # n, non-negative
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.vectors, FactoredGrads):
+            raise TypeError(
+                f"vectors must be a FactoredGrads, got {type(self.vectors).__name__}; "
+                "value a dense n x d matrix with chg_closed_form_shapley(X, alpha)"
+            )
+        self.losses = np.asarray(self.losses, dtype=float)
+        if self.vectors.shape[0] < 1 or self.vectors.shape[1] < 1:
+            raise ValueError(f"vectors must be n x d with n, d >= 1, got {self.vectors.shape}")
+        if self.losses.shape != (self.vectors.shape[0],):
+            raise ValueError(
+                f"losses must align with vectors: {self.losses.shape} vs {self.vectors.shape}"
+            )
+        if not (self.vectors.all_finite() and np.all(np.isfinite(self.losses))):
+            raise ValueError("non-finite entries in gradient set")
+        if np.any(self.losses < 0):
+            raise ValueError("losses must be non-negative")
+
+    @classmethod
+    def _unscanned(cls, vectors: FactoredGrads, losses: np.ndarray) -> "GradientSet":
+        """A set of rows known to be finite with non-negative losses, not scanned again."""
+        gs = cls.__new__(cls)
+        gs.vectors, gs.losses = vectors, losses
+        return gs
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def last_layer_grads(self) -> FactoredGrads:
+        # perfbench/layers.py and baseline.py read the pass's gradients by
+        # this name; it goes when the benchmark is re-keyed to `vectors`.
+        return self.vectors
+
+    def weighted_vectors(self) -> FactoredGrads:
+        """Loss-weighted vectors l_i * grad_i: losses folded into delta, phi shared."""
+        return self.vectors.scaled(self.losses)
+
+    def restrict(self, indices) -> "GradientSet":
+        """The sub-collection at `indices`, not scanned again; ValueError
+        for an empty subset or indices `_row_indices` rejects."""
+        idx = _row_indices(indices, self.n)
+        if idx.size == 0:
+            raise ValueError("cannot restrict to an empty subset")
+        return self._unscanned(self.vectors.rows(idx), self.losses[idx])
+
+
+def _row_indices(indices, n: int) -> np.ndarray:
+    """`indices` (a list, set, array or empty collection) as a flat intp
+    array of rows in [0, n); ValueError for a bool mask, float indices,
+    which would be truncated, or ndim != 1."""
+    idx = np.asarray(list(indices) if isinstance(indices, (set, frozenset)) else indices)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError(f"row indices must be flat integers, got {idx.dtype}, shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"row indices out of range for n={n}")
+    return idx.astype(np.intp, copy=False)
 
 
 def init_model(
@@ -270,9 +337,7 @@ def _head_inputs(model: ModelState, data: Dataset, indices) -> tuple[np.ndarray,
     if indices is None:
         phi, labels = data.features, data.labels
     else:
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= data.n):
-            raise ValueError(f"indices out of range for n={data.n}")
+        idx = _row_indices(indices, data.n)
         phi, labels = data.features[idx], data.labels[idx]
     if model.feature_map is not None:
         phi = model.feature_map.apply(phi)
@@ -291,7 +356,7 @@ def _label_positions(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def _check_finite_rows(values: np.ndarray, what: str, indices) -> None:
     """NonFiniteBatchError naming the data row of the first row of `values`
-    (n or n x C) with a non-finite entry."""
+    (n or n x C) with a non-finite entry; `indices` are checked rows or None."""
     finite = np.isfinite(values)
     if finite.all():
         return
@@ -299,7 +364,7 @@ def _check_finite_rows(values: np.ndarray, what: str, indices) -> None:
         finite = finite.all(axis=1)
     bad = int(np.flatnonzero(~finite)[0])
     if indices is not None:
-        bad = int(np.asarray(indices, dtype=np.intp)[bad])
+        bad = int(indices[bad])
     raise NonFiniteBatchError(f"non-finite {what} at example {bad}", index=bad)
 
 
@@ -359,21 +424,22 @@ def _probs_and_losses(
     return probs, losses
 
 
-def per_example_loss_and_grad(
-    model: ModelState, data: Dataset, indices=None
-) -> PerExampleBatchResult:
+def per_example_loss_and_grad(model: ModelState, data: Dataset, indices=None) -> GradientSet:
     """Softmax cross-entropy loss and exact last-layer gradient per example.
 
     Row i of the gradient is the weight gradient (softmax(z_i) -
     onehot(y_i)) outer phi_i, row-major by class, followed by the bias
     gradient; it is returned factored, never built.  Example i's row
-    depends only on example i and the current parameters.
+    depends only on example i and the current parameters.  Logits and
+    losses are checked finite, and a loss, log_z - (z_y - max z) with
+    log_z >= 0, is never negative, so the set is returned unscanned.
     """
-    phi, labels = _head_inputs(model, data, indices)
-    delta, losses = _probs_and_losses(model, phi, labels, indices)
+    idx = None if indices is None else _row_indices(indices, data.n)
+    phi, labels = _head_inputs(model, data, idx)
+    delta, losses = _probs_and_losses(model, phi, labels, idx)
     # delta is C-contiguous, so reshape(-1) is a view and the subtraction lands in it.
     delta.reshape(-1)[_label_positions(labels, delta.shape[1])] -= 1.0
-    return PerExampleBatchResult(losses=losses, last_layer_grads=FactoredGrads(delta, phi))
+    return GradientSet._unscanned(FactoredGrads(delta, phi), losses)
 
 
 def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:

@@ -31,7 +31,8 @@ from .models import (
     per_example_loss_and_grad,
     sgd_step_weighted,
 )
-from .utilities import GradientSet, _check_kind, gradient_set_values, hardness_shapley
+# perfbench/layers.py wraps GradientSet here; it goes when the benchmark is re-keyed.
+from .utilities import GradientSet, _check_kind, gradient_set_values  # noqa: F401
 from .valuation import epoch_values
 
 # Guards against float noise in a * N_c (e.g. 0.1 * 30 = 3.0000000000000004)
@@ -159,7 +160,7 @@ def _training_loop(
             history.events.append(plan)
         with epoch_guard(epoch):
             batch = per_example_loss_and_grad(model, data, plan.subset)
-            model = sgd_step_weighted(model, batch.last_layer_grads.scaled(plan.weights), cfg.lr)
+            model = sgd_step_weighted(model, batch.vectors.scaled(plan.weights), cfg.lr)
             del batch  # free the factors before the evaluation passes
             train_loss = batch_loss(model, data, plan.subset)
         history.metrics.append(
@@ -177,21 +178,16 @@ def _value_selection(
     model: ModelState, data: Dataset, cfg: SelectionConfig, epoch: int
 ) -> SelectionPlan:
     """One forward pass; each class's top fraction by its class game
-    (`epoch_values` per class); weights from the union's own game.  The
-    pass's factors are scanned for finiteness once, for all the games."""
+    (`epoch_values` per class); weights from the union's own game."""
     with epoch_guard(epoch):
         batch = per_example_loss_and_grad(model, data)
-        gs = None if cfg.kind == "hardness" else GradientSet(batch.last_layer_grads, batch.losses)
-        values, _ = epoch_values(batch, data, cfg.kind, per_class=True, gs=gs)
+        values, _ = epoch_values(batch, data, cfg.kind, per_class=True)
         picks = select_top_fraction_per_class(
             {label: (idx, values[idx]) for label, idx in enumerate(data.class_index)},
             cfg.fraction,
         )
         subset = np.sort(np.concatenate(list(picks.values())))
-        if gs is None:
-            subset_values = hardness_shapley(batch.losses[subset])
-        else:
-            subset_values = gradient_set_values(gs.restrict(subset), cfg.kind)
+        subset_values = gradient_set_values(batch, cfg.kind, rows=subset)
     return SelectionPlan(
         subset=subset,
         weights=minmax_weights(subset_values.values),

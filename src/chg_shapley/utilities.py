@@ -1,24 +1,26 @@
 """Subset utilities over per-datum gradients: chg, hardness, and gradient kinds.
 
-A `GradientSet` holds one loss per datum and the per-datum gradients as a
+A `GradientSet` (defined in `models`, whose forward pass returns one)
+holds one loss per datum and the per-datum gradients as a
 `models.FactoredGrads`, which the closed form values in
 O(n * (classes + width)) memory.  The chg kind scores a subset by how
 close its loss-weighted mean gradient lands to the full-set reference
 vector; the gradient kind does the same with raw gradients; the hardness
 kind scores a subset by its mean loss, whose Shapley values are the linear
 term's mean-game weights (`shapley.mean_game_weights`) applied to the
-losses.  A dense gradient matrix is valued directly by
+losses.  Valuation and selection value every game through
+`gradient_set_values`, the one place they dispatch on the kind.
+A dense gradient matrix is valued directly by
 `shapley.chg_closed_form_shapley(X, alpha)`.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FactoredGrads
+from .models import FactoredGrads, GradientSet, _row_indices
 from .shapley import (
     GameSpec,
     ShapleyValues,
@@ -38,57 +40,6 @@ def _check_kind(kind: str) -> None:
 def _mean(vectors: FactoredGrads) -> np.ndarray:
     """Column mean; FloatingPointError if finite rows overflow it."""
     return vectors.column_sum() / vectors.shape[0]
-
-
-@dataclass
-class GradientSet:
-    """Per-datum factored gradients and their losses."""
-
-    vectors: FactoredGrads  # n x d
-    losses: np.ndarray  # n, non-negative
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.vectors, FactoredGrads):
-            raise TypeError(
-                f"vectors must be a FactoredGrads, got {type(self.vectors).__name__}; "
-                "value a dense n x d matrix with chg_closed_form_shapley(X, alpha)"
-            )
-        self.losses = np.asarray(self.losses, dtype=float)
-        if self.vectors.shape[0] < 1 or self.vectors.shape[1] < 1:
-            raise ValueError(f"vectors must be n x d with n, d >= 1, got {self.vectors.shape}")
-        if self.losses.shape != (self.vectors.shape[0],):
-            raise ValueError(
-                f"losses must align with vectors: {self.losses.shape} vs {self.vectors.shape}"
-            )
-        if not (self.vectors.all_finite() and np.all(np.isfinite(self.losses))):
-            raise ValueError("non-finite entries in gradient set")
-        if np.any(self.losses < 0):
-            raise ValueError("losses must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
-    def weighted_vectors(self) -> FactoredGrads:
-        """Loss-weighted vectors l_i * grad_i: losses folded into delta, phi shared."""
-        return self.vectors.scaled(self.losses)
-
-    def restrict(self, indices) -> "GradientSet":
-        """The sub-collection at `indices`; ValueError if any is out of range.
-
-        Rows of a checked set are finite and non-negative, so the
-        sub-collection is not scanned again.
-        """
-        idx = _subset_indices(self, indices)
-        if idx.size == 0:
-            raise ValueError("cannot restrict to an empty subset")
-        sub = copy.copy(self)
-        sub.vectors, sub.losses = self.vectors.rows(idx), self.losses[idx]
-        return sub
 
 
 @dataclass(frozen=True)
@@ -115,20 +66,10 @@ def scheme_for(gs: GradientSet, kind: str) -> UtilityScheme:
     return UtilityScheme(kind=kind, alpha=reference_vector(gs, kind))
 
 
-def _subset_indices(gs: GradientSet, subset) -> np.ndarray:
-    idx = np.asarray(list(subset) if isinstance(subset, (set, frozenset)) else subset,
-                     dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("subset must be a flat index collection")
-    if idx.size and (idx.min() < 0 or idx.max() >= gs.n):
-        raise ValueError(f"subset indices out of range for n={gs.n}")
-    return idx
-
-
 def subset_utility(scheme: UtilityScheme, gs: GradientSet, subset) -> float:
     """U(S) per the scheme's kind; U(empty) = 0 for every kind."""
     _check_kind(scheme.kind)
-    idx = _subset_indices(gs, subset)
+    idx = _row_indices(subset, gs.n)
     if idx.size == 0:
         return 0.0
     if scheme.kind == "hardness":
@@ -155,10 +96,18 @@ def chg_inputs_for_closed_form(gs: GradientSet, kind: str) -> tuple[FactoredGrad
     return X, _mean(X)
 
 
-def gradient_set_values(gs: GradientSet, kind: str) -> ShapleyValues:
-    """Shapley values of the whole collection under one utility kind."""
+def gradient_set_values(gs: GradientSet, kind: str, rows=None) -> ShapleyValues:
+    """Shapley values of the game on the rows `rows` of `gs` (all of them
+    with None) under one utility kind.
+
+    Hardness values the rows' losses alone; the quadratic kinds value
+    `gs.restrict(rows)` in closed form.
+    """
     if kind == "hardness":
-        return hardness_shapley(gs.losses)
+        losses = gs.losses if rows is None else gs.losses[_row_indices(rows, gs.n)]
+        return hardness_shapley(losses)
+    if rows is not None:
+        gs = gs.restrict(rows)
     X, alpha = chg_inputs_for_closed_form(gs, kind)
     return chg_closed_form_shapley(X, alpha)
 

@@ -1,10 +1,11 @@
 """Per-epoch data valuation: score every datum each epoch, then train, then average.
 
-Each epoch runs one full-batch forward pass for per-example losses and
-factored last-layer gradients at the current parameters, computes
-closed-form Shapley values of the chosen utility kind from them (from
-the losses alone for the hardness kind), and only then steps on the
-same gradients, so values describe the state they were measured at.
+Each epoch runs one full-batch forward pass, which returns the
+per-example losses and factored last-layer gradients at the current
+parameters as a `GradientSet`, computes closed-form Shapley values of the
+chosen utility kind from that set (from the losses alone for the
+hardness kind), and only then steps on the same gradients, so values
+describe the state they were measured at.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .models import (
     Dataset,
-    PerExampleBatchResult,
+    GradientSet,
     TrainingDivergedError,  # noqa: F401  (raised by the loop; callers catch it from here)
     _write_csv,
     check_learning_rate,
@@ -29,7 +30,7 @@ from .models import (
     per_example_loss_and_grad,
     sgd_step_weighted,
 )
-from .utilities import GradientSet, _check_kind, gradient_set_values, hardness_shapley
+from .utilities import _check_kind, gradient_set_values
 
 EFFICIENCY_TOLERANCE = 1e-9
 
@@ -88,33 +89,15 @@ class EfficiencyAudit:
 
 
 def epoch_values(
-    batch: PerExampleBatchResult,
-    data: Dataset,
-    kind: str,
-    per_class: bool,
-    gs: GradientSet | None = None,
+    batch: GradientSet, data: Dataset, kind: str, per_class: bool
 ) -> tuple[np.ndarray, float]:
     """Values and U(N) from `batch`, whole or summed over per-class games.
 
-    Each game's U(N) comes with its values.  `gs` is the batch's
-    `GradientSet` when the caller holds one already; its factors are then
-    not scanned again.  Raises FloatingPointError when the values or U(N)
-    are not finite.
+    Each game's U(N) comes with its values.  Raises FloatingPointError
+    when the values or U(N) are not finite.
     """
-    if kind == "hardness":
-        losses = batch.losses
-
-        def group(idx):
-            return hardness_shapley(losses if idx is None else losses[idx])
-    else:
-        if gs is None:
-            gs = GradientSet(batch.last_layer_grads, batch.losses)
-
-        def group(idx):
-            return gradient_set_values(gs if idx is None else gs.restrict(idx), kind)
-
     if not per_class:
-        result = group(None)
+        result = gradient_set_values(batch, kind)
         values, utility = result.values, result.grand_utility
     else:
         values = np.zeros(data.n)
@@ -122,7 +105,7 @@ def epoch_values(
         for idx in data.class_index:
             if idx.size == 0:
                 continue
-            result = group(idx)
+            result = gradient_set_values(batch, kind, rows=idx)
             values[idx] = result.values
             utility += result.grand_utility
     if not np.isfinite(utility):
@@ -147,7 +130,7 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
             per_epoch[epoch], utilities[epoch] = epoch_values(
                 batch, head_data, config.kind, config.per_class
             )
-            model = sgd_step_weighted(model, batch.last_layer_grads, config.lr)
+            model = sgd_step_weighted(model, batch.vectors, config.lr)
         del batch  # free the factors before the next forward pass
     mean_values = per_epoch[config.skip_first_epochs :].mean(axis=0)
     return ValuationRun(

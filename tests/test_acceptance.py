@@ -212,7 +212,7 @@ def test_criterion_5_gradient_fidelity():
         )
         model = init_model((p, n_classes), seed=int(rng.integers(10_000)))
         example = int(rng.integers(3))
-        grads = per_example_loss_and_grad(model, data, [example]).last_layer_grads
+        grads = per_example_loss_and_grad(model, data, [example]).vectors
         analytic = grads.dense()[0]
         flat = np.concatenate([model.weights.ravel(), model.bias])
         numeric = np.empty_like(flat)

@@ -12,6 +12,7 @@ from chg_shapley.models import (
     Dataset,
     FactoredGrads,
     FrozenFeatureMap,
+    GradientSet,
     ModelState,
     NonFiniteBatchError,
     accuracy,
@@ -203,7 +204,7 @@ class TestPerExample:
         model = init_model((3, 3), seed=6)
         result = per_example_loss_and_grad(model, data)
         assert result.losses[2] == result.losses[0]
-        rows = result.last_layer_grads.dense()
+        rows = result.vectors.dense()
         assert np.array_equal(rows[2], rows[0])
 
     def test_gradient_matches_finite_differences(self):
@@ -213,7 +214,7 @@ class TestPerExample:
             data = small_dataset(rng, n=5, p=3, n_classes=3)
             model = init_model((3, 3), seed=int(rng.integers(1000)))
             for example in range(data.n):
-                grads = per_example_loss_and_grad(model, data, [example]).last_layer_grads
+                grads = per_example_loss_and_grad(model, data, [example]).vectors
                 analytic = grads.dense()[0]
                 flat = np.concatenate([model.weights.ravel(), model.bias])
                 numeric = np.empty_like(flat)
@@ -235,7 +236,7 @@ class TestPerExample:
         base = per_example_loss_and_grad(model, data)
         moved = per_example_loss_and_grad(model, data, perm)
         assert np.array_equal(moved.losses, base.losses[perm])
-        assert np.array_equal(moved.last_layer_grads.dense(), base.last_layer_grads.dense()[perm])
+        assert np.array_equal(moved.vectors.dense(), base.vectors.dense()[perm])
 
     def test_non_finite_logits_report_index(self):
         data = Dataset(features=np.array([[1.0], [1e308]]), labels=np.array([0, 1]))
@@ -250,8 +251,46 @@ class TestPerExample:
         model = init_model((4, 3), seed=1)
         data = small_dataset(np.random.default_rng(1))
         result = per_example_loss_and_grad(model, data)
-        assert result.last_layer_grads.shape == (data.n, model.n_parameters)
+        assert result.vectors.shape == (data.n, model.n_parameters)
         assert model.n_parameters == 3 * 4 + 3
+
+
+# A 10-long mask, truncated floats and a 2-D array all index rows without
+# an error; each would read the wrong rows.
+BAD_ROW_INDICES = [
+    np.arange(10) % 2 == 0,
+    [0.7, 1.2],
+    np.array([0.0, 1.0]),
+    [[0, 1], [2, 3]],
+]
+
+
+class TestRowIndices:
+    @pytest.mark.parametrize("indices", BAD_ROW_INDICES)
+    @pytest.mark.parametrize("entry", [per_example_loss_and_grad, batch_loss, accuracy])
+    def test_rejected(self, entry, indices):
+        data = small_dataset(np.random.default_rng(40), n=10)
+        model = init_model((4, 3), seed=40)
+        with pytest.raises(ValueError, match="row indices must be flat integers"):
+            entry(model, data, indices)
+
+    def test_lists_sets_and_empty_accepted(self):
+        data = small_dataset(np.random.default_rng(41), n=10)
+        model = init_model((4, 3), seed=41)
+        want = per_example_loss_and_grad(model, data, np.array([1, 4, 7]))
+        for indices in ([1, 4, 7], {1, 4, 7}, (1, 4, 7), np.array([1, 4, 7], dtype=np.uint8)):
+            got = per_example_loss_and_grad(model, data, indices)
+            assert got.losses.tobytes() == want.losses.tobytes()
+            assert accuracy(model, data, indices) == accuracy(model, data, [1, 4, 7])
+        assert per_example_loss_and_grad(model, data, []).n == 0
+
+    @pytest.mark.parametrize("indices", [[-1], [10], [0, 12]])
+    def test_out_of_range(self, indices):
+        data = small_dataset(np.random.default_rng(42), n=10)
+        model = init_model((4, 3), seed=42)
+        for entry in (per_example_loss_and_grad, batch_loss, accuracy):
+            with pytest.raises(ValueError, match="out of range for n=10"):
+                entry(model, data, indices)
 
 
 def parent_probs_and_losses(model, phi, labels, idx):
@@ -315,7 +354,7 @@ class TestForwardPassMatchesRowwiseMax:
             assert got.losses.tobytes() == want[1].tobytes()
             delta = want[0]
             delta[np.arange(data.n), data.labels] -= 1.0
-            assert got.last_layer_grads.delta.tobytes() == delta.tobytes()
+            assert got.vectors.delta.tobytes() == delta.tobytes()
 
     def test_whole_batch_is_read_in_place(self):
         data = small_dataset(np.random.default_rng(2))
@@ -408,14 +447,29 @@ class TestInPlaceKernelIsBitIdentical:
                     want_delta = want_probs
                     want_delta[np.arange(n), labels] -= 1.0
                     assert got.losses.tobytes() == want_losses.tobytes(), (n, p, scale)
-                    grads = got.last_layer_grads
+                    grads = got.vectors
                     assert grads.delta.tobytes() == want_delta.tobytes(), (n, p, scale)
+                    # The pass returns its set unscanned; the scanning
+                    # constructor accepts every one.
+                    assert isinstance(got, GradientSet)
+                    GradientSet(got.vectors, got.losses)
                     # The step sums delta; the chg kind sums the loss-weighted
                     # delta.  At one class delta is 0, so random rows cover it.
                     spread = rng.standard_normal((n, c)) * rng.uniform(0.0, 1e3, (n, 1))
                     for summed in (grads, grads.scaled(got.losses), FactoredGrads(spread, phi)):
                         want_sum = unfused_column_sum(summed)
                         assert summed.column_sum().tobytes() == want_sum.tobytes(), (n, p, scale)
+                # Logits near the float limit, up to 1e308 apart within a
+                # row: huge losses, still finite and non-negative.
+                model = ModelState(
+                    weights=rng.uniform(-1.0, 1.0, (c, p)) * 1e307 / p,
+                    bias=rng.uniform(-1.0, 1.0, c) * 1e307,
+                )
+                got = per_example_loss_and_grad(model, data)
+                assert isinstance(got, GradientSet)
+                GradientSet(got.vectors, got.losses)
+                want_losses = unfused_probs_and_losses(model, phi, labels, None)[1]
+                assert got.losses.tobytes() == want_losses.tobytes(), (n, p)
 
     def test_forward_pass_peak_memory(self):
         n, p, c = 200_000, 20, 10
@@ -428,7 +482,7 @@ class TestInPlaceKernelIsBitIdentical:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = result.last_layer_grads.delta.nbytes + result.losses.nbytes  # 17.6 MB
+        held = result.vectors.delta.nbytes + result.losses.nbytes  # 17.6 MB
         # The unfused pass peaks at 4.0x (four n x C arrays alive at once);
         # in place it holds the logits and the probabilities.
         assert peak <= 2.5 * held, peak / held
@@ -469,7 +523,7 @@ class TestFactoredGrads:
         data = small_dataset(rng, n=9)
         model = init_model((4, 3), seed=16, hidden_width=hidden_width)
         result = per_example_loss_and_grad(model, data)
-        grads = result.last_layer_grads
+        grads = result.vectors
         assert grads.shape == (9, model.n_parameters)
         reference = dense_reference(model, data)
         assert np.array_equal(grads.dense(), reference)
@@ -525,7 +579,7 @@ class TestFactoredGrads:
 class TestSgdStep:
     @staticmethod
     def grads_at(model, data):
-        return per_example_loss_and_grad(model, data).last_layer_grads
+        return per_example_loss_and_grad(model, data).vectors
 
     def test_zero_weights_leave_parameters(self):
         rng = np.random.default_rng(10)
@@ -567,7 +621,7 @@ class TestSgdStep:
     def test_mismatched_lengths(self):
         data = small_dataset(np.random.default_rng(12))
         model = init_model((4, 3), seed=12)
-        grads = per_example_loss_and_grad(model, data, [0, 1]).last_layer_grads
+        grads = per_example_loss_and_grad(model, data, [0, 1]).vectors
         for weights in (np.ones(3), np.ones(1), np.ones((2, 1)), np.float64(1.0)):
             with pytest.raises(ValueError, match="need 2 row factors"):
                 grads.scaled(weights)
@@ -602,7 +656,7 @@ class TestDescentInequality:
         eta = 1.0 / L
         flat = np.concatenate([model.weights.ravel(), model.bias])
         for _ in range(25):
-            grad = per_example_loss_and_grad(model, data).last_layer_grads.dense().mean(axis=0)
+            grad = per_example_loss_and_grad(model, data).vectors.dense().mean(axis=0)
             x = rng.standard_normal(flat.size)
             lhs = loss_at_params(model, data, None, flat - eta * x)
             rhs = loss_at_params(model, data, None, flat) - 0.5 * eta * (

@@ -199,9 +199,9 @@ class TestSelectionTraining:
 
     @pytest.mark.parametrize("kind", ["chg", "gradient"])
     def test_factors_scanned_once_per_event(self, monkeypatch, kind):
-        # One scan of the forward pass's factors, then one per closed form:
-        # the class games and the union's game.  Restricted sets are not
-        # scanned again.
+        # One scan per closed form, the class games' and the union's game's
+        # checks of their inputs.  The forward pass's set and the restricted
+        # sets are not scanned.
         scans = []
         all_finite = FactoredGrads.all_finite
 
@@ -214,7 +214,7 @@ class TestSelectionTraining:
         cfg = SelectionConfig(fraction=0.1, interval=2, epochs=4, seed=9, kind=kind)
         _, history = run_selection_training(data, cfg)
         assert len(history.events) == 2
-        assert len(scans) <= (data.n_classes + 2) * len(history.events)
+        assert len(scans) <= (data.n_classes + 1) * len(history.events)
 
 
 class TestRandomBaselines:

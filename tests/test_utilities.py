@@ -26,6 +26,9 @@ from chg_shapley.utilities import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# A 10-long mask, truncated floats and a 2-D array.
+BAD_ROW_INDICES = [np.arange(10) % 2 == 0, [0.7, 1.2], [[0, 1], [2, 3]]]
+
 
 def dense_set(X, losses) -> GradientSet:
     """A gradient set whose rows are exactly the rows of X."""
@@ -76,6 +79,16 @@ class TestGradientSet:
         gs = dense_set(np.arange(8.0).reshape(4, 2), np.ones(4))
         with pytest.raises(ValueError, match="out of range for n=4"):
             gs.restrict(indices)
+
+    @pytest.mark.parametrize("indices", BAD_ROW_INDICES)
+    def test_restrict_rejects_masks_floats_and_2d(self, indices):
+        gs = dense_set(np.arange(20.0).reshape(10, 2), np.ones(10))
+        with pytest.raises(ValueError, match="row indices must be flat integers"):
+            gs.restrict(indices)
+
+    def test_restrict_takes_a_set(self):
+        gs = dense_set(np.arange(8.0).reshape(4, 2), np.arange(4.0))
+        assert np.array_equal(gs.restrict({3, 1}).losses, np.sort(gs.restrict([1, 3]).losses))
 
 
 class TestFactoredGradientSet:
@@ -188,6 +201,20 @@ class TestSubsetUtility:
         scheme = scheme_for(gs, "chg")
         with pytest.raises(ValueError):
             subset_utility(scheme, gs, [0, 2])
+
+    @pytest.mark.parametrize("subset", BAD_ROW_INDICES)
+    @pytest.mark.parametrize("kind", ["chg", "hardness", "gradient"])
+    def test_masks_floats_and_2d_rejected(self, kind, subset):
+        gs = random_gradient_set(np.random.default_rng(3), n=10)
+        with pytest.raises(ValueError, match="row indices must be flat integers"):
+            subset_utility(scheme_for(gs, kind), gs, subset)
+
+    def test_a_set_is_its_rows(self):
+        gs = random_gradient_set(np.random.default_rng(4), n=6)
+        for kind in ("chg", "hardness", "gradient"):
+            scheme = scheme_for(gs, kind)
+            got = subset_utility(scheme, gs, {4, 0, 2})
+            assert got == pytest.approx(subset_utility(scheme, gs, [0, 2, 4]), rel=1e-15)
 
     def test_quadratic_kinds_bounded_by_reference_norm(self):
         rng = np.random.default_rng(1)

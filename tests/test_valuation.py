@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import chg_shapley.models as models
-import chg_shapley.selection as selection
+import chg_shapley.utilities as utilities
 import chg_shapley.valuation as valuation
 from chg_shapley import __version__
 from chg_shapley.experiments import make_synthetic_dataset
-from chg_shapley.models import Dataset, FrozenFeatureMap
+from chg_shapley.models import Dataset, FactoredGrads, FrozenFeatureMap
 from chg_shapley.selection import SelectionConfig, run_selection_training
 from chg_shapley.shapley import chg_closed_form_shapley
 from chg_shapley.valuation import (
@@ -123,8 +123,10 @@ class TestRunValuation:
 # Factored route against the dense oracle
 # ---------------------------------------------------------------------------
 
-def dense_values(gs, kind):
+def dense_values(gs, kind, rows=None):
     """gradient_set_values through the dense closed form on the built matrix."""
+    if rows is not None:
+        gs = gs.restrict(rows)
     X = gs.vectors.dense()
     if kind == "chg":
         X = gs.losses[:, None] * X
@@ -189,7 +191,8 @@ class TestFactoredRoute:
 
     @pytest.mark.parametrize("per_class", [False, True])
     def test_hardness_never_builds_gradients(self, per_class, monkeypatch):
-        """Hardness values come from the losses alone: no gradient set is built or valued.
+        """Hardness values come from the losses alone: no gradient rows are
+        taken and no closed form runs.
 
         The step's forward pass still computes the factored gradients it steps on.
         """
@@ -197,9 +200,8 @@ class TestFactoredRoute:
         def refuse(*_args, **_kwargs):
             raise AssertionError("hardness must not value gradients")
 
-        for module in (valuation, selection):
-            monkeypatch.setattr(module, "GradientSet", refuse)
-            monkeypatch.setattr(module, "gradient_set_values", refuse)
+        monkeypatch.setattr(utilities, "chg_closed_form_shapley", refuse)
+        monkeypatch.setattr(FactoredGrads, "rows", refuse)
         data = tiny_task(seed=22)
         run = run_valuation(data, ValuationConfig(kind="hardness", epochs=2, per_class=per_class))
         assert epoch_efficiency_audit(run).max_violation <= 1e-9
@@ -207,6 +209,37 @@ class TestFactoredRoute:
             data, SelectionConfig(fraction=0.2, interval=1, epochs=2, kind="hardness")
         )
         assert len(history.events) == 2
+
+    @pytest.mark.parametrize("kind", ["chg", "gradient"])
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_factors_scanned_once_per_game(self, kind, per_class, monkeypatch):
+        # The forward pass returns its set unscanned: the only scan of an
+        # epoch's factors is each game's closed form checking its input.
+        scans = []
+        all_finite = FactoredGrads.all_finite
+        closed_form = utilities.chg_closed_form_shapley
+        inside = []
+
+        def counting(grads):
+            scans.append(bool(inside))
+            return all_finite(grads)
+
+        def traced(X, alpha):
+            inside.append(True)
+            try:
+                return closed_form(X, alpha)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(FactoredGrads, "all_finite", counting)
+        monkeypatch.setattr(utilities, "chg_closed_form_shapley", traced)
+        # Class 3 is declared but empty: it plays no game.
+        source = make_synthetic_dataset(60, 4, 3, 2.0, seed=25)
+        data = Dataset(source.features, source.labels, n_classes=4)
+        epochs = 3
+        run_valuation(data, ValuationConfig(kind=kind, epochs=epochs, per_class=per_class))
+        games = 3 if per_class else 1
+        assert scans == [True] * (games * epochs)
 
     @pytest.mark.parametrize("kind", ["chg", "gradient", "hardness"])
     def test_one_forward_pass_per_training_step(self, kind, monkeypatch):
