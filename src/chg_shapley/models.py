@@ -163,7 +163,7 @@ class FactoredGrads:
         return np.concatenate([weight_grads, self.delta], axis=1)
 
     def rows(self, indices) -> "FactoredGrads":
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = _row_indices(indices, self.shape[0])
         return FactoredGrads(self.delta[idx], self.phi[idx])
 
     def scaled(self, factors) -> "FactoredGrads":
@@ -273,7 +273,8 @@ class GradientSet:
         idx = _row_indices(indices, self.n)
         if idx.size == 0:
             raise ValueError("cannot restrict to an empty subset")
-        return self._unscanned(self.vectors.rows(idx), self.losses[idx])
+        v = self.vectors  # idx is checked: not `v.rows`, which would check it again
+        return self._unscanned(FactoredGrads(v.delta[idx], v.phi[idx]), self.losses[idx])
 
 
 def _row_indices(indices, n: int) -> np.ndarray:

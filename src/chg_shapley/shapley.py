@@ -3,10 +3,11 @@
 The closed form covers the quadratic "mean-distance" utility
 ``U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2``.  Centred on the
 mean row it is a constant, a subset-mean game and a mean-square game,
-with one weight function per game for every n >= 1.  It runs in O(n*d)
-on a dense X, or in O(n*(C+w)) memory on a factored gradient matrix; the
-enumeration and permutation-sampling routes work for any set function
-and serve as ground-truth oracles for it.
+each with one weight, `mean_game_weight` and `mean_square_game_weight`;
+all three closed forms (here and `utilities.hardness_shapley`) are
+centred.  It runs in O(n*d) on a dense X, or in O(n*(C+w)) memory on a
+factored gradient matrix, either of which `chg_game` also takes; the
+enumeration and permutation-sampling routes serve as its oracles.
 """
 
 from __future__ import annotations
@@ -54,19 +55,18 @@ def harmonic_sums(n: int) -> HarmonicSums:
 
 
 @lru_cache(maxsize=None)
-def mean_game_weights(n: int) -> tuple[float, float]:
-    """(own, total) weights of the subset-mean game U(S) = mean_{i in S} y_i.
+def mean_game_weight(n: int) -> float:
+    """own_n of the subset-mean game U(S) = mean_{i in S} z_i on values summing to 0.
 
-    The game is linear in y, so datum j's Shapley value is
-    own * y_j + total * sum_i y_i, with own = (H_n - 1/n)/(n - 1) and
-    total = -(H_n - 1)/(n(n - 1)); n = 1 gives (1, 0).
+    Datum k's value is own_n z_k, own_n = (H_n - 1/n)/(n - 1), or 1 at n = 1.
+    Centred on ybar = mean_i y_i, any subset-mean game is the constant ybar
+    plus this one, so its values are ybar/n + own_n (y_k - ybar).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
-        return 1.0, 0.0
-    h1 = harmonic_sums(n).h1
-    return (h1 - 1.0 / n) / (n - 1), -(h1 - 1.0) / (n * (n - 1))
+        return 1.0
+    return (harmonic_sums(n).h1 - 1.0 / n) / (n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -112,11 +112,10 @@ class GameSpec:
 
 @dataclass
 class ShapleyValues:
-    """Per-player values, the U(N) they distribute, and the method's tag."""
+    """Per-player values and the U(N) they distribute."""
 
     values: np.ndarray
     grand_utility: float  # U(N); efficiency says values.sum() equals it
-    method: str  # closed_form | exact | permutation_mc
 
     def __post_init__(self) -> None:
         self.grand_utility = float(self.grand_utility)
@@ -132,7 +131,7 @@ def closed_form_result(values: np.ndarray, grand_utility: float) -> ShapleyValue
     overflowed the values to non-finite numbers."""
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("closed-form values overflowed to non-finite numbers")
-    return ShapleyValues(values, grand_utility, "closed_form")
+    return ShapleyValues(values, grand_utility)
 
 
 def _validate_players_matrix(X, alpha):
@@ -155,19 +154,21 @@ def _validate_players_matrix(X, alpha):
 
 def mean_distance_utility(X, alpha) -> UtilityFn:
     """U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2 on index arrays."""
-    X, alpha = _validate_players_matrix(X, alpha)
-    base = float(alpha @ alpha)
-
-    def utility(idx: np.ndarray) -> float:
-        diff = X[idx].mean(axis=0) - alpha
-        return base - float(diff @ diff)
-
-    return utility
+    return chg_game(X, alpha).utility
 
 
 def chg_game(X, alpha) -> GameSpec:
-    """The game whose closed form `chg_closed_form_shapley` computes."""
-    return GameSpec(n=np.asarray(X).shape[0], utility=mean_distance_utility(X, alpha))
+    """The game whose closed form `chg_closed_form_shapley` computes, on
+    everything it takes: a dense n x d X or a `FactoredGrads`."""
+    X, alpha = _validate_players_matrix(X, alpha)
+    base, factored = float(alpha @ alpha), isinstance(X, FactoredGrads)
+
+    def utility(idx: np.ndarray) -> float:
+        mean = X.rows(idx).column_sum() / idx.size if factored else X[idx].mean(axis=0)
+        diff = mean - alpha
+        return base - float(diff @ diff)
+
+    return GameSpec(n=X.shape[0], utility=utility)
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,12 @@ def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
         value_k = U(N)/n + kappa_n (mean_j d_j - d_k) - 2 own_n e_k
 
     with the `ClosedFormStatistics`, kappa_n = `mean_square_game_weight(n)`
-    and own_n from `mean_game_weights(n)`.  X is a dense n x d array or a
+    and own_n = `mean_game_weight(n)`.  X is a dense n x d array or a
     `FactoredGrads`.  Raises FloatingPointError when finite inputs
     overflow to non-finite statistics or values.
     """
     s = closed_form_statistics(X, alpha)
-    kappa, (own, _) = mean_square_game_weight(s.n), mean_game_weights(s.n)
+    kappa, own = mean_square_game_weight(s.n), mean_game_weight(s.n)
     with np.errstate(over="ignore", invalid="ignore"):
         values = s.grand_utility / s.n + kappa * (float(s.d.mean()) - s.d) - 2.0 * own * s.e
     return closed_form_result(values, s.grand_utility)
@@ -242,7 +243,7 @@ def shapley_linear_term(X, alpha) -> ShapleyValues:
     finite inputs overflow to non-finite values.
     """
     s = closed_form_statistics(X, alpha)
-    own, _ = mean_game_weights(s.n)
+    own = mean_game_weight(s.n)
     with np.errstate(over="ignore", invalid="ignore"):
         values, grand = 2.0 * s.m_alpha / s.n + 2.0 * own * s.y_alpha, 2.0 * s.m_alpha
     return closed_form_result(values, grand)
@@ -291,7 +292,7 @@ def exact_shapley(game: GameSpec, limit: int = DEFAULT_EXACT_LIMIT) -> ShapleyVa
         values[i] = float(
             np.sum(weight_by_size[pc[without]] * (u[without | bit] - u[without]))
         )
-    return ShapleyValues(values, u[size - 1], "exact")
+    return ShapleyValues(values, u[size - 1])
 
 
 def _mc_base_permutations(n: int, blocks: int, seed: int) -> np.ndarray:
@@ -348,4 +349,4 @@ def permutation_shapley(game: GameSpec, samples: int, seed: int = 0) -> ShapleyV
                     break
                 walk(perm)
                 drawn += 1
-    return ShapleyValues(totals / samples, cache[(1 << n) - 1], "permutation_mc")
+    return ShapleyValues(totals / samples, cache[(1 << n) - 1])

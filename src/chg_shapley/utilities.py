@@ -3,15 +3,15 @@
 A `GradientSet` (defined in `models`, whose forward pass returns one)
 holds one loss per datum and the per-datum gradients as a
 `models.FactoredGrads`, which the closed form values in
-O(n * (classes + width)) memory.  The chg kind scores a subset by how
-close its loss-weighted mean gradient lands to the full-set reference
-vector; the gradient kind does the same with raw gradients; the hardness
-kind scores a subset by its mean loss, whose Shapley values are the linear
-term's mean-game weights (`shapley.mean_game_weights`) applied to the
-losses.  Valuation and selection value every game through
-`gradient_set_values`, the one place they dispatch on the kind.
-A dense gradient matrix is valued directly by
-`shapley.chg_closed_form_shapley(X, alpha)`.
+O(n * (classes + width)) memory.  The chg kind plays `shapley.chg_game`
+on the loss-weighted vectors, the gradient kind on the raw ones, each
+against their full-set mean; `_vectors` is the one place a kind picks
+them.  The hardness kind scores a subset by its mean loss; its values
+take the centred form of the other closed forms, lbar/n + own_n (l_k -
+lbar), with the one weight `shapley.mean_game_weight(n)`.  Valuation and
+selection value every game through `gradient_set_values`, the one place
+they dispatch on the kind.  A dense gradient matrix is valued directly
+by `shapley.chg_closed_form_shapley(X, alpha)`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .shapley import (
     GameSpec,
     ShapleyValues,
     chg_closed_form_shapley,
+    chg_game,
     closed_form_result,
-    mean_game_weights,
+    mean_game_weight,
 )
 
 KINDS = ("chg", "hardness", "gradient")
@@ -37,9 +38,12 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown utility kind {kind!r}; expected one of {KINDS}")
 
 
-def _mean(vectors: FactoredGrads) -> np.ndarray:
-    """Column mean; FloatingPointError if finite rows overflow it."""
-    return vectors.column_sum() / vectors.shape[0]
+def _vectors(gs: GradientSet, kind: str) -> FactoredGrads:
+    """The rows a quadratic kind plays: loss-weighted for chg, raw for gradient."""
+    _check_kind(kind)
+    if kind == "hardness":
+        raise ValueError("hardness utility is not quadratic; use hardness_shapley")
+    return gs.weighted_vectors() if kind == "chg" else gs.vectors
 
 
 @dataclass(frozen=True)
@@ -50,50 +54,33 @@ class UtilityScheme:
     alpha: np.ndarray
 
 
-def reference_vector(gs: GradientSet, kind: str) -> np.ndarray:
-    """Full-set mean the quadratic kinds measure distance to.
-
-    chg averages the loss-weighted vectors, gradient averages the raw
-    ones, hardness has no reference (zero vector returned).
-    """
-    _check_kind(kind)
-    if kind == "hardness":
-        return np.zeros(gs.d)
-    return chg_inputs_for_closed_form(gs, kind)[1]
-
-
 def scheme_for(gs: GradientSet, kind: str) -> UtilityScheme:
-    return UtilityScheme(kind=kind, alpha=reference_vector(gs, kind))
+    """The kind with its reference vector: the full-set mean of its
+    vectors, or a zero vector for hardness."""
+    alpha = np.zeros(gs.d) if kind == "hardness" else chg_inputs_for_closed_form(gs, kind)[1]
+    return UtilityScheme(kind=kind, alpha=alpha)
+
+
+def utility_game(scheme: UtilityScheme, gs: GradientSet) -> GameSpec:
+    """The cooperative game `subset_utility` defines over the data: the
+    mean loss for hardness, `chg_game` on the kind's vectors otherwise."""
+    if scheme.kind == "hardness":
+        return GameSpec(n=gs.n, utility=lambda idx: float(gs.losses[idx].mean()))
+    return chg_game(_vectors(gs, scheme.kind), scheme.alpha)
 
 
 def subset_utility(scheme: UtilityScheme, gs: GradientSet, subset) -> float:
     """U(S) per the scheme's kind; U(empty) = 0 for every kind."""
-    _check_kind(scheme.kind)
+    game = utility_game(scheme, gs)
     idx = _row_indices(subset, gs.n)
-    if idx.size == 0:
-        return 0.0
-    if scheme.kind == "hardness":
-        return float(gs.losses[idx].mean())
-    vectors = gs.weighted_vectors() if scheme.kind == "chg" else gs.vectors
-    alpha = np.asarray(scheme.alpha, dtype=float)
-    if alpha.shape != (gs.d,):
-        raise ValueError(f"alpha must be a length-{gs.d} vector, got {alpha.shape}")
-    diff = _mean(vectors.rows(idx)) - alpha
-    return float(alpha @ alpha - diff @ diff)
-
-
-def utility_game(scheme: UtilityScheme, gs: GradientSet) -> GameSpec:
-    """The cooperative game `subset_utility` defines over the data."""
-    return GameSpec(n=gs.n, utility=lambda idx: subset_utility(scheme, gs, idx))
+    return game.utility(idx) if idx.size else 0.0
 
 
 def chg_inputs_for_closed_form(gs: GradientSet, kind: str) -> tuple[FactoredGrads, np.ndarray]:
-    """(X, alpha) such that the closed form equals the game's Shapley values."""
-    _check_kind(kind)
-    if kind == "hardness":
-        raise ValueError("hardness utility is not quadratic; use hardness_shapley")
-    X = gs.weighted_vectors() if kind == "chg" else gs.vectors
-    return X, _mean(X)
+    """(X, alpha) such that the closed form equals the game's Shapley values:
+    the kind's vectors and their mean; FloatingPointError if finite rows overflow it."""
+    X = _vectors(gs, kind)
+    return X, X.column_sum() / gs.n
 
 
 def gradient_set_values(gs: GradientSet, kind: str, rows=None) -> ShapleyValues:
@@ -113,15 +100,22 @@ def gradient_set_values(gs: GradientSet, kind: str, rows=None) -> ShapleyValues:
 
 
 def hardness_shapley(losses) -> ShapleyValues:
-    """Closed-form Shapley values of the mean-loss game U(S) = mean_S l; FloatingPointError
-    when finite losses overflow them."""
+    """Closed-form Shapley values of the mean-loss game U(S) = mean_S l,
+    lbar/n + own_n (l_k - lbar); FloatingPointError when finite losses overflow them.
+
+    lbar is carried as the float mean plus the rounding it leaves, the
+    mean of l - mean, which joins the small terms: a large common offset
+    then rounds only in mean/n and in the final sum.
+    """
     l = np.asarray(losses, dtype=float)
     if l.ndim != 1 or l.size < 1:
         raise ValueError(f"losses must be a non-empty vector, got shape {l.shape}")
     if not np.all(np.isfinite(l)):
         raise ValueError("non-finite losses")
-    own, total = mean_game_weights(l.size)
+    n = l.size
     with np.errstate(over="ignore", invalid="ignore"):
-        values, grand = own * l + total * float(l.sum()), float(l.mean())
-    return closed_form_result(values, grand)
-
+        mean = float(l.mean())
+        z = l - mean
+        residual = float(z.mean())
+        values = mean / n + (residual / n + mean_game_weight(n) * (z - residual))
+    return closed_form_result(values, mean)

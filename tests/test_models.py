@@ -292,6 +292,33 @@ class TestRowIndices:
             with pytest.raises(ValueError, match="out of range for n=10"):
                 entry(model, data, indices)
 
+    @pytest.mark.parametrize("indices", BAD_ROW_INDICES)
+    def test_factored_rows_rejected(self, indices):
+        grads = FactoredGrads(np.ones((10, 3)), np.ones((10, 4)))
+        with pytest.raises(ValueError, match="row indices must be flat integers"):
+            grads.rows(indices)
+
+    def test_factored_rows_range_and_collections(self):
+        rng = np.random.default_rng(43)
+        grads = FactoredGrads(rng.standard_normal((10, 3)), rng.standard_normal((10, 4)))
+        with pytest.raises(ValueError, match="out of range for n=10"):
+            grads.rows([0, 10])
+        assert np.array_equal(grads.rows({7, 2}).dense(), grads.dense()[[2, 7]])
+        assert grads.rows([]).shape == (0, 3 * 4 + 3)
+
+    def test_restrict_checks_each_index_once(self, monkeypatch):
+        calls = []
+        check = models._row_indices
+
+        def counted(indices, n):
+            calls.append(n)
+            return check(indices, n)
+
+        monkeypatch.setattr(models, "_row_indices", counted)
+        gs = GradientSet(FactoredGrads(np.ones((10, 3)), np.ones((10, 4))), np.ones(10))
+        assert gs.restrict([1, 4, 7]).n == 3
+        assert calls == [10]
+
 
 def parent_probs_and_losses(model, phi, labels, idx):
     """The forward pass as it was written with a row-wise max: the reference."""

@@ -18,7 +18,6 @@ from chg_shapley.utilities import (
     chg_inputs_for_closed_form,
     gradient_set_values,
     hardness_shapley,
-    reference_vector,
     scheme_for,
     subset_utility,
     utility_game,
@@ -122,7 +121,7 @@ class TestFactoredGradientSet:
             got, want = gradient_set_values(a, kind).values, gradient_set_values(b, kind).values
             assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
             assert np.array_equal(np.argsort(got), np.argsort(want))
-            assert reference_vector(a, kind) == pytest.approx(reference_vector(b, kind), rel=1e-12)
+            assert scheme_for(a, kind).alpha == pytest.approx(scheme_for(b, kind).alpha, rel=1e-12)
 
     def test_subset_utility_matches_dense(self):
         rng = np.random.default_rng(22)
@@ -147,24 +146,24 @@ class TestFactoredGradientSet:
 class TestReferenceVector:
     def test_chg_mean_of_weighted(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([1.0, 1.0]))
-        assert reference_vector(gs, "chg") == pytest.approx([0.5, 0.5])
+        assert scheme_for(gs, "chg").alpha == pytest.approx([0.5, 0.5])
 
     def test_zero_losses_zero_reference(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.zeros(2))
-        assert reference_vector(gs, "chg") == pytest.approx([0.0, 0.0])
+        assert scheme_for(gs, "chg").alpha == pytest.approx([0.0, 0.0])
 
     def test_gradient_kind_ignores_losses(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([7.0, 0.01]))
-        assert reference_vector(gs, "gradient") == pytest.approx([0.5, 0.5])
+        assert scheme_for(gs, "gradient").alpha == pytest.approx([0.5, 0.5])
 
     def test_hardness_reference_unused(self):
         gs = dense_set(np.ones((3, 2)), np.ones(3))
-        assert reference_vector(gs, "hardness") == pytest.approx([0.0, 0.0])
+        assert scheme_for(gs, "hardness").alpha == pytest.approx([0.0, 0.0])
 
     def test_unknown_kind(self):
         gs = dense_set(np.ones((2, 2)), np.ones(2))
         with pytest.raises(ValueError):
-            reference_vector(gs, "cosine")
+            scheme_for(gs, "cosine")
 
 
 # ---------------------------------------------------------------------------
