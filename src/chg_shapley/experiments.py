@@ -120,8 +120,8 @@ def make_synthetic_dataset(
         raise ValueError(f"need n >= n_classes >= 2, got n={n}, n_classes={n_classes}")
     if p < n_classes:
         raise ValueError(f"need p >= n_classes for the mean layout, got p={p}")
-    if separation < 0:
-        raise ValueError(f"separation must be >= 0, got {separation}")
+    if not (math.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be a finite number >= 0, got {separation}")
     _release_free_heap()
     rng = np.random.default_rng(seed)
     counts = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
@@ -157,7 +157,7 @@ def inject_label_noise(
 
 
 def _check_finite(values: np.ndarray) -> None:
-    """Reject NaN and inf: lexsort would put them last in either direction."""
+    """Reject NaN and inf: a sort would put NaN last in either direction."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
@@ -185,7 +185,7 @@ def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
     fractions = np.unique(np.concatenate([[0.0, 1.0], np.asarray(grid, dtype=float)]))
     if not np.all((fractions >= 0) & (fractions <= 1)):  # NaN fails both
         raise ValueError(f"grid fractions must lie in [0, 1], got grid {grid}")
-    order = np.lexsort((np.arange(n), values))  # ascending value, ties by index
+    order = np.argsort(values, kind="stable")  # ascending value, ties by index
     found = np.concatenate([[0], np.cumsum(mask[order])])
     inspected = np.round(fractions * n).astype(int)
     rate = found[inspected] / total
@@ -233,10 +233,9 @@ def point_removal_curve(
         raise ValueError("values must align with the training data")
     _check_finite(values)
     n = train.n
-    ascending = np.lexsort((np.arange(n), values))
     orders = {
-        "lowest_first": ascending,
-        "highest_first": np.lexsort((np.arange(n), -values)),
+        "lowest_first": np.argsort(values, kind="stable"),
+        "highest_first": np.argsort(-values, kind="stable"),
         "random": np.random.default_rng([cfg.seed, 2]).permutation(n),
     }
     fractions = np.array(

@@ -22,7 +22,6 @@ from .models import (
     Dataset,
     ModelState,
     _write_csv,
-    batch_loss,
     accuracy,
     check_learning_rate,
     epoch_guard,
@@ -31,8 +30,9 @@ from .models import (
     per_example_loss_and_grad,
     sgd_step_weighted,
 )
-# perfbench/layers.py wraps GradientSet here; it goes when the benchmark is re-keyed.
-from .utilities import GradientSet, _check_kind, gradient_set_values  # noqa: F401
+# perfbench/layers.py wraps these here; they go when the benchmark is re-keyed.
+from .models import GradientSet, batch_loss  # noqa: F401
+from .utilities import _check_kind, gradient_set_values
 from .valuation import epoch_values
 
 # Guards against float noise in a * N_c (e.g. 0.1 * 30 = 3.0000000000000004)
@@ -143,7 +143,11 @@ def _training_loop(
     select: SelectFn,
     test_data: Dataset | None,
 ) -> tuple[ModelState, SelectionHistory]:
-    """Train a map-free head on data mapped once; the returned model keeps the map."""
+    """Train a map-free head on data mapped once; the returned model keeps the map.
+
+    One forward pass per step: the pass after the step gives the epoch's
+    train loss and, unless an event replaces the plan, the next step's batch.
+    """
     model = init_model(
         (data.n_features, data.n_classes), seed=cfg.seed, hidden_width=cfg.hidden_width
     )
@@ -153,16 +157,20 @@ def _training_loop(
     model = replace(model, feature_map=None)
     history = SelectionHistory()
     plan: SelectionPlan | None = None
+    batch = None
     started = time.perf_counter()
     for epoch in range(cfg.epochs):
         if epoch % cfg.interval == 0:
+            batch = None  # free the factors before the event's pass
             plan = select(model, data, epoch, len(history.events))
             history.events.append(plan)
         with epoch_guard(epoch):
-            batch = per_example_loss_and_grad(model, data, plan.subset)
+            if batch is None:
+                batch = per_example_loss_and_grad(model, data, plan.subset)
             model = sgd_step_weighted(model, batch.vectors.scaled(plan.weights), cfg.lr)
-            del batch  # free the factors before the evaluation passes
-            train_loss = batch_loss(model, data, plan.subset)
+            del batch  # free the factors before the next pass
+            batch = per_example_loss_and_grad(model, data, plan.subset)
+            train_loss = float(batch.losses.mean())
         history.metrics.append(
             EpochMetrics(
                 epoch=epoch,

@@ -152,11 +152,6 @@ def _validate_players_matrix(X, alpha):
     return X, alpha
 
 
-def mean_distance_utility(X, alpha) -> UtilityFn:
-    """U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2 on index arrays."""
-    return chg_game(X, alpha).utility
-
-
 def chg_game(X, alpha) -> GameSpec:
     """The game whose closed form `chg_closed_form_shapley` computes, on
     everything it takes: a dense n x d X or a `FactoredGrads`."""

@@ -8,15 +8,14 @@ on the loss-weighted vectors, the gradient kind on the raw ones, each
 against their full-set mean; `_vectors` is the one place a kind picks
 them.  The hardness kind scores a subset by its mean loss; its values
 take the centred form of the other closed forms, lbar/n + own_n (l_k -
-lbar), with the one weight `shapley.mean_game_weight(n)`.  Valuation and
-selection value every game through `gradient_set_values`, the one place
-they dispatch on the kind.  A dense gradient matrix is valued directly
-by `shapley.chg_closed_form_shapley(X, alpha)`.
+lbar), with the one weight `shapley.mean_game_weight(n)`.  A game is
+named by its rows and kind: `utility_game(gs, kind)` plays it, and
+`gradient_set_values(gs, kind)`, through which valuation and selection
+value every game, gives its values in closed form.  A dense gradient
+matrix is valued directly by `shapley.chg_closed_form_shapley(X, alpha)`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,41 +45,26 @@ def _vectors(gs: GradientSet, kind: str) -> FactoredGrads:
     return gs.weighted_vectors() if kind == "chg" else gs.vectors
 
 
-@dataclass(frozen=True)
-class UtilityScheme:
-    """A utility kind plus its reference vector (unused for hardness)."""
-
-    kind: str
-    alpha: np.ndarray
-
-
-def scheme_for(gs: GradientSet, kind: str) -> UtilityScheme:
-    """The kind with its reference vector: the full-set mean of its
-    vectors, or a zero vector for hardness."""
-    alpha = np.zeros(gs.d) if kind == "hardness" else chg_inputs_for_closed_form(gs, kind)[1]
-    return UtilityScheme(kind=kind, alpha=alpha)
-
-
-def utility_game(scheme: UtilityScheme, gs: GradientSet) -> GameSpec:
-    """The cooperative game `subset_utility` defines over the data: the
-    mean loss for hardness, `chg_game` on the kind's vectors otherwise."""
-    if scheme.kind == "hardness":
-        return GameSpec(n=gs.n, utility=lambda idx: float(gs.losses[idx].mean()))
-    return chg_game(_vectors(gs, scheme.kind), scheme.alpha)
-
-
-def subset_utility(scheme: UtilityScheme, gs: GradientSet, subset) -> float:
-    """U(S) per the scheme's kind; U(empty) = 0 for every kind."""
-    game = utility_game(scheme, gs)
-    idx = _row_indices(subset, gs.n)
-    return game.utility(idx) if idx.size else 0.0
-
-
-def chg_inputs_for_closed_form(gs: GradientSet, kind: str) -> tuple[FactoredGrads, np.ndarray]:
-    """(X, alpha) such that the closed form equals the game's Shapley values:
-    the kind's vectors and their mean; FloatingPointError if finite rows overflow it."""
+def _game_inputs(gs: GradientSet, kind: str) -> tuple[FactoredGrads, np.ndarray]:
+    """(X, alpha) of a quadratic kind's game: its vectors and their full-set
+    mean; FloatingPointError if finite rows overflow that mean."""
     X = _vectors(gs, kind)
     return X, X.column_sum() / gs.n
+
+
+def utility_game(gs: GradientSet, kind: str) -> GameSpec:
+    """The game `gradient_set_values` values: the mean loss for hardness,
+    `chg_game` on the kind's vectors against their own mean otherwise."""
+    if kind == "hardness":
+        return GameSpec(n=gs.n, utility=lambda idx: float(gs.losses[idx].mean()))
+    return chg_game(*_game_inputs(gs, kind))
+
+
+def subset_utility(gs: GradientSet, kind: str, subset) -> float:
+    """U(S) of `utility_game(gs, kind)`; U(empty) = 0 for every kind."""
+    game = utility_game(gs, kind)
+    idx = _row_indices(subset, gs.n)
+    return game.utility(idx) if idx.size else 0.0
 
 
 def gradient_set_values(gs: GradientSet, kind: str, rows=None) -> ShapleyValues:
@@ -95,8 +79,7 @@ def gradient_set_values(gs: GradientSet, kind: str, rows=None) -> ShapleyValues:
         return hardness_shapley(losses)
     if rows is not None:
         gs = gs.restrict(rows)
-    X, alpha = chg_inputs_for_closed_form(gs, kind)
-    return chg_closed_form_shapley(X, alpha)
+    return chg_closed_form_shapley(*_game_inputs(gs, kind))
 
 
 def hardness_shapley(losses) -> ShapleyValues:

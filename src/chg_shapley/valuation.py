@@ -171,7 +171,7 @@ def epoch_efficiency_audit(run: ValuationRun) -> EfficiencyAudit:
 
 def value_ranks(values: np.ndarray) -> np.ndarray:
     """Rank 1 = highest value; ties broken by ascending index."""
-    order = np.lexsort((np.arange(values.size), -values))
+    order = np.argsort(-values, kind="stable")
     ranks = np.empty(values.size, dtype=int)
     ranks[order] = np.arange(1, values.size + 1)
     return ranks

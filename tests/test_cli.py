@@ -333,6 +333,20 @@ def test_noise_rate_outside_unit_interval_exits_1_before_any_output(
     assert err.startswith("error: --noise-rate must be in [0, 1]")
     assert not any(tmp_path.iterdir())
 
+@pytest.mark.parametrize("command", ["value", "select", "removal"])
+@pytest.mark.parametrize("separation", ["-1", "nan", "inf"])
+def test_separation_not_finite_and_non_negative_exits_1_before_any_output(
+    tmp_path, capsys, command, separation
+):
+    code = cli_main(
+        [command, "--n", "60", "--epochs", "2", "--separation", separation,
+         "--out-dir", str(tmp_path)]
+    )
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: separation must be a finite number >= 0")
+    assert not any(tmp_path.iterdir())
+
 
 def test_exit_codes_are_distinct():
     assert (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC) == (0, 1, 2)

@@ -51,6 +51,11 @@ class TestSyntheticDataset:
         _, history = random_baseline_training(train, cfg, test_data=test)
         assert history.metrics[-1].test_accuracy >= 0.99
 
+    @pytest.mark.parametrize("separation", [-1.0, float("nan"), float("inf")])
+    def test_separation_must_be_finite_and_non_negative(self, separation):
+        with pytest.raises(ValueError, match="separation must be a finite number >= 0"):
+            make_synthetic_dataset(50, 6, 3, separation, seed=0)
+
     def test_free_heap_released_before_each_build(self, monkeypatch):
         calls = []
         monkeypatch.setattr(experiments, "_release_free_heap", lambda: calls.append(True))

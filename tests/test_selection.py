@@ -1,7 +1,9 @@
 """Tests for per-class top-fraction selection and weighted training."""
 
 import json
+import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ import chg_shapley.selection as selection
 from chg_shapley.experiments import make_synthetic_dataset
 from chg_shapley.models import Dataset, FactoredGrads
 from chg_shapley.selection import (
+    EpochMetrics,
     SelectionConfig,
+    SelectionHistory,
     SelectionPlan,
     minmax_weights,
     per_class_count,
@@ -322,6 +326,38 @@ def parent_batch_loss(model, data, indices=None):
     return float(models._probs_and_losses(model, phi, labels, indices)[1].mean())
 
 
+def parent_training_loop(data, cfg, select, test_data):
+    """The loop with a second forward pass per step, for the train loss alone."""
+    model = models.init_model(
+        (data.n_features, data.n_classes), seed=cfg.seed, hidden_width=cfg.hidden_width
+    )
+    feature_map = model.feature_map
+    data = models.head_dataset(model, data)
+    eval_data = data if test_data is None else models.head_dataset(model, test_data)
+    model = replace(model, feature_map=None)
+    history = SelectionHistory()
+    plan: SelectionPlan | None = None
+    started = time.perf_counter()
+    for epoch in range(cfg.epochs):
+        if epoch % cfg.interval == 0:
+            plan = select(model, data, epoch, len(history.events))
+            history.events.append(plan)
+        with models.epoch_guard(epoch):
+            batch = models.per_example_loss_and_grad(model, data, plan.subset)
+            model = models.sgd_step_weighted(model, batch.vectors.scaled(plan.weights), cfg.lr)
+            del batch  # free the factors before the evaluation passes
+            train_loss = parent_batch_loss(model, data, plan.subset)
+        history.metrics.append(
+            EpochMetrics(
+                epoch=epoch,
+                train_loss=train_loss,
+                test_accuracy=models.accuracy(model, eval_data),
+                wall_time=time.perf_counter() - started,
+            )
+        )
+    return replace(model, feature_map=feature_map), history
+
+
 def reference_task(empty_class: bool) -> tuple[Dataset, Dataset]:
     """A 3-class train/test pair; with `empty_class`, 4 classes and class 1 has no rows."""
     train = make_synthetic_dataset(90, 6, 3, 2.0, seed=40)
@@ -365,7 +401,7 @@ def train_both(monkeypatch, train, data, cfg, test, empty_class, **kwargs):
             if parent:
                 patch.setattr(selection, "_value_selection", parent_value_selection)
                 patch.setattr(selection, "_uniform_plan", parent_uniform_plan)
-                patch.setattr(selection, "batch_loss", parent_batch_loss)
+                patch.setattr(selection, "_training_loop", parent_training_loop)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", UserWarning)
                 runs.append(train(data, cfg, test_data=test, **kwargs))

@@ -17,7 +17,6 @@ from chg_shapley.shapley import (
     chg_game,
     exact_shapley,
     harmonic_sums,
-    mean_distance_utility,
     mean_game_weight,
     mean_square_game_weight,
     permutation_shapley,
@@ -672,10 +671,10 @@ def test_every_route_returns_the_grand_utility_its_values_sum_to(n):
         assert abs(result.grand_utility - full) <= tolerance, route
         assert abs(result.values.sum() - result.grand_utility) <= tolerance, route
 
-def test_mean_distance_utility_empty_set_convention():
+def test_chg_game_utility_on_singleton_and_full_set():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     alpha = np.array([0.5, 0.5])
-    u = mean_distance_utility(X, alpha)
+    u = chg_game(X, alpha).utility
     # Singleton {0}: ||alpha||^2 - ||x_0 - alpha||^2
     assert u(np.array([0])) == pytest.approx(0.5 - 0.5, abs=1e-15)
     full = u(np.array([0, 1]))

@@ -5,20 +5,20 @@ whose phi has zero width has rows equal to delta, so any dense matrix can
 stand in as a factored one.
 """
 
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chg_shapley.models import FactoredGrads
-from chg_shapley.shapley import chg_closed_form_shapley, exact_shapley
+from chg_shapley.shapley import chg_closed_form_shapley, chg_game, exact_shapley
 from chg_shapley.utilities import (
     GradientSet,
-    UtilityScheme,
-    chg_inputs_for_closed_form,
+    _game_inputs,
+    _vectors,
     gradient_set_values,
     hardness_shapley,
-    scheme_for,
     subset_utility,
     utility_game,
 )
@@ -121,15 +121,15 @@ class TestFactoredGradientSet:
             got, want = gradient_set_values(a, kind).values, gradient_set_values(b, kind).values
             assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
             assert np.array_equal(np.argsort(got), np.argsort(want))
-            assert scheme_for(a, kind).alpha == pytest.approx(scheme_for(b, kind).alpha, rel=1e-12)
+            assert _game_inputs(a, kind)[1] == pytest.approx(_game_inputs(b, kind)[1], rel=1e-12)
 
     def test_subset_utility_matches_dense(self):
         rng = np.random.default_rng(22)
         gs = self.factored_set(rng, n=6)
         dense = dense_set(gs.vectors.dense(), gs.losses)
         for kind in ("chg", "gradient"):
-            exact = exact_shapley(utility_game(scheme_for(dense, kind), dense)).values
-            via_factored = exact_shapley(utility_game(scheme_for(gs, kind), gs)).values
+            exact = exact_shapley(utility_game(dense, kind)).values
+            via_factored = exact_shapley(utility_game(gs, kind)).values
             assert via_factored == pytest.approx(exact, abs=1e-12)
 
     def test_overflowing_mean_is_a_numeric_failure(self):
@@ -146,24 +146,26 @@ class TestFactoredGradientSet:
 class TestReferenceVector:
     def test_chg_mean_of_weighted(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([1.0, 1.0]))
-        assert scheme_for(gs, "chg").alpha == pytest.approx([0.5, 0.5])
+        assert _game_inputs(gs, "chg")[1] == pytest.approx([0.5, 0.5])
 
     def test_zero_losses_zero_reference(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.zeros(2))
-        assert scheme_for(gs, "chg").alpha == pytest.approx([0.0, 0.0])
+        assert _game_inputs(gs, "chg")[1] == pytest.approx([0.0, 0.0])
 
     def test_gradient_kind_ignores_losses(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([7.0, 0.01]))
-        assert scheme_for(gs, "gradient").alpha == pytest.approx([0.5, 0.5])
+        assert _game_inputs(gs, "gradient")[1] == pytest.approx([0.5, 0.5])
 
-    def test_hardness_reference_unused(self):
+    def test_hardness_has_no_reference(self):
         gs = dense_set(np.ones((3, 2)), np.ones(3))
-        assert scheme_for(gs, "hardness").alpha == pytest.approx([0.0, 0.0])
+        with pytest.raises(ValueError, match="not quadratic"):
+            _game_inputs(gs, "hardness")
 
     def test_unknown_kind(self):
         gs = dense_set(np.ones((2, 2)), np.ones(2))
-        with pytest.raises(ValueError):
-            scheme_for(gs, "cosine")
+        for entry in (_game_inputs, utility_game, gradient_set_values):
+            with pytest.raises(ValueError, match="unknown utility kind"):
+                entry(gs, "cosine")
 
 
 # ---------------------------------------------------------------------------
@@ -175,56 +177,55 @@ class TestSubsetUtility:
         rng = np.random.default_rng(0)
         gs = random_gradient_set(rng)
         for kind in ("chg", "hardness", "gradient"):
-            assert subset_utility(scheme_for(gs, kind), gs, []) == 0.0
+            assert subset_utility(gs, kind, []) == 0.0
 
     def test_subset_mean_at_reference_hits_ceiling(self):
         # Two opposite rows with unit losses: mean of both lands on alpha = 0...
         # use rows placed symmetrically around a nonzero alpha instead.
         vectors = np.array([[2.0, 0.0], [0.0, 2.0]])
         gs = dense_set(vectors, np.ones(2))
-        scheme = scheme_for(gs, "chg")  # alpha = [1, 1]
-        value = subset_utility(scheme, gs, [0, 1])
-        assert value == pytest.approx(float(scheme.alpha @ scheme.alpha), abs=1e-12)
+        alpha = _game_inputs(gs, "chg")[1]  # [1, 1]
+        value = subset_utility(gs, "chg", [0, 1])
+        assert value == pytest.approx(float(alpha @ alpha), abs=1e-12)
 
     def test_singleton_arithmetic(self):
         gs = dense_set(np.array([[0.0, 1.0]]), np.ones(1))
-        scheme = UtilityScheme(kind="chg", alpha=np.array([1.0, 0.0]))
-        assert subset_utility(scheme, gs, [0]) == pytest.approx(-1.0, abs=1e-12)
+        alpha = np.array([1.0, 0.0])
+        game = chg_game(_vectors(gs, "chg"), alpha)
+        assert game.utility(np.array([0])) == pytest.approx(-1.0, abs=1e-12)
 
     def test_hardness_mean(self):
         gs = dense_set(np.zeros((2, 1)), np.array([0.2, 0.4]))
-        assert subset_utility(scheme_for(gs, "hardness"), gs, [0, 1]) == pytest.approx(0.3)
+        assert subset_utility(gs, "hardness", [0, 1]) == pytest.approx(0.3)
 
     def test_out_of_range_subset(self):
         gs = dense_set(np.zeros((2, 1)), np.zeros(2))
-        scheme = scheme_for(gs, "chg")
         with pytest.raises(ValueError):
-            subset_utility(scheme, gs, [0, 2])
+            subset_utility(gs, "chg", [0, 2])
 
     @pytest.mark.parametrize("subset", BAD_ROW_INDICES)
     @pytest.mark.parametrize("kind", ["chg", "hardness", "gradient"])
     def test_masks_floats_and_2d_rejected(self, kind, subset):
         gs = random_gradient_set(np.random.default_rng(3), n=10)
         with pytest.raises(ValueError, match="row indices must be flat integers"):
-            subset_utility(scheme_for(gs, kind), gs, subset)
+            subset_utility(gs, kind, subset)
 
     def test_a_set_is_its_rows(self):
         gs = random_gradient_set(np.random.default_rng(4), n=6)
         for kind in ("chg", "hardness", "gradient"):
-            scheme = scheme_for(gs, kind)
-            got = subset_utility(scheme, gs, {4, 0, 2})
-            assert got == pytest.approx(subset_utility(scheme, gs, [0, 2, 4]), rel=1e-15)
+            got = subset_utility(gs, kind, {4, 0, 2})
+            assert got == pytest.approx(subset_utility(gs, kind, [0, 2, 4]), rel=1e-15)
 
     def test_quadratic_kinds_bounded_by_reference_norm(self):
         rng = np.random.default_rng(1)
         gs = random_gradient_set(rng, n=6, d=4)
         for kind in ("chg", "gradient"):
-            scheme = scheme_for(gs, kind)
-            ceiling = float(scheme.alpha @ scheme.alpha)
+            alpha = _game_inputs(gs, kind)[1]
+            ceiling = float(alpha @ alpha)
             for _ in range(30):
                 size = int(rng.integers(1, 7))
                 subset = rng.choice(6, size=size, replace=False)
-                assert subset_utility(scheme, gs, subset) <= ceiling + 1e-12
+                assert subset_utility(gs, kind, subset) <= ceiling + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +235,50 @@ class TestSubsetUtility:
 class TestClosedFormInputs:
     def test_chg_inputs_example(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([2.0, 0.0]))
-        X, alpha = chg_inputs_for_closed_form(gs, "chg")
+        X, alpha = _game_inputs(gs, "chg")
         assert np.array_equal(X.dense(), [[2.0, 0.0], [0.0, 0.0]])
         assert alpha == pytest.approx([1.0, 0.0])
 
     def test_gradient_inputs_example(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([2.0, 0.0]))
-        X, alpha = chg_inputs_for_closed_form(gs, "gradient")
+        X, alpha = _game_inputs(gs, "gradient")
         assert np.array_equal(X.dense(), gs.vectors.dense())
         assert alpha == pytest.approx([0.5, 0.5])
-
-    def test_hardness_unsupported(self):
-        gs = dense_set(np.ones((2, 2)), np.ones(2))
-        with pytest.raises(ValueError):
-            chg_inputs_for_closed_form(gs, "hardness")
 
     @pytest.mark.parametrize("kind", ["chg", "gradient"])
     def test_round_trip_matches_enumeration(self, kind):
         rng = np.random.default_rng(42)
         gs = random_gradient_set(rng, n=5, d=3)
-        closed = chg_closed_form_shapley(*chg_inputs_for_closed_form(gs, kind)).values
-        exact = exact_shapley(utility_game(scheme_for(gs, kind), gs)).values
+        closed = chg_closed_form_shapley(*_game_inputs(gs, kind)).values
+        exact = exact_shapley(utility_game(gs, kind)).values
         assert closed == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_kind_matches_enumeration_of_its_game(self, n):
+        rng = np.random.default_rng(200 + n)
+        grads = FactoredGrads(rng.standard_normal((n, 3)), rng.standard_normal((n, 4)))
+        gs = GradientSet(grads, rng.uniform(0.0, 2.0, n))
+        for kind in ("chg", "gradient", "hardness"):
+            exact = exact_shapley(utility_game(gs, kind)).values
+            closed = gradient_set_values(gs, kind).values
+            tolerance = 1e-12 * max(1.0, float(np.max(np.abs(exact))))
+            assert np.max(np.abs(closed - exact)) <= tolerance, kind
+
+    @pytest.mark.parametrize("kind", ["chg", "gradient"])
+    def test_game_is_chg_game_at_the_kinds_own_mean(self, kind):
+        rng = np.random.default_rng(43)
+        n = 7
+        grads = FactoredGrads(rng.standard_normal((n, 2)), rng.standard_normal((n, 3)))
+        gs = GradientSet(grads, rng.uniform(0.0, 2.0, n))
+        vectors = _vectors(gs, kind)
+        got = utility_game(gs, kind)
+        want = chg_game(vectors, vectors.dense().mean(axis=0))
+        assert got.n == want.n == n
+        for size in range(1, n + 1):
+            for combo in itertools.combinations(range(n), size):
+                idx = np.array(combo, dtype=np.intp)
+                assert got.utility(idx) == pytest.approx(want.utility(idx), abs=1e-12)
+                assert subset_utility(gs, kind, combo) == got.utility(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +340,10 @@ class TestInvariants:
     def test_unit_losses_make_chg_equal_gradient(self):
         rng = np.random.default_rng(4)
         gs = dense_set(rng.standard_normal((6, 3)), np.ones(6))
-        chg_scheme = scheme_for(gs, "chg")
-        grad_scheme = scheme_for(gs, "gradient")
         for _ in range(20):
             size = int(rng.integers(1, 7))
             subset = rng.choice(6, size=size, replace=False)
-            assert subset_utility(chg_scheme, gs, subset) == subset_utility(
-                grad_scheme, gs, subset
-            )
+            assert subset_utility(gs, "chg", subset) == subset_utility(gs, "gradient", subset)
         assert np.array_equal(
             gradient_set_values(gs, "chg").values, gradient_set_values(gs, "gradient").values
         )

@@ -9,9 +9,13 @@ import chg_shapley.models as models
 import chg_shapley.utilities as utilities
 import chg_shapley.valuation as valuation
 from chg_shapley import __version__
-from chg_shapley.experiments import make_synthetic_dataset
+from chg_shapley.experiments import RemovalConfig, make_synthetic_dataset, point_removal_curve
 from chg_shapley.models import Dataset, FactoredGrads, FrozenFeatureMap
-from chg_shapley.selection import SelectionConfig, run_selection_training
+from chg_shapley.selection import (
+    SelectionConfig,
+    random_baseline_training,
+    run_selection_training,
+)
 from chg_shapley.shapley import chg_closed_form_shapley
 from chg_shapley.valuation import (
     EfficiencyAuditError,
@@ -256,11 +260,23 @@ class TestFactoredRoute:
             calls.clear()
             run_valuation(data, ValuationConfig(kind=kind, epochs=3, per_class=per_class))
             assert len(calls) == 3, per_class
-        calls.clear()
         cfg = SelectionConfig(fraction=0.2, interval=2, epochs=3, kind=kind)
+        calls.clear()
         _, history = run_selection_training(data, cfg)
-        # One pass per selection event, then the step's and the train loss's each epoch.
-        assert len(calls) == len(history.events) + 2 * 3 == 8
+        # Each event values the data and then steps on its new subset; every
+        # step's pass after it gives the train loss and the next step's batch.
+        assert len(calls) == 2 * len(history.events) + 3 == 7
+        for adaptive in (False, True):
+            calls.clear()
+            _, history = random_baseline_training(data, cfg, adaptive=adaptive)
+            assert len(calls) == len(history.events) + 3 == 5, adaptive
+        calls.clear()
+        test = make_synthetic_dataset(30, 4, 3, 2.0, seed=26)
+        values = np.arange(data.n, dtype=float)
+        removal = RemovalConfig(fractions=(0.0, 0.2, 0.5), epochs=2)
+        point_removal_curve(values, data, test, removal)
+        # The keep-everything arm is shared by the three orders: 1 + 3 * 2 arms.
+        assert len(calls) == 7 * 2
 
     def test_overflow_names_the_epoch(self):
         data = Dataset(
