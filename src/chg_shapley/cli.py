@@ -8,7 +8,8 @@ Subcommands:
   removal  point-removal curves; writes removal.csv
 
 Every subcommand is deterministic given --seed.  Exit codes: 0 success,
-1 input error, 2 numeric or audit failure.
+1 input error, 2 numeric or audit failure.  The output directory is
+created only once a run's outputs are computed.
 """
 
 from __future__ import annotations
@@ -148,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created; each command asks once its outputs are computed."""
     out = args.out_dir or os.environ.get("CHG_OUT_DIR") or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
@@ -187,8 +189,8 @@ def _run_valuation_task(args):
 
 
 def _cmd_value(args) -> int:
-    out = _out_dir(args)
     data, noise, run, audit, seconds = _run_valuation_task(args)
+    out = _out_dir(args)
     mask = noise.flip_mask if noise is not None else None
     write_values_csv(out / "values.csv", run, data, noise_mask=mask)
     write_run_meta(
@@ -208,7 +210,6 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    out = _out_dir(args)
     data, _ = _load_task(args)
     test = (
         make_synthetic_dataset(args.n, args.p, args.classes, args.separation, args.seed + 500)
@@ -226,6 +227,7 @@ def _cmd_select(args) -> int:
     started = time.perf_counter()
     _, history = run_selection_training(data, cfg, test_data=test)
     seconds = time.perf_counter() - started
+    out = _out_dir(args)
     write_metrics_csv(out / "metrics.csv", history)
     write_selection_history_jsonl(out / "selection_history.jsonl", history)
     write_run_meta(
@@ -276,19 +278,19 @@ def oracle_report(n: int, d: int, trials: int, seed: int, mc_samples: int = 2000
 
 
 def _cmd_oracle(args) -> int:
-    out = _out_dir(args)
     report = oracle_report(args.n, args.d, args.trials, args.seed, args.mc_samples)
+    out = _out_dir(args)
     (out / "oracle_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK if report["passed"] else EXIT_NUMERIC
 
 
 def _cmd_bench(args) -> int:
-    out = _out_dir(args)
     if args.noise_rate <= 0:
         raise ValueError("bench needs --noise-rate > 0 to have anything to detect")
     data, noise, run, audit, seconds = _run_valuation_task(args)
     report = detection_curve(run.mean_values, noise)
+    out = _out_dir(args)
     payload = {
         "auc": report.auc,
         "fractions": report.fractions.tolist(),
@@ -321,12 +323,12 @@ def _cmd_removal(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    out = _out_dir(args)
     data, _noise, run, _audit, _seconds = _run_valuation_task(args)
     test = make_synthetic_dataset(
         max(200, args.n // 2), args.p, args.classes, args.separation, args.seed + 500
     ) if args.data is None else data
     curve = point_removal_curve(run.mean_values, data, test, cfg)
+    out = _out_dir(args)
     orders = list(curve.accuracy)
     _write_csv(
         out / "removal.csv",

@@ -1,8 +1,9 @@
 """Synthetic tasks, label-noise injection, and the evaluation curves.
 
 Covers the two standard protocols for judging a valuation: how fast the
-lowest-valued fraction uncovers injected label noise, and how retraining
-accuracy moves as data is deleted in value order.
+lowest-valued fraction, swept over 0, 0.01, ..., 1, uncovers injected
+label noise, and how retraining accuracy moves as data is deleted in
+value order.
 """
 
 from __future__ import annotations
@@ -164,12 +165,12 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError(f"values must be finite, got {values[i]} at index {i}")
 
 
-def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
+def detection_curve(values, noise: NoiseSpec) -> DetectionReport:
     """Sweep the inspected fraction over the ascending-value order.
 
-    At fraction q the detection rate is the share of noisy points among
-    the round(q*n) lowest-valued data.  The grid is augmented with the
-    0 and 1 endpoints, where the curve is pinned to 0 and 1.
+    At fraction q, one of 0, 0.01, ..., 1, the detection rate is the
+    share of noisy points among the round(q*n) lowest-valued data; the
+    curve is pinned to 0 at q = 0 and to 1 at q = 1.
     """
     values = np.asarray(values, dtype=float)
     mask = np.asarray(noise.flip_mask, dtype=bool)
@@ -180,11 +181,7 @@ def detection_curve(values, noise: NoiseSpec, grid=None) -> DetectionReport:
     if total == 0:
         raise ValueError("no noisy points to detect")
     n = values.size
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    fractions = np.unique(np.concatenate([[0.0, 1.0], np.asarray(grid, dtype=float)]))
-    if not np.all((fractions >= 0) & (fractions <= 1)):  # NaN fails both
-        raise ValueError(f"grid fractions must lie in [0, 1], got grid {grid}")
+    fractions = np.linspace(0.0, 1.0, 101)
     order = np.argsort(values, kind="stable")  # ascending value, ties by index
     found = np.concatenate([[0], np.cumsum(mask[order])])
     inspected = np.round(fractions * n).astype(int)

@@ -1,7 +1,8 @@
 """Linear-softmax models with analytic per-example losses and last-layer gradients.
 
-The model is a softmax head on the raw features or on a frozen random
-feature map, so per-example gradients are exact closed-form expressions.
+The model is a softmax head on the raw features or, for valuation at a
+chosen width, on a frozen random feature map, so per-example gradients
+are exact closed-form expressions.
 Example i's flattened gradient row is the outer product of its logit
 residual delta_i (classes) and its head input [phi_i, 1] (width + 1), so
 the n gradient rows are kept in that factored form: O(n * (classes +
@@ -120,14 +121,6 @@ class ModelState:
     @property
     def n_classes(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def n_parameters(self) -> int:
-        return self.weights.size + self.bias.size
 
 
 @dataclass(frozen=True)
@@ -254,10 +247,6 @@ class GradientSet:
         return self.vectors.shape[0]
 
     @property
-    def d(self) -> int:
-        return self.vectors.shape[1]
-
-    @property
     def last_layer_grads(self) -> FactoredGrads:
         # perfbench/layers.py and baseline.py read the pass's gradients by
         # this name; it goes when the benchmark is re-keyed to `vectors`.
@@ -333,12 +322,11 @@ def head_dataset(model: ModelState, data: Dataset) -> Dataset:
     return Dataset(phi, data.labels, data.n_classes)
 
 
-def _head_inputs(model: ModelState, data: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Head inputs and labels of the rows `indices`; with None, `data`'s own arrays."""
-    if indices is None:
+def _head_inputs(model: ModelState, data: Dataset, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Head inputs and labels of the checked rows `idx`; with None, `data`'s own arrays."""
+    if idx is None:
         phi, labels = data.features, data.labels
     else:
-        idx = _row_indices(indices, data.n)
         phi, labels = data.features[idx], data.labels[idx]
     if model.feature_map is not None:
         phi = model.feature_map.apply(phi)
@@ -448,8 +436,8 @@ def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
     return float(per_example_loss_and_grad(model, data, indices).losses.mean())
 
 
-def accuracy(model: ModelState, data: Dataset, indices=None) -> float:
-    phi, labels = _head_inputs(model, data, indices)
+def accuracy(model: ModelState, data: Dataset) -> float:
+    phi, labels = _head_inputs(model, data, None)
     logits = phi @ model.weights.T + model.bias
     return float(np.mean(logits.argmax(axis=1) == labels))
 
@@ -478,13 +466,13 @@ def sgd_step_weighted(model: ModelState, grads: FactoredGrads, lr: float) -> Mod
     return replace(model, weights=weights, bias=bias)
 
 
-def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset, indices=None) -> float:
-    """A gradient-Lipschitz constant of the batch-mean cross-entropy.
+def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset) -> float:
+    """A gradient-Lipschitz constant of the mean cross-entropy over `data`.
 
     The softmax Hessian in logit space is bounded by I/2, so
     L = mean_i ||[phi_i, 1]||^2 / 2 works for the flattened head params.
     """
-    phi, _ = _head_inputs(model, data, indices)
+    phi, _ = _head_inputs(model, data, None)
     return float(0.5 * np.mean(np.einsum("iq,iq->i", phi, phi) + 1.0))
 
 

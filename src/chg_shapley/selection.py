@@ -5,6 +5,7 @@ class with a class-restricted reference vector, keeps the top fraction
 per class, re-values the union with the reference restricted to it, and
 min-max normalizes those values into training weights.  Epochs between
 selection events train on the standing subset with the standing weights.
+The softmax head trains on the raw features.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,7 +26,6 @@ from .models import (
     accuracy,
     check_learning_rate,
     epoch_guard,
-    head_dataset,
     init_model,
     per_example_loss_and_grad,
     sgd_step_weighted,
@@ -48,7 +48,6 @@ class SelectionConfig:
     seed: int = 0
     kind: str = "chg"
     lr: float = 0.1
-    hidden_width: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction <= 1.0:
@@ -69,10 +68,6 @@ class SelectionPlan:
     weights: np.ndarray
     epoch_created: int
     per_class_indices: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def per_class_counts(self) -> dict[int, int]:
-        return {label: idx.size for label, idx in self.per_class_indices.items()}
 
 
 @dataclass
@@ -133,7 +128,7 @@ def minmax_weights(values) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-# (head, head-input data, epoch, event index) -> the plan to train on
+# (model, data, epoch, event index) -> the plan to train on
 SelectFn = Callable[[ModelState, Dataset, int, int], SelectionPlan]
 
 
@@ -143,18 +138,13 @@ def _training_loop(
     select: SelectFn,
     test_data: Dataset | None,
 ) -> tuple[ModelState, SelectionHistory]:
-    """Train a map-free head on data mapped once; the returned model keeps the map.
+    """Train a softmax head on the raw features, one forward pass per step.
 
-    One forward pass per step: the pass after the step gives the epoch's
-    train loss and, unless an event replaces the plan, the next step's batch.
+    The pass after the step gives the epoch's train loss and, unless an
+    event replaces the plan, the next step's batch.
     """
-    model = init_model(
-        (data.n_features, data.n_classes), seed=cfg.seed, hidden_width=cfg.hidden_width
-    )
-    feature_map = model.feature_map
-    data = head_dataset(model, data)
-    eval_data = data if test_data is None else head_dataset(model, test_data)
-    model = replace(model, feature_map=None)
+    model = init_model((data.n_features, data.n_classes), seed=cfg.seed)
+    eval_data = data if test_data is None else test_data
     history = SelectionHistory()
     plan: SelectionPlan | None = None
     batch = None
@@ -179,7 +169,7 @@ def _training_loop(
                 wall_time=time.perf_counter() - started,
             )
         )
-    return replace(model, feature_map=feature_map), history
+    return model, history
 
 
 def _value_selection(
@@ -209,8 +199,8 @@ def run_selection_training(
 ) -> tuple[ModelState, SelectionHistory]:
     """Value-driven selection and weighted training over the epoch budget."""
 
-    def select(model: ModelState, head_data: Dataset, epoch: int, _event: int) -> SelectionPlan:
-        return _value_selection(model, head_data, cfg, epoch)
+    def select(model: ModelState, data: Dataset, epoch: int, _event: int) -> SelectionPlan:
+        return _value_selection(model, data, cfg, epoch)
 
     return _training_loop(data, cfg, select, test_data)
 

@@ -5,12 +5,12 @@ per-example losses and factored last-layer gradients at the current
 parameters as a `GradientSet`, computes closed-form Shapley values of the
 chosen utility kind from that set (from the losses alone for the
 hardness kind), and only then steps on the same gradients, so values
-describe the state they were measured at.
+describe the state they were measured at.  A datum's reported value is
+its mean over every epoch.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -50,7 +50,6 @@ class ValuationConfig:
     seed: int = 0
     lr: float = 0.1
     per_class: bool = False
-    skip_first_epochs: int = 0
     hidden_width: int | None = None
 
     def __post_init__(self) -> None:
@@ -58,8 +57,6 @@ class ValuationConfig:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
         _check_kind(self.kind)
         check_learning_rate(self.lr)
-        if not 0 <= self.skip_first_epochs < self.epochs:
-            raise ValueError("skip_first_epochs must be in [0, epochs)")
 
 
 @dataclass
@@ -132,10 +129,9 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
             )
             model = sgd_step_weighted(model, batch.vectors, config.lr)
         del batch  # free the factors before the next forward pass
-    mean_values = per_epoch[config.skip_first_epochs :].mean(axis=0)
     return ValuationRun(
         per_epoch_values=per_epoch,
-        mean_values=mean_values,
+        mean_values=per_epoch.mean(axis=0),
         per_epoch_utilities=utilities,
         config=config,
         n_features=data.n_features,
@@ -191,21 +187,6 @@ def write_values_csv(path, run: ValuationRun, data: Dataset, noise_mask=None) ->
         formats.insert(2, "%d")
         columns.insert(2, np.asarray(noise_mask))
     _write_csv(path, header, ",".join(formats), columns)
-
-
-def load_values_csv(path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        raw = [row[j] for row in rows]
-        if name in ("index", "label", "rank", "is_noisy"):
-            columns[name] = np.array([int(tok) for tok in raw], dtype=int)
-        else:
-            columns[name] = np.array([float(tok) for tok in raw])
-    return columns
 
 
 def write_run_meta(path, config, n: int, seconds: float, extra: dict | None = None) -> None:

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: exit codes, outputs, determinism."""
 
+import csv
 import json
 import warnings
 
@@ -8,7 +9,6 @@ import pytest
 
 from chg_shapley import __version__
 from chg_shapley.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, cli_main, oracle_report
-from chg_shapley.valuation import load_values_csv
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +78,9 @@ class TestValueCommand:
              "--seed", "5", "--out-dir", str(tmp_path)]
         )
         assert code == EXIT_OK
-        cols = load_values_csv(tmp_path / "values.csv")
-        assert cols["is_noisy"].sum() == round(0.3 * 120)
+        with open(tmp_path / "values.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(int(row["is_noisy"]) for row in rows) == round(0.3 * 120)
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["config"]["epochs"] == 3
         assert len(meta["per_epoch_utility"]) == 3
@@ -103,7 +104,8 @@ class TestValueCommand:
             ["value", "--data", str(csv_path), "--epochs", "2", "--out-dir", str(tmp_path)]
         )
         assert code == EXIT_OK
-        assert load_values_csv(tmp_path / "values.csv")["index"].size == 60
+        with open(tmp_path / "values.csv", newline="") as fh:
+            assert [int(row["index"]) for row in csv.DictReader(fh)] == list(range(60))
 
     @pytest.mark.parametrize("scheme", ["chg", "hardness", "gradient"])
     def test_schemes(self, tmp_path, scheme):
@@ -346,6 +348,43 @@ def test_separation_not_finite_and_non_negative_exits_1_before_any_output(
     err = capsys.readouterr().err
     assert err.startswith("error: separation must be a finite number >= 0")
     assert not any(tmp_path.iterdir())
+
+
+REFUSED_RUNS = [
+    ["value", "--separation", "nan"],
+    ["select", "--fraction", "0"],
+    ["bench"],  # no --noise-rate: nothing to detect
+    ["removal", "--threads", "0"],
+    ["oracle", "--n", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_RUNS, ids=lambda argv: argv[0])
+def test_refused_run_creates_no_out_dir(tmp_path, capsys, argv):
+    code = cli_main(argv + ["--out-dir", str(tmp_path / "fresh" / "dir")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("argv", REFUSED_RUNS, ids=lambda argv: argv[0])
+def test_refused_run_creates_no_env_out_dir(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("CHG_OUT_DIR", str(tmp_path / "fresh" / "dir"))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error:")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["value", "select", "bench", "removal"])
+def test_unreadable_data_creates_no_out_dir(tmp_path, capsys, command):
+    code = cli_main(
+        [command, "--data", str(tmp_path / "missing.csv"), "--noise-rate", "0.2",
+         "--epochs", "2", "--out-dir", str(tmp_path / "fresh" / "dir")]
+    )
+    assert code == EXIT_INPUT
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_exit_codes_are_distinct():

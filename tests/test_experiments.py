@@ -153,18 +153,24 @@ class TestDetectionCurve:
         report = detection_curve(values, NoiseSpec(rate=0.4, seed=0, flip_mask=mask))
         assert report.detection_rate[0] == 0.0
         assert report.detection_rate[-1] == 1.0
-        assert report.fractions[0] == 0.0 and report.fractions[-1] == 1.0
+        assert report.fractions.tobytes() == np.linspace(0.0, 1.0, 101).tobytes()
         assert np.all(np.diff(report.detection_rate) >= 0)
+
+    @pytest.mark.parametrize("n", [7, 50, 333])
+    def test_rate_counts_noise_among_lowest_values(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 5, n).astype(float)  # ties go by ascending index
+        mask = rng.random(n) < 0.3
+        mask[0] = True
+        report = detection_curve(values, NoiseSpec(rate=0.3, seed=0, flip_mask=mask))
+        order = sorted(range(n), key=lambda i: (values[i], i))
+        for q, rate in zip(report.fractions, report.detection_rate):
+            lowest = order[: round(q * n)]
+            assert rate == mask[lowest].sum() / mask.sum()
 
     def test_no_noise_rejected(self):
         with pytest.raises(ValueError):
             detection_curve(np.ones(4), NoiseSpec(rate=0.0, seed=0, flip_mask=np.zeros(4, bool)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
-    def test_grid_outside_unit_interval_rejected(self, bad):
-        mask = np.arange(10) % 2 == 0
-        with pytest.raises(ValueError, match="grid"):
-            detection_curve(np.arange(10.0), NoiseSpec(rate=0.5, seed=0, flip_mask=mask), [0.5, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected_naming_the_index(self, bad):

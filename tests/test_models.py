@@ -134,16 +134,12 @@ class TestInitModel:
         digest = hashlib.sha256(m.weights.tobytes() + m.bias.tobytes()).hexdigest()
         assert digest == INIT_CHECKSUM_P3_C2_SEED0
 
-    def test_parameter_count(self):
-        m = init_model((2, 2), seed=1)
-        assert m.n_parameters == 6
-
     def test_bias_starts_at_zero(self):
         assert np.array_equal(init_model((4, 3), seed=2).bias, np.zeros(3))
 
     def test_feature_map_variant(self):
         m = init_model((6, 2), seed=3, hidden_width=10)
-        assert m.width == 10
+        assert m.weights.shape == (2, 10)
         assert m.feature_map is not None
         again = init_model((6, 2), seed=3, hidden_width=10)
         assert np.array_equal(m.feature_map.projection, again.feature_map.projection)
@@ -251,8 +247,7 @@ class TestPerExample:
         model = init_model((4, 3), seed=1)
         data = small_dataset(np.random.default_rng(1))
         result = per_example_loss_and_grad(model, data)
-        assert result.vectors.shape == (data.n, model.n_parameters)
-        assert model.n_parameters == 3 * 4 + 3
+        assert result.vectors.shape == (data.n, 3 * 4 + 3)
 
 
 # A 10-long mask, truncated floats and a 2-D array all index rows without
@@ -267,7 +262,7 @@ BAD_ROW_INDICES = [
 
 class TestRowIndices:
     @pytest.mark.parametrize("indices", BAD_ROW_INDICES)
-    @pytest.mark.parametrize("entry", [per_example_loss_and_grad, batch_loss, accuracy])
+    @pytest.mark.parametrize("entry", [per_example_loss_and_grad, batch_loss])
     def test_rejected(self, entry, indices):
         data = small_dataset(np.random.default_rng(40), n=10)
         model = init_model((4, 3), seed=40)
@@ -281,14 +276,29 @@ class TestRowIndices:
         for indices in ([1, 4, 7], {1, 4, 7}, (1, 4, 7), np.array([1, 4, 7], dtype=np.uint8)):
             got = per_example_loss_and_grad(model, data, indices)
             assert got.losses.tobytes() == want.losses.tobytes()
-            assert accuracy(model, data, indices) == accuracy(model, data, [1, 4, 7])
         assert per_example_loss_and_grad(model, data, []).n == 0
+
+    @pytest.mark.parametrize("hidden_width", [None, 6])
+    @pytest.mark.parametrize("entry", [per_example_loss_and_grad, batch_loss])
+    def test_checked_once_per_pass(self, monkeypatch, entry, hidden_width):
+        checked = []
+        row_indices = models._row_indices
+
+        def counting(indices, n):
+            checked.append(n)
+            return row_indices(indices, n)
+
+        monkeypatch.setattr(models, "_row_indices", counting)
+        data = small_dataset(np.random.default_rng(43), n=10)
+        model = init_model((4, 3), seed=43, hidden_width=hidden_width)
+        entry(model, data, [1, 4, 7])
+        assert checked == [10]
 
     @pytest.mark.parametrize("indices", [[-1], [10], [0, 12]])
     def test_out_of_range(self, indices):
         data = small_dataset(np.random.default_rng(42), n=10)
         model = init_model((4, 3), seed=42)
-        for entry in (per_example_loss_and_grad, batch_loss, accuracy):
+        for entry in (per_example_loss_and_grad, batch_loss):
             with pytest.raises(ValueError, match="out of range for n=10"):
                 entry(model, data, indices)
 
@@ -551,7 +561,7 @@ class TestFactoredGrads:
         model = init_model((4, 3), seed=16, hidden_width=hidden_width)
         result = per_example_loss_and_grad(model, data)
         grads = result.vectors
-        assert grads.shape == (9, model.n_parameters)
+        assert grads.shape == (9, model.weights.size + model.bias.size)
         reference = dense_reference(model, data)
         assert np.array_equal(grads.dense(), reference)
         # Scaling folds the losses into delta: row i is (l_i delta_i) outer [phi_i, 1].

@@ -1,5 +1,6 @@
 """Tests for the per-epoch valuation loop and its efficiency audit."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,6 @@ from chg_shapley.valuation import (
     TrainingDivergedError,
     ValuationConfig,
     epoch_efficiency_audit,
-    load_values_csv,
     run_valuation,
     value_ranks,
     write_run_meta,
@@ -55,17 +55,7 @@ class TestRunValuation:
 
     def test_mean_is_column_mean(self):
         run = run_valuation(tiny_task(), ValuationConfig(epochs=5, seed=3))
-        assert np.max(np.abs(run.mean_values - run.per_epoch_values.mean(axis=0))) <= 1e-12
-
-    def test_skip_first_epochs(self):
-        full = run_valuation(tiny_task(), ValuationConfig(epochs=5, seed=3))
-        skipped = run_valuation(
-            tiny_task(), ValuationConfig(epochs=5, seed=3, skip_first_epochs=2)
-        )
-        assert np.array_equal(skipped.per_epoch_values, full.per_epoch_values)
-        assert skipped.mean_values == pytest.approx(
-            full.per_epoch_values[2:].mean(axis=0), abs=0.0
-        )
+        assert run.mean_values.tobytes() == run.per_epoch_values.mean(axis=0).tobytes()
 
     def test_bit_identical_given_config(self):
         a = run_valuation(tiny_task(), ValuationConfig(epochs=4, seed=4))
@@ -163,15 +153,9 @@ class TestFactoredRoute:
         try:
             run_valuation(data, config)
             _, valuation_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            run_selection_training(
-                data, SelectionConfig(fraction=0.1, epochs=1, seed=21, hidden_width=width)
-            )
-            _, selection_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert valuation_peak < dense_bytes / 3
-        assert selection_peak < dense_bytes / 3
 
     def test_feature_map_applied_once_per_run(self, monkeypatch):
         rows_mapped = []
@@ -183,15 +167,9 @@ class TestFactoredRoute:
 
         monkeypatch.setattr(FrozenFeatureMap, "apply", counting)
         data = make_synthetic_dataset(60, 4, 3, 2.0, seed=23)
-        test = make_synthetic_dataset(30, 4, 3, 2.0, seed=24)
         run = run_valuation(data, ValuationConfig(epochs=3, seed=23, hidden_width=8))
         assert rows_mapped == [60]
         assert run.n_features == 4
-        rows_mapped.clear()
-        cfg = SelectionConfig(fraction=0.2, interval=1, epochs=3, seed=23, hidden_width=8)
-        model, _ = run_selection_training(data, cfg, test_data=test)
-        assert rows_mapped == [60, 30]
-        assert model.feature_map is not None and model.feature_map.width == 8
 
     @pytest.mark.parametrize("per_class", [False, True])
     def test_hardness_never_builds_gradients(self, per_class, monkeypatch):
@@ -379,12 +357,15 @@ class TestOutputs:
         mask[:5] = True
         mask[models._CSV_CHUNK_ROWS - 2 : models._CSV_CHUNK_ROWS + 3] = True
         write_values_csv(path, run, data, noise_mask=mask)
-        cols = load_values_csv(path)
-        assert np.array_equal(cols["index"], np.arange(data.n))
-        assert np.array_equal(cols["label"], data.labels)
-        assert np.array_equal(cols["mean_value"], run.mean_values)  # 17g round-trips
-        assert np.array_equal(cols["is_noisy"], mask.astype(int))
-        assert np.array_equal(cols["rank"], value_ranks(run.mean_values))
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["index", "label", "is_noisy", "mean_value", "rank"]
+            index, label, is_noisy, mean_value, rank = zip(*reader)
+        assert np.array_equal(np.array(index, dtype=int), np.arange(data.n))
+        assert np.array_equal(np.array(label, dtype=int), data.labels)
+        assert np.array_equal(np.array(mean_value, dtype=float), run.mean_values)  # 17g round-trips
+        assert np.array_equal(np.array(is_noisy, dtype=int), mask.astype(int))
+        assert np.array_equal(np.array(rank, dtype=int), value_ranks(run.mean_values))
 
     @pytest.mark.parametrize("short", ["noise_mask", "labels"])
     def test_values_csv_refuses_short_columns(self, tmp_path, short):
@@ -427,5 +408,3 @@ def test_config_validation():
         ValuationConfig(epochs=0)
     with pytest.raises(ValueError, match="unknown utility kind 'chgg'"):
         ValuationConfig(kind="chgg")
-    with pytest.raises(ValueError):
-        ValuationConfig(epochs=3, skip_first_epochs=3)
