@@ -1,9 +1,11 @@
 """Interval-based per-class subset selection with min-max weighted training.
 
 Every `interval` epochs (including epoch 0) the selector values each
-class with a class-restricted reference vector, keeps the top fraction
-per class, re-values the union with the reference restricted to it, and
-min-max normalizes those values into training weights.  Epochs between
+class in its own game, against the class's mean vector, keeps the top
+fraction per class, re-values the union in its own game, and min-max
+normalizes those values into training weights.  An event makes one
+forward pass per non-empty class and one on the union, n + |S| rows in
+all, and the event epoch steps on the union's pass.  Epochs between
 selection events train on the standing subset with the standing weights.
 The softmax head trains on the raw features.
 """
@@ -30,10 +32,10 @@ from .models import (
     per_example_loss_and_grad,
     sgd_step_weighted,
 )
-# perfbench/layers.py wraps these here; they go when the benchmark is re-keyed.
-from .models import GradientSet, batch_loss  # noqa: F401
+from .models import GradientSet
+# perfbench/layers.py wraps this here; it goes when the benchmark is re-keyed.
+from .models import batch_loss  # noqa: F401
 from .utilities import _check_kind, gradient_set_values
-from .valuation import epoch_values
 
 # Guards against float noise in a * N_c (e.g. 0.1 * 30 = 3.0000000000000004)
 # so the ceiling rule never rounds an exact product up.
@@ -68,6 +70,9 @@ class SelectionPlan:
     weights: np.ndarray
     epoch_created: int
     per_class_indices: dict[int, np.ndarray] = field(default_factory=dict)
+    # The event's forward pass on `subset`, if it made one: the training loop
+    # takes it as the event epoch's batch and clears it, so no history holds it.
+    batch: GradientSet | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -141,7 +146,8 @@ def _training_loop(
     """Train a softmax head on the raw features, one forward pass per step.
 
     The pass after the step gives the epoch's train loss and, unless an
-    event replaces the plan, the next step's batch.
+    event replaces the plan, the next step's batch.  An event's plan brings
+    its epoch's batch when the event made a pass on its subset.
     """
     model = init_model((data.n_features, data.n_classes), seed=cfg.seed)
     eval_data = data if test_data is None else test_data
@@ -151,9 +157,10 @@ def _training_loop(
     started = time.perf_counter()
     for epoch in range(cfg.epochs):
         if epoch % cfg.interval == 0:
-            batch = None  # free the factors before the event's pass
+            batch = None  # free the factors before the event's passes
             plan = select(model, data, epoch, len(history.events))
             history.events.append(plan)
+            batch, plan.batch = plan.batch, None
         with epoch_guard(epoch):
             if batch is None:
                 batch = per_example_loss_and_grad(model, data, plan.subset)
@@ -175,22 +182,32 @@ def _training_loop(
 def _value_selection(
     model: ModelState, data: Dataset, cfg: SelectionConfig, epoch: int
 ) -> SelectionPlan:
-    """One forward pass; each class's top fraction by its class game
-    (`epoch_values` per class); weights from the union's own game."""
+    """Each class's top fraction by its class game; weights from the union's
+    own game.
+
+    One forward pass per non-empty class plays that class's game, and one
+    on the union plays the union's; the plan carries the union's pass as
+    the event epoch's batch.  No pass covers rows that no game reads.
+    """
     with epoch_guard(epoch):
-        batch = per_example_loss_and_grad(model, data)
-        values, _ = epoch_values(batch, data, cfg.kind, per_class=True)
-        picks = select_top_fraction_per_class(
-            {label: (idx, values[idx]) for label, idx in enumerate(data.class_index)},
-            cfg.fraction,
-        )
+        by_class = {}
+        for label, idx in enumerate(data.class_index):
+            values = np.empty(0)
+            if idx.size:
+                class_batch = per_example_loss_and_grad(model, data, idx)
+                values = gradient_set_values(class_batch, cfg.kind).values
+                del class_batch  # free the factors before the next class's pass
+            by_class[label] = (idx, values)
+        picks = select_top_fraction_per_class(by_class, cfg.fraction)
         subset = np.sort(np.concatenate(list(picks.values())))
-        subset_values = gradient_set_values(batch, cfg.kind, rows=subset)
+        batch = per_example_loss_and_grad(model, data, subset)
+        subset_values = gradient_set_values(batch, cfg.kind)
     return SelectionPlan(
         subset=subset,
         weights=minmax_weights(subset_values.values),
         epoch_created=epoch,
         per_class_indices=picks,
+        batch=batch,
     )
 
 

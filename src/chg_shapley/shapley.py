@@ -7,7 +7,10 @@ each with one weight, `mean_game_weight` and `mean_square_game_weight`;
 all three closed forms (here and `utilities.hardness_shapley`) are
 centred.  It runs in O(n*d) on a dense X, or in O(n*(C+w)) memory on a
 factored gradient matrix, either of which `chg_game` also takes; the
-enumeration and permutation-sampling routes serve as its oracles.
+enumeration and permutation-sampling routes serve as its oracles.  With
+alpha omitted, X is played against its own mean row m, as every game of
+the pipeline is: then r = m - alpha = 0 and U(N) = ||m||^2, and a
+factored X takes one column sum and one inner-product row <x_i, m>.
 """
 
 from __future__ import annotations
@@ -134,20 +137,28 @@ def closed_form_result(values: np.ndarray, grand_utility: float) -> ShapleyValue
     return ShapleyValues(values, grand_utility)
 
 
-def _validate_players_matrix(X, alpha):
-    """Checked (X, alpha); a `FactoredGrads` X is checked without building it."""
-    if not isinstance(X, FactoredGrads):
+def _validate_players_matrix(X, alpha, own_mean=False):
+    """Checked (X, alpha); with `own_mean`, alpha may be None, for X's own mean row.
+
+    A dense X is scanned for non-finite entries (ValueError).  A
+    `FactoredGrads` is not: a non-finite factor makes its column sum
+    non-finite, which every closed form forms first and which raises
+    FloatingPointError, so a scan would only repeat the forward pass's checks.
+    """
+    factored = isinstance(X, FactoredGrads)
+    if not factored:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be n x d, got shape {X.shape}")
-    alpha = np.asarray(alpha, dtype=float)
     n, d = X.shape
-    if alpha.ndim != 1 or alpha.shape[0] != d:
-        raise ValueError(f"alpha must be a length-{d} vector, got shape {alpha.shape}")
+    if not (own_mean and alpha is None):
+        alpha = np.asarray(alpha, dtype=float)
+        if alpha.ndim != 1 or alpha.shape[0] != d:
+            raise ValueError(f"alpha must be a length-{d} vector, got shape {alpha.shape}")
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got shape {X.shape}")
-    finite = X.all_finite() if isinstance(X, FactoredGrads) else np.all(np.isfinite(X))
-    if not (finite and np.all(np.isfinite(alpha))):
+    finite = factored or np.all(np.isfinite(X))
+    if not (finite and (alpha is None or np.all(np.isfinite(alpha)))):
         raise ValueError("non-finite entries in X or alpha")
     return X, alpha
 
@@ -181,20 +192,28 @@ class ClosedFormStatistics:
         return self.d.size
 
 
-def closed_form_statistics(X, alpha) -> ClosedFormStatistics:
+def closed_form_statistics(X, alpha=None) -> ClosedFormStatistics:
     """Centred statistics of a dense X, or of a `FactoredGrads` without densifying it.
 
     A dense X is centred in blocks of `_CENTRED_BLOCK` entries before it is
-    squared; a factored X forms d_i = ||x_i||^2 - 2<x_i, m> + ||m||^2.
+    squared; a factored X forms d_i = ||x_i||^2 - 2<x_i, m> + ||m||^2.  An
+    omitted alpha is X's own mean row m, so r = 0: a factored X then takes
+    the one inner-product row <x_i, m>, and e is 0.
     """
-    X, alpha = _validate_players_matrix(X, alpha)
+    X, alpha = _validate_players_matrix(X, alpha, own_mean=True)
     (n, width), factored = X.shape, isinstance(X, FactoredGrads)
+    own = alpha is None
     with np.errstate(over="ignore", invalid="ignore"):
         m = (X.column_sum() if factored else X.sum(axis=0)) / n
+        if own:
+            alpha = m
         r = m - alpha
         if factored:
             m_sq = float(m @ m)
-            x_m, x_r = X.inner(np.stack([m, r]))
+            if own:
+                x_m, x_r = X.inner(m[None])[0], np.zeros(n)
+            else:
+                x_m, x_r = X.inner(np.stack([m, r]))
             e = x_r - float(m @ r)
             d = X.row_sq_norms() - 2.0 * x_m + m_sq
             y_alpha = x_m - m_sq - e
@@ -209,7 +228,7 @@ def closed_form_statistics(X, alpha) -> ClosedFormStatistics:
         return ClosedFormStatistics(d, e, y_alpha, float(m @ alpha), grand)
 
 
-def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
+def chg_closed_form_shapley(X, alpha=None) -> ShapleyValues:
     """O(n*d) Shapley values of the quadratic mean-distance utility.
 
     On every non-empty S, U(S) = U(N) - 2<mean_S (x - m), r> - ||mean_S (x - m)||^2:
@@ -218,9 +237,10 @@ def chg_closed_form_shapley(X, alpha) -> ShapleyValues:
         value_k = U(N)/n + kappa_n (mean_j d_j - d_k) - 2 own_n e_k
 
     with the `ClosedFormStatistics`, kappa_n = `mean_square_game_weight(n)`
-    and own_n = `mean_game_weight(n)`.  X is a dense n x d array or a
-    `FactoredGrads`.  Raises FloatingPointError when finite inputs
-    overflow to non-finite statistics or values.
+    and own_n = `mean_game_weight(n)`.  With alpha omitted it is X's own
+    mean row m: then r = 0, e_k = 0 and U(N) = ||m||^2.  X is a dense
+    n x d array or a `FactoredGrads`.  Raises FloatingPointError when
+    finite inputs overflow to non-finite statistics or values.
     """
     s = closed_form_statistics(X, alpha)
     kappa, own = mean_square_game_weight(s.n), mean_game_weight(s.n)
@@ -237,6 +257,8 @@ def shapley_linear_term(X, alpha) -> ShapleyValues:
     dense n x d array or a `FactoredGrads`.  Raises FloatingPointError when
     finite inputs overflow to non-finite values.
     """
+    if alpha is None:
+        raise ValueError("alpha must be a vector; the linear term has no default")
     s = closed_form_statistics(X, alpha)
     own = mean_game_weight(s.n)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -9,9 +9,12 @@ against their full-set mean; `_vectors` is the one place a kind picks
 them.  The hardness kind scores a subset by its mean loss; its values
 take the centred form of the other closed forms, lbar/n + own_n (l_k -
 lbar), with the one weight `shapley.mean_game_weight(n)`.  A game is
-named by its rows and kind: `utility_game(gs, kind)` plays it, and
-`gradient_set_values(gs, kind)`, through which valuation and selection
-value every game, gives its values in closed form.  A dense gradient
+named by its rows and kind: `utility_game(gs, kind)` plays it against
+the explicit mean `X.column_sum() / n`, and `gradient_set_values(gs,
+kind)`, through which valuation and selection value every game, gives its
+values by the closed form's own-mean route,
+`shapley.chg_closed_form_shapley(X, None)`, which forms no term in
+r = m - alpha = 0 and does not scan the factors again.  A dense gradient
 matrix is valued directly by `shapley.chg_closed_form_shapley(X, alpha)`.
 """
 
@@ -45,19 +48,13 @@ def _vectors(gs: GradientSet, kind: str) -> FactoredGrads:
     return gs.weighted_vectors() if kind == "chg" else gs.vectors
 
 
-def _game_inputs(gs: GradientSet, kind: str) -> tuple[FactoredGrads, np.ndarray]:
-    """(X, alpha) of a quadratic kind's game: its vectors and their full-set
-    mean; FloatingPointError if finite rows overflow that mean."""
-    X = _vectors(gs, kind)
-    return X, X.column_sum() / gs.n
-
-
 def utility_game(gs: GradientSet, kind: str) -> GameSpec:
     """The game `gradient_set_values` values: the mean loss for hardness,
     `chg_game` on the kind's vectors against their own mean otherwise."""
     if kind == "hardness":
         return GameSpec(n=gs.n, utility=lambda idx: float(gs.losses[idx].mean()))
-    return chg_game(*_game_inputs(gs, kind))
+    X = _vectors(gs, kind)
+    return chg_game(X, X.column_sum() / gs.n)
 
 
 def subset_utility(gs: GradientSet, kind: str, subset) -> float:
@@ -72,14 +69,15 @@ def gradient_set_values(gs: GradientSet, kind: str, rows=None) -> ShapleyValues:
     with None) under one utility kind.
 
     Hardness values the rows' losses alone; the quadratic kinds value
-    `gs.restrict(rows)` in closed form.
+    `gs.restrict(rows)` in closed form, against the rows' own mean.
+    Raises FloatingPointError when finite rows overflow their mean or values.
     """
     if kind == "hardness":
         losses = gs.losses if rows is None else gs.losses[_row_indices(rows, gs.n)]
         return hardness_shapley(losses)
     if rows is not None:
         gs = gs.restrict(rows)
-    return chg_closed_form_shapley(*_game_inputs(gs, kind))
+    return chg_closed_form_shapley(_vectors(gs, kind), None)  # None: the rows' own mean
 
 
 def hardness_shapley(losses) -> ShapleyValues:

@@ -156,6 +156,32 @@ class TestValueCommand:
         assert code == EXIT_NUMERIC
         assert "diverged at epoch 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["value"], ["value", "--per-class"], ["select"]])
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("chg", "gradient sum overflowed"), ("gradient", "closed-form values overflowed")],
+    )
+    def test_closed_form_overflow_exits_two_and_names_epoch(
+        self, tmp_path, capsys, command, kind, message
+    ):
+        # The pass is finite; a game's unscanned factors overflow its mean
+        # (loss-weighted, chg) or its values (gradient).
+        rng = np.random.default_rng(0)
+        rows = [
+            f"{a:.17g},{b:.17g},{i % 3}"
+            for i, (a, b) in enumerate(1e155 * rng.uniform(-1.0, 1.0, size=(60, 2)))
+        ]
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # overflow is reported, not warned
+            code = cli_main(
+                [*command, "--data", str(csv_path), "--scheme", kind, "--epochs", "3",
+                 "--out-dir", str(tmp_path)]
+            )
+        assert code == EXIT_NUMERIC
+        assert f"diverged at epoch 0: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["value", "select"])
     def test_hardness_overflow_exits_two_and_names_epoch(self, tmp_path, capsys, command):
         rng = np.random.default_rng(1)

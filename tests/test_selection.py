@@ -211,10 +211,8 @@ class TestSelectionTraining:
         assert history.metrics[-1].test_accuracy == models.accuracy(model, test)
 
     @pytest.mark.parametrize("kind", ["chg", "gradient"])
-    def test_factors_scanned_once_per_event(self, monkeypatch, kind):
-        # One scan per closed form, the class games' and the union's game's
-        # checks of their inputs.  The forward pass's set and the restricted
-        # sets are not scanned.
+    def test_factors_never_scanned(self, monkeypatch, kind):
+        # Each pass checks its logits and losses; no game scans its factors again.
         scans = []
         all_finite = FactoredGrads.all_finite
 
@@ -227,7 +225,7 @@ class TestSelectionTraining:
         cfg = SelectionConfig(fraction=0.1, interval=2, epochs=4, seed=9, kind=kind)
         _, history = run_selection_training(data, cfg)
         assert len(history.events) == 2
-        assert len(scans) <= (data.n_classes + 1) * len(history.events)
+        assert scans == []
 
 
 class TestRandomBaselines:
@@ -439,6 +437,55 @@ class TestParentBitIdentity:
         got, want = train_both(
             monkeypatch, random_baseline_training, train, cfg, test, empty_class, adaptive=adaptive
         )
+        assert_same_training(got, want, tmp_path)
+
+
+class TestParentBitIdentityTenClasses:
+    """10 declared classes, class 4 empty: the forward pass takes its
+    8-classes-and-up branch in each class's own pass."""
+
+    @staticmethod
+    def task(features=12) -> tuple[Dataset, Dataset]:
+        def spread(d):
+            return Dataset(d.features, np.where(d.labels < 4, d.labels, d.labels + 1), n_classes=10)
+
+        train = make_synthetic_dataset(400, features, 9, 2.0, seed=44)
+        return spread(train), spread(make_synthetic_dataset(100, features, 9, 2.0, seed=45))
+
+    @pytest.mark.parametrize("kind", ["chg", "gradient", "hardness"])
+    def test_value_selection(self, monkeypatch, tmp_path, kind):
+        train, test = self.task()
+        assert [idx.size == 0 for idx in train.class_index].count(True) == 1
+        cfg = SelectionConfig(fraction=0.1, interval=2, epochs=6, seed=44, kind=kind)
+        got, want = train_both(monkeypatch, run_selection_training, train, cfg, test, True)
+        assert len(got[1].events) == 3
+        assert_same_training(got, want, tmp_path)
+
+    @pytest.mark.parametrize("kind", ["chg", "gradient"])
+    def test_wide_value_selection_close(self, monkeypatch, kind):
+        # At 32+ features a class's or the union's own pass can round a row
+        # differently from the full-data pass: the picks hold, and a weight
+        # may move in its last bits.
+        train, test = self.task(features=64)
+        cfg = SelectionConfig(fraction=0.1, interval=2, epochs=6, seed=44, kind=kind)
+        (_, got), (_, want) = train_both(
+            monkeypatch, run_selection_training, train, cfg, test, True
+        )
+        for g, w in zip(got.events, want.events, strict=True):
+            assert g.subset.tobytes() == w.subset.tobytes()
+            assert np.max(np.abs(g.weights - w.weights)) <= 1e-12
+        assert [m.test_accuracy for m in got.metrics] == [m.test_accuracy for m in want.metrics]
+
+    @pytest.mark.xfail(
+        reason="at 32+ features OpenBLAS can round a row of a short product "
+        "differently from the same row of a long one",
+        strict=False,
+    )
+    @pytest.mark.parametrize("kind", ["chg", "gradient"])
+    def test_wide_value_selection(self, monkeypatch, tmp_path, kind):
+        train, test = self.task(features=64)
+        cfg = SelectionConfig(fraction=0.1, interval=2, epochs=6, seed=44, kind=kind)
+        got, want = train_both(monkeypatch, run_selection_training, train, cfg, test, True)
         assert_same_training(got, want, tmp_path)
 
 

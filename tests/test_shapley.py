@@ -313,6 +313,13 @@ class TestMeanGameWeights:
 # ---------------------------------------------------------------------------
 
 class TestLinearTerm:
+    def test_alpha_required(self):
+        # Only the quadratic closed form defaults alpha to X's own mean.
+        X = np.ones((3, 2))
+        for entry in (shapley_linear_term, chg_game):
+            with pytest.raises(ValueError, match="alpha"):
+                entry(X, None)
+
     def test_zero_alpha_gives_zeros(self):
         rng = np.random.default_rng(0)
         values = shapley_linear_term(rng.standard_normal((5, 2)), np.zeros(2)).values

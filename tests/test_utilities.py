@@ -15,7 +15,6 @@ from chg_shapley.models import FactoredGrads
 from chg_shapley.shapley import chg_closed_form_shapley, chg_game, exact_shapley
 from chg_shapley.utilities import (
     GradientSet,
-    _game_inputs,
     _vectors,
     gradient_set_values,
     hardness_shapley,
@@ -37,6 +36,11 @@ def dense_set(X, losses) -> GradientSet:
 
 def random_gradient_set(rng, n=5, d=3) -> GradientSet:
     return dense_set(rng.standard_normal((n, d)), rng.uniform(0.0, 2.0, n))
+
+
+def own_mean(gs, kind) -> np.ndarray:
+    """The mean row a quadratic kind's game is played against."""
+    return _vectors(gs, kind).column_sum() / gs.n
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +125,7 @@ class TestFactoredGradientSet:
             got, want = gradient_set_values(a, kind).values, gradient_set_values(b, kind).values
             assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
             assert np.array_equal(np.argsort(got), np.argsort(want))
-            assert _game_inputs(a, kind)[1] == pytest.approx(_game_inputs(b, kind)[1], rel=1e-12)
+            assert own_mean(a, kind) == pytest.approx(own_mean(b, kind), rel=1e-12)
 
     def test_subset_utility_matches_dense(self):
         rng = np.random.default_rng(22)
@@ -146,24 +150,24 @@ class TestFactoredGradientSet:
 class TestReferenceVector:
     def test_chg_mean_of_weighted(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([1.0, 1.0]))
-        assert _game_inputs(gs, "chg")[1] == pytest.approx([0.5, 0.5])
+        assert own_mean(gs, "chg") == pytest.approx([0.5, 0.5])
 
     def test_zero_losses_zero_reference(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.zeros(2))
-        assert _game_inputs(gs, "chg")[1] == pytest.approx([0.0, 0.0])
+        assert own_mean(gs, "chg") == pytest.approx([0.0, 0.0])
 
     def test_gradient_kind_ignores_losses(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([7.0, 0.01]))
-        assert _game_inputs(gs, "gradient")[1] == pytest.approx([0.5, 0.5])
+        assert own_mean(gs, "gradient") == pytest.approx([0.5, 0.5])
 
     def test_hardness_has_no_reference(self):
         gs = dense_set(np.ones((3, 2)), np.ones(3))
         with pytest.raises(ValueError, match="not quadratic"):
-            _game_inputs(gs, "hardness")
+            _vectors(gs, "hardness")
 
     def test_unknown_kind(self):
         gs = dense_set(np.ones((2, 2)), np.ones(2))
-        for entry in (_game_inputs, utility_game, gradient_set_values):
+        for entry in (_vectors, utility_game, gradient_set_values):
             with pytest.raises(ValueError, match="unknown utility kind"):
                 entry(gs, "cosine")
 
@@ -184,7 +188,7 @@ class TestSubsetUtility:
         # use rows placed symmetrically around a nonzero alpha instead.
         vectors = np.array([[2.0, 0.0], [0.0, 2.0]])
         gs = dense_set(vectors, np.ones(2))
-        alpha = _game_inputs(gs, "chg")[1]  # [1, 1]
+        alpha = own_mean(gs, "chg")  # [1, 1]
         value = subset_utility(gs, "chg", [0, 1])
         assert value == pytest.approx(float(alpha @ alpha), abs=1e-12)
 
@@ -220,7 +224,7 @@ class TestSubsetUtility:
         rng = np.random.default_rng(1)
         gs = random_gradient_set(rng, n=6, d=4)
         for kind in ("chg", "gradient"):
-            alpha = _game_inputs(gs, kind)[1]
+            alpha = own_mean(gs, kind)
             ceiling = float(alpha @ alpha)
             for _ in range(30):
                 size = int(rng.integers(1, 7))
@@ -235,13 +239,13 @@ class TestSubsetUtility:
 class TestClosedFormInputs:
     def test_chg_inputs_example(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([2.0, 0.0]))
-        X, alpha = _game_inputs(gs, "chg")
+        X, alpha = _vectors(gs, "chg"), own_mean(gs, "chg")
         assert np.array_equal(X.dense(), [[2.0, 0.0], [0.0, 0.0]])
         assert alpha == pytest.approx([1.0, 0.0])
 
     def test_gradient_inputs_example(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([2.0, 0.0]))
-        X, alpha = _game_inputs(gs, "gradient")
+        X, alpha = _vectors(gs, "gradient"), own_mean(gs, "gradient")
         assert np.array_equal(X.dense(), gs.vectors.dense())
         assert alpha == pytest.approx([0.5, 0.5])
 
@@ -249,7 +253,7 @@ class TestClosedFormInputs:
     def test_round_trip_matches_enumeration(self, kind):
         rng = np.random.default_rng(42)
         gs = random_gradient_set(rng, n=5, d=3)
-        closed = chg_closed_form_shapley(*_game_inputs(gs, kind)).values
+        closed = chg_closed_form_shapley(_vectors(gs, kind)).values
         exact = exact_shapley(utility_game(gs, kind)).values
         assert closed == pytest.approx(exact, abs=1e-9)
 
@@ -279,6 +283,88 @@ class TestClosedFormInputs:
                 idx = np.array(combo, dtype=np.intp)
                 assert got.utility(idx) == pytest.approx(want.utility(idx), abs=1e-12)
                 assert subset_utility(gs, kind, combo) == got.utility(idx)
+
+
+# ---------------------------------------------------------------------------
+# The own-mean route against the closed form at an explicit mean
+# ---------------------------------------------------------------------------
+
+def pass_like_set(rng, n, classes, width, offset=0.0) -> tuple[GradientSet, np.ndarray]:
+    """A set shaped like a forward pass's (delta = softmax - onehot, losses >= 0),
+    with phi moved by a common `offset`, and its labels."""
+    labels = rng.integers(0, classes, n)
+    logits = 2.0 * rng.standard_normal((n, classes))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    losses = -np.log(probs[np.arange(n), labels])
+    probs[np.arange(n), labels] -= 1.0
+    phi = offset + rng.standard_normal((n, width))
+    return GradientSet(FactoredGrads(probs, phi), losses), labels
+
+
+# At 32+ columns of phi OpenBLAS can round a row of the n x C product that
+# gives <x_i, m> differently from the same row of the n x 2C product that
+# gives <x_i, m> and <x_i, r> together.
+WIDE_HEAD = pytest.mark.xfail(
+    reason="at 32+ columns of phi the n x C and n x 2C products can round a row apart",
+    strict=False,
+)
+
+
+class TestOwnMeanRoute:
+    """`gradient_set_values` plays each game against its own mean with one
+    inner-product row <x_i, m>; the closed form with that mean passed as
+    alpha also forms <x_i, r> for r = m - alpha = 0.  Below 32 columns of
+    phi both give the same bits."""
+
+    @staticmethod
+    def both(gs, kind, rows):
+        got = gradient_set_values(gs, kind, rows)
+        X = _vectors(gs if rows is None else gs.restrict(rows), kind)
+        return got, chg_closed_form_shapley(X, X.column_sum() / X.shape[0])
+
+    @classmethod
+    def assert_same_bits(cls, gs, kind, rows):
+        got, want = cls.both(gs, kind, rows)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.grand_utility == want.grand_utility
+
+    @pytest.mark.parametrize("width", [1, 20, pytest.param(64, marks=WIDE_HEAD)])
+    @pytest.mark.parametrize("classes", [2, 3, 7, 8, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 5000])
+    def test_bit_identical_to_explicit_mean(self, n, classes, width):
+        rng = np.random.default_rng([n, classes, width])
+        gs, labels = pass_like_set(rng, n, classes, width)
+        for kind in ("chg", "gradient"):
+            self.assert_same_bits(gs, kind, None)
+            for label in np.unique(labels):
+                self.assert_same_bits(gs, kind, np.flatnonzero(labels == label))
+
+    @pytest.mark.parametrize("width", [32, 64, 512])
+    @pytest.mark.parametrize("n", [2, 17, 1000])
+    def test_wide_heads_agree_to_rounding(self, n, width):
+        rng = np.random.default_rng([n, 10, width])
+        gs, labels = pass_like_set(rng, n, 10, width)
+        for kind in ("chg", "gradient"):
+            for rows in [None] + [np.flatnonzero(labels == c) for c in np.unique(labels)]:
+                got, want = self.both(gs, kind, rows)
+                scale = np.abs(want.values).max()
+                assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+                assert got.grand_utility == pytest.approx(want.grand_utility, rel=1e-14)
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (17, 5), (5000, 64)])
+    def test_dense_bit_identical_to_explicit_mean(self, n, d):
+        X = np.random.default_rng([n, d]).standard_normal((n, d)) + 3.0
+        got, want = chg_closed_form_shapley(X), chg_closed_form_shapley(X, X.sum(axis=0) / n)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.grand_utility == want.grand_utility
+
+    @pytest.mark.parametrize("offset", [1e3, 1e7])
+    def test_bit_identical_under_a_large_offset(self, offset):
+        gs, labels = pass_like_set(np.random.default_rng(7), 2000, 10, 20, offset)
+        for kind in ("chg", "gradient"):
+            self.assert_same_bits(gs, kind, None)
+            self.assert_same_bits(gs, kind, np.flatnonzero(labels == 3))
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,24 @@ class TestFactoredRoute:
             tracemalloc.stop()
         assert valuation_peak < dense_bytes / 3
 
+    @pytest.mark.parametrize("kind", ["chg", "gradient"])
+    def test_tall_game_peak_memory(self, kind):
+        n, p, c = 200_000, 20, 10
+        rng = np.random.default_rng(32)
+        data = Dataset(rng.standard_normal((n, p)), rng.integers(0, c, n), n_classes=c)
+        batch = models.per_example_loss_and_grad(models.init_model((p, c), seed=32), data)
+        tracemalloc.start()
+        try:
+            utilities.gradient_set_values(batch, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = batch.vectors.delta.nbytes + batch.losses.nbytes  # 17.6 MB
+        # One n x C head at a time: 1.91x for chg, which also holds the
+        # loss-weighted delta, and 1.0x for gradient.  Forming <x_i, r> for
+        # r = 0 beside <x_i, m> took 2.91x and 2.0x.
+        assert peak <= 2.0 * held, peak / held
+
     def test_feature_map_applied_once_per_run(self, monkeypatch):
         rows_mapped = []
         apply = FrozenFeatureMap.apply
@@ -194,67 +212,69 @@ class TestFactoredRoute:
 
     @pytest.mark.parametrize("kind", ["chg", "gradient"])
     @pytest.mark.parametrize("per_class", [False, True])
-    def test_factors_scanned_once_per_game(self, kind, per_class, monkeypatch):
-        # The forward pass returns its set unscanned: the only scan of an
-        # epoch's factors is each game's closed form checking its input.
-        scans = []
-        all_finite = FactoredGrads.all_finite
+    def test_library_games_never_scan_their_factors(self, kind, per_class, monkeypatch):
+        # The forward pass checks its logits and losses, so neither it nor
+        # any game scans the factors again; every closed form still runs.
+        scans, games = [], []
         closed_form = utilities.chg_closed_form_shapley
-        inside = []
 
-        def counting(grads):
-            scans.append(bool(inside))
-            return all_finite(grads)
+        def traced(X, alpha):  # two positional arguments, as perfbench/selftest.py wraps it
+            games.append(X.shape[0])
+            return closed_form(X, alpha)
 
-        def traced(X, alpha):
-            inside.append(True)
-            try:
-                return closed_form(X, alpha)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(FactoredGrads, "all_finite", counting)
+        monkeypatch.setattr(FactoredGrads, "all_finite", lambda grads: scans.append(1))
         monkeypatch.setattr(utilities, "chg_closed_form_shapley", traced)
         # Class 3 is declared but empty: it plays no game.
         source = make_synthetic_dataset(60, 4, 3, 2.0, seed=25)
         data = Dataset(source.features, source.labels, n_classes=4)
         epochs = 3
         run_valuation(data, ValuationConfig(kind=kind, epochs=epochs, per_class=per_class))
-        games = 3 if per_class else 1
-        assert scans == [True] * (games * epochs)
+        assert len(games) == (3 if per_class else 1) * epochs
+        games.clear()
+        cfg = SelectionConfig(fraction=0.2, interval=2, epochs=epochs, kind=kind)
+        with pytest.warns(UserWarning, match="class 3 is empty"):
+            _, history = run_selection_training(data, cfg)
+        assert len(games) == (3 + 1) * len(history.events) == 8
+        assert scans == []
 
     @pytest.mark.parametrize("kind", ["chg", "gradient", "hardness"])
     def test_one_forward_pass_per_training_step(self, kind, monkeypatch):
-        calls = []
+        passes = []  # the rows each pass sees; None for every row
         probs_and_losses = models._probs_and_losses
 
-        def counting(*args):
-            calls.append(1)
-            return probs_and_losses(*args)
+        def recording(model, phi, labels, indices):
+            passes.append(None if indices is None else indices.tolist())
+            return probs_and_losses(model, phi, labels, indices)
 
-        monkeypatch.setattr(models, "_probs_and_losses", counting)
+        monkeypatch.setattr(models, "_probs_and_losses", recording)
         data = make_synthetic_dataset(60, 4, 3, 2.0, seed=25)
         for per_class in (False, True):
-            calls.clear()
+            passes.clear()
             run_valuation(data, ValuationConfig(kind=kind, epochs=3, per_class=per_class))
-            assert len(calls) == 3, per_class
+            assert passes == [None] * 3, per_class
+        classes = [idx.tolist() for idx in data.class_index]
         cfg = SelectionConfig(fraction=0.2, interval=2, epochs=3, kind=kind)
-        calls.clear()
+        passes.clear()
         _, history = run_selection_training(data, cfg)
-        # Each event values the data and then steps on its new subset; every
-        # step's pass after it gives the train loss and the next step's batch.
-        assert len(calls) == 2 * len(history.events) + 3 == 7
+        # An event makes one pass per class and one on the chosen subset, on
+        # which its epoch steps; every step's pass after it gives the train
+        # loss and the next step's batch.
+        first, second = (event.subset.tolist() for event in history.events)
+        assert passes == classes + [first] * 3 + classes + [second] * 2
+        assert len(passes) == 11
         for adaptive in (False, True):
-            calls.clear()
+            passes.clear()
             _, history = random_baseline_training(data, cfg, adaptive=adaptive)
-            assert len(calls) == len(history.events) + 3 == 5, adaptive
-        calls.clear()
+            first, second = (event.subset.tolist() for event in history.events)
+            # Each event drops the batch and steps on a new pass over its subset.
+            assert passes == [first] * 3 + [second] * 2, adaptive
+        passes.clear()
         test = make_synthetic_dataset(30, 4, 3, 2.0, seed=26)
         values = np.arange(data.n, dtype=float)
         removal = RemovalConfig(fractions=(0.0, 0.2, 0.5), epochs=2)
         point_removal_curve(values, data, test, removal)
         # The keep-everything arm is shared by the three orders: 1 + 3 * 2 arms.
-        assert len(calls) == 7 * 2
+        assert len(passes) == 7 * 2
 
     def test_overflow_names_the_epoch(self):
         data = Dataset(
