@@ -14,6 +14,7 @@ unscanned, as are the rows `restrict` takes; the public constructor scans.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from contextlib import contextmanager
@@ -96,7 +97,11 @@ class FrozenFeatureMap:
     offset: np.ndarray  # width
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        return np.tanh(features @ self.projection + self.offset)
+        """tanh(features @ projection + offset), in the product's own buffer:
+        the same bits as the expression, one n x width array instead of two."""
+        out = features @ self.projection
+        out += self.offset
+        return np.tanh(out, out=out)
 
     @property
     def width(self) -> int:
@@ -310,16 +315,20 @@ def head_dataset(model: ModelState, data: Dataset) -> Dataset:
     The map never trains, so a training loop maps its data once with this
     and steps a head whose `feature_map` is None.  Raises
     `NonFiniteBatchError` naming the first row the map overflows on.
+
+    Every tanh output lies in [-1, 1] or is NaN, so the sum of phi is
+    finite exactly when every entry is: one pass that allocates nothing.
+    The labels are unchanged, so the mapped copy is not scanned again.
     """
     if model.feature_map is None:
         return data
     with np.errstate(over="ignore", invalid="ignore"):
         phi = model.feature_map.apply(data.features)
-    finite = np.all(np.isfinite(phi), axis=1)
-    if not np.all(finite):
-        bad = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteBatchError(f"non-finite feature map output at example {bad}", index=bad)
-    return Dataset(phi, data.labels, data.n_classes)
+    if not math.isfinite(float(phi.sum())):
+        _check_finite_rows(phi, "feature map output", None)
+    mapped = copy.copy(data)
+    mapped.features = phi
+    return mapped
 
 
 def _head_inputs(model: ModelState, data: Dataset, idx) -> tuple[np.ndarray, np.ndarray]:

@@ -110,16 +110,42 @@ def select_top_fraction_per_class(
         indices, values = values_by_class[label]
         indices = np.asarray(indices, dtype=np.intp)
         values = np.asarray(values, dtype=float)
+        if values.shape != indices.shape or indices.ndim != 1:
+            raise ValueError(
+                f"class {label}: need one value per index, got shapes "
+                f"{indices.shape} and {values.shape}"
+            )
         if indices.size == 0:
             warnings.warn(f"class {label} is empty; skipped", stacklevel=2)
             picks[label] = indices
             continue
-        count = per_class_count(fraction, indices.size)
-        order = np.lexsort((indices, -values))
-        picks[label] = np.sort(indices[order[:count]])
+        picks[label] = _top_count(indices, values, per_class_count(fraction, indices.size))
     if not any(idx.size for idx in picks.values()):
         raise ValueError("no non-empty classes to select from")
     return picks
+
+
+def _top_count(indices: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """The sorted `indices` of the `count` highest `values`, ties by ascending
+    index: the first `count` of np.lexsort((indices, -values)), in O(n).
+
+    Every key ranked above the count-th is taken, and the rest are the
+    lowest indices among the keys equal to it.  NaN ranks last, as in the
+    sort, and -0.0 ties with 0.0.
+    """
+    keys = -values
+    cut = np.partition(keys, count - 1)[count - 1]
+    if np.isnan(cut):  # fewer than `count` numbers: all of them, then NaNs
+        above = ~np.isnan(keys)
+        tied = ~above
+    else:
+        above = keys < cut
+        tied = keys == cut
+    tied_indices = indices[tied]
+    need = count - int(np.count_nonzero(above))
+    if need < tied_indices.size:
+        tied_indices = np.partition(tied_indices, need - 1)[:need]
+    return np.sort(np.concatenate([indices[above], tied_indices]))
 
 
 def minmax_weights(values) -> np.ndarray:

@@ -57,6 +57,11 @@ class ValuationConfig:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
         _check_kind(self.kind)
         check_learning_rate(self.lr)
+        width = self.hidden_width
+        if width is not None and (
+            isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
+        ):
+            raise ValueError(f"hidden_width must be None or an int >= 1, got {width!r}")
 
 
 @dataclass

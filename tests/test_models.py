@@ -163,6 +163,28 @@ class TestInitModel:
             head_dataset(model, data)
         assert err.value.index == 1
 
+    @pytest.mark.parametrize("width", [1, 31, 32, 64, 512])
+    def test_apply_in_place_matches_the_expression(self, width):
+        rng = np.random.default_rng(width)
+        feature_map = make_feature_map(6, width, seed=width)
+        for n in (1, 7, 3000):
+            features = 3.0 * rng.standard_normal((n, 6))
+            for x in (features, np.asfortranarray(features)):
+                want = np.tanh(x @ feature_map.projection + feature_map.offset)
+                got = feature_map.apply(x)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad_rows", [[0, 1], [49], [3, 17, 40]])
+    def test_head_dataset_names_the_first_nan_row(self, bad_rows):
+        rng = np.random.default_rng(len(bad_rows))
+        data = small_dataset(rng, n=50, p=4)
+        data.features[bad_rows, 1] = 1.7e308  # the product overflows to +-inf, then NaN
+        feature_map = FrozenFeatureMap(projection=np.full((4, 5), 2.0), offset=np.full(5, -np.inf))
+        model = ModelState(np.zeros((3, 5)), np.zeros(3), feature_map=feature_map)
+        with pytest.raises(NonFiniteBatchError, match=f"example {bad_rows[0]}$") as err:
+            head_dataset(model, data)
+        assert err.value.index == bad_rows[0]
+
     def test_feature_map_determinism(self):
         a = make_feature_map(4, 8, seed=9)
         b = make_feature_map(4, 8, seed=9)

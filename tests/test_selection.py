@@ -94,6 +94,10 @@ class TestSelectTopFraction:
             with pytest.raises(ValueError, match="no non-empty classes"):
                 select_top_fraction_per_class({0: empty, 1: empty}, fraction=0.5)
 
+    def test_values_must_align_with_indices(self):
+        with pytest.raises(ValueError, match="one value per index"):
+            select_top_fraction_per_class({0: (np.arange(3), np.zeros(5))}, fraction=0.5)
+
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             select_top_fraction_per_class({0: (np.arange(2), np.zeros(2))}, fraction=0.0)
@@ -116,6 +120,27 @@ class TestSelectTopFraction:
         assert np.array_equal(
             minmax_weights(values[kept]), minmax_weights(4.0 * values[kept])
         )
+
+    def test_picks_match_a_full_sort(self):
+        """The O(n) pick against the first ceil(a*N_c) of a lexsort by
+        (-value, index), over random classes heavy in ties, signed zeros,
+        NaNs and unsorted indices, at fractions up to 1."""
+        rng = np.random.default_rng(47)
+        for case in range(3000):
+            size = int(rng.integers(1, 60))
+            indices = rng.permutation(4 * size)[:size]
+            if case % 3 == 0:
+                values = rng.integers(-2, 3, size).astype(float)  # many ties
+                values[rng.random(size) < 0.3] = -0.0
+            else:
+                values = rng.standard_normal(size)
+            if case % 7 == 0:
+                values[rng.random(size) < 0.4] = np.nan
+            fraction = 1.0 if case % 11 == 0 else float(rng.uniform(0.01, 1.0))
+            count = per_class_count(fraction, size)
+            want = np.sort(indices[np.lexsort((indices, -values))[:count]])
+            got = select_top_fraction_per_class({0: (indices, values)}, fraction)[0]
+            assert np.array_equal(got, want), (case, indices, values, fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,21 @@ class TestFactoredRoute:
             tracemalloc.stop()
         assert valuation_peak < dense_bytes / 3
 
+    def test_wide_run_holds_one_mapped_matrix(self):
+        n, classes, width = 4000, 10, 512
+        data = make_synthetic_dataset(n, classes, classes, 3.0, seed=21)
+        phi_bytes = 8 * n * width  # 16.4 MB
+        config = ValuationConfig(epochs=2, seed=21, hidden_width=width)
+        tracemalloc.start()
+        try:
+            run_valuation(data, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 1.08x: phi, then n x C factors.  Mapping out of place and scanning
+        # phi with isfinite and a rebuilt Dataset took 2.0x.
+        assert peak <= 1.2 * phi_bytes, peak / phi_bytes
+
     @pytest.mark.parametrize("kind", ["chg", "gradient"])
     def test_tall_game_peak_memory(self, kind):
         n, p, c = 200_000, 20, 10
@@ -428,3 +443,14 @@ def test_config_validation():
         ValuationConfig(epochs=0)
     with pytest.raises(ValueError, match="unknown utility kind 'chgg'"):
         ValuationConfig(kind="chgg")
+
+
+@pytest.mark.parametrize("width", [True, 2.0, 0, -3])
+def test_config_refuses_a_hidden_width_it_cannot_run(width):
+    with pytest.raises(ValueError, match="hidden_width"):
+        ValuationConfig(hidden_width=width)
+
+
+def test_config_takes_a_positive_integer_width():
+    assert ValuationConfig(hidden_width=np.int64(3)).hidden_width == 3
+    assert ValuationConfig(hidden_width=None).hidden_width is None
