@@ -199,8 +199,8 @@ def _cmd_value(args) -> int:
         run.n,
         seconds,
         extra={
-            "n_features": run.n_features,
-            "n_classes": run.n_classes,
+            "n_features": data.n_features,
+            "n_classes": data.n_classes,
             "per_epoch_utility": [float(u) for u in run.per_epoch_utilities],
             "audit_max_violation": audit.max_violation,
         },
@@ -247,7 +247,7 @@ def _cmd_select(args) -> int:
     return EXIT_OK
 
 
-def oracle_report(n: int, d: int, trials: int, seed: int, mc_samples: int = 2000) -> dict:
+def oracle_report(n: int, d: int, trials: int, seed: int, mc_samples: int) -> dict:
     """Compare the closed form against enumeration and permutation sampling."""
     if n < 1 or d < 1 or trials < 1:
         raise ValueError("need n, d, trials >= 1")

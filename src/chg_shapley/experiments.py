@@ -31,10 +31,8 @@ REMOVAL_ORDERS = ("lowest_first", "highest_first", "random")
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Ground truth of an injection: rate, seed, and the flipped-point mask."""
+    """Ground truth of an injection: which points were flipped."""
 
-    rate: float
-    seed: int
     flip_mask: np.ndarray  # bool, length n
 
 
@@ -135,14 +133,13 @@ def make_synthetic_dataset(
 
 
 def inject_label_noise(
-    labels, rate: float, seed: int, n_classes: int | None = None
+    labels, rate: float, seed: int, n_classes: int
 ) -> tuple[np.ndarray, NoiseSpec]:
     """Flip exactly round(rate * n) uniformly chosen labels to different classes."""
     labels = np.asarray(labels, dtype=np.intp)
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
     n = labels.size
-    n_classes = int(labels.max()) + 1 if n_classes is None else n_classes
     count = int(round(rate * n))
     if count > 0 and n_classes < 2:
         raise ValueError("cannot flip labels with fewer than two classes")
@@ -154,7 +151,7 @@ def inject_label_noise(
         mask[chosen] = True
         draws = rng.integers(0, n_classes - 1, size=count)
         flipped[chosen] = draws + (draws >= labels[chosen])
-    return flipped, NoiseSpec(rate=rate, seed=seed, flip_mask=mask)
+    return flipped, NoiseSpec(flip_mask=mask)
 
 
 def _check_finite(values: np.ndarray) -> None:

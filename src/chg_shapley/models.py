@@ -103,10 +103,6 @@ class FrozenFeatureMap:
         out += self.offset
         return np.tanh(out, out=out)
 
-    @property
-    def width(self) -> int:
-        return self.projection.shape[1]
-
 
 def make_feature_map(n_features: int, width: int, seed: int) -> FrozenFeatureMap:
     rng = np.random.default_rng([seed, 1])
@@ -296,11 +292,10 @@ def init_model(
     n_features, n_classes = dataset_shape
     if n_features < 1 or n_classes < 1:
         raise ValueError(f"bad dataset shape {dataset_shape}")
+    check_hidden_width(hidden_width)
     feature_map = None
     width = n_features
     if hidden_width is not None:
-        if hidden_width < 1:
-            raise ValueError(f"hidden_width must be positive, got {hidden_width}")
         feature_map = make_feature_map(n_features, hidden_width, seed)
         width = hidden_width
     rng = np.random.default_rng([seed, 0])
@@ -449,6 +444,14 @@ def accuracy(model: ModelState, data: Dataset) -> float:
     phi, labels = _head_inputs(model, data, None)
     logits = phi @ model.weights.T + model.bias
     return float(np.mean(logits.argmax(axis=1) == labels))
+
+
+def check_hidden_width(width: int | None) -> None:
+    """A frozen map's width is None (no map) or an int >= 1; a bool is refused."""
+    if width is not None and (
+        isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
+    ):
+        raise ValueError(f"hidden_width must be None or an int >= 1, got {width!r}")
 
 
 def check_learning_rate(lr: float) -> None:

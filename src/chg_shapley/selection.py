@@ -69,7 +69,7 @@ class SelectionPlan:
     subset: np.ndarray  # sorted global indices
     weights: np.ndarray
     epoch_created: int
-    per_class_indices: dict[int, np.ndarray] = field(default_factory=dict)
+    per_class_indices: dict[int, np.ndarray]
     # The event's forward pass on `subset`, if it made one: the training loop
     # takes it as the event epoch's batch and clears it, so no history holds it.
     batch: GradientSet | None = field(default=None, repr=False, compare=False)

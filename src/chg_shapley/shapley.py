@@ -25,7 +25,7 @@ import numpy as np
 
 from .models import FactoredGrads
 
-DEFAULT_EXACT_LIMIT = 20
+EXACT_LIMIT = 20  # players; 2^20 is about one million coalitions
 _CENTRED_BLOCK = 1 << 15  # dense entries centred at a time
 
 UtilityFn = Callable[[np.ndarray], float]
@@ -266,28 +266,18 @@ def shapley_linear_term(X, alpha) -> ShapleyValues:
     return closed_form_result(values, grand)
 
 
-def _popcounts(n: int) -> np.ndarray:
-    """Bit counts of every mask in [0, 2^n)."""
-    pc = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        pc = np.concatenate([pc, pc + 1])
-    return pc
-
-
-def exact_shapley(game: GameSpec, limit: int = DEFAULT_EXACT_LIMIT) -> ShapleyValues:
+def exact_shapley(game: GameSpec) -> ShapleyValues:
     """Enumerate every coalition and average the weighted marginals.
 
     Cost is O(2^n) utility calls plus O(n * 2^n) bookkeeping; refuses
-    games above `limit` players (default 20, about one million
-    coalitions).  Subsets of size s carry weight 1/(n * C(n-1, s)).
+    games above `EXACT_LIMIT` players with `GameSizeError`.  Subsets of
+    size s carry weight 1/(n * C(n-1, s)).
     """
     n = game.n
     if n < 1:
         raise ValueError(f"need at least one player, got n={n}")
-    if n > limit:
-        raise GameSizeError(
-            f"exact enumeration refused: n={n} exceeds limit={limit}"
-        )
+    if n > EXACT_LIMIT:
+        raise GameSizeError(f"exact enumeration refused: n={n} exceeds limit={EXACT_LIMIT}")
     size = 1 << n
     u = np.empty(size, dtype=float)
     u[0] = 0.0  # U(empty) = 0 by convention; the callable is never consulted
@@ -298,7 +288,7 @@ def exact_shapley(game: GameSpec, limit: int = DEFAULT_EXACT_LIMIT) -> ShapleyVa
                 mask |= 1 << i
             u[mask] = float(game.utility(np.asarray(combo, dtype=np.intp)))
     masks = np.arange(size)
-    pc = _popcounts(n)
+    pc = np.bitwise_count(masks)
     weight_by_size = np.array(
         [1.0 / (n * math.comb(n - 1, s)) for s in range(n)], dtype=float
     )
@@ -320,7 +310,7 @@ def _mc_base_permutations(n: int, blocks: int, seed: int) -> np.ndarray:
     return np.argsort(engine.random(blocks), axis=1)
 
 
-def permutation_shapley(game: GameSpec, samples: int, seed: int = 0) -> ShapleyValues:
+def permutation_shapley(game: GameSpec, samples: int, seed: int) -> ShapleyValues:
     """Monte Carlo Shapley: average marginals over random permutations.
 
     Permutations come in blocks of 2n built from one scrambled-Halton

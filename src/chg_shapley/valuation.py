@@ -23,6 +23,7 @@ from .models import (
     GradientSet,
     TrainingDivergedError,  # noqa: F401  (raised by the loop; callers catch it from here)
     _write_csv,
+    check_hidden_width,
     check_learning_rate,
     epoch_guard,
     head_dataset,
@@ -57,11 +58,7 @@ class ValuationConfig:
             raise ValueError(f"need epochs >= 1, got {self.epochs}")
         _check_kind(self.kind)
         check_learning_rate(self.lr)
-        width = self.hidden_width
-        if width is not None and (
-            isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
-        ):
-            raise ValueError(f"hidden_width must be None or an int >= 1, got {width!r}")
+        check_hidden_width(self.hidden_width)
 
 
 @dataclass
@@ -72,8 +69,6 @@ class ValuationRun:
     mean_values: np.ndarray  # n
     per_epoch_utilities: np.ndarray  # epochs, U(N) at valuation time
     config: ValuationConfig
-    n_features: int
-    n_classes: int
 
     @property
     def epochs(self) -> int:
@@ -139,8 +134,6 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
         mean_values=per_epoch.mean(axis=0),
         per_epoch_utilities=utilities,
         config=config,
-        n_features=data.n_features,
-        n_classes=data.n_classes,
     )
 
 
@@ -194,9 +187,8 @@ def write_values_csv(path, run: ValuationRun, data: Dataset, noise_mask=None) ->
     _write_csv(path, header, ",".join(formats), columns)
 
 
-def write_run_meta(path, config, n: int, seconds: float, extra: dict | None = None) -> None:
+def write_run_meta(path, config, n: int, seconds: float, extra: dict) -> None:
     """Write run_meta.json: version, the config dataclass, n, seconds, then `extra`."""
     meta = {"version": __version__, "config": asdict(config), "n": n, "seconds": seconds}
-    if extra:
-        meta.update(extra)
+    meta.update(extra)
     Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -62,13 +62,20 @@ class TestOracleCommand:
 
     def test_report_function_validates(self):
         with pytest.raises(ValueError):
-            oracle_report(0, 3, 5, seed=0)
+            oracle_report(0, 3, 5, seed=0, mc_samples=100)
 
     def test_mc_error_field_present(self, tmp_path):
         cli_main(["oracle", "--n", "6", "--d", "2", "--trials", "5", "--seed", "3",
                   "--mc-samples", "500", "--out-dir", str(tmp_path)])
         report = json.loads((tmp_path / "oracle_report.json").read_text())
         assert 0.0 < report["mc_max_abs_err"] < 0.5
+
+    def test_game_above_the_enumeration_limit_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        code = cli_main(["oracle", "--n", "21", "--d", "3", "--trials", "1",
+                         "--out-dir", str(tmp_path / "fresh" / "dir")])
+        assert code == EXIT_INPUT
+        assert "n=21 exceeds limit=20" in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestValueCommand:

@@ -105,8 +105,6 @@ def test_values_csv_matches_csv_writer(tmp_path, n, with_mask):
         mean_values=values,
         per_epoch_utilities=np.zeros(1),
         config=ValuationConfig(epochs=1),
-        n_features=2,
-        n_classes=3,
     )
     data = Dataset(np.zeros((n, 2)), np.arange(n) % 3)
     mask = np.random.default_rng(n).random(n) < 0.3 if with_mask else None

@@ -87,20 +87,20 @@ class TestSyntheticDataset:
 class TestInjectNoise:
     def test_zero_rate_changes_nothing(self):
         labels = np.array([0, 1, 1, 0])
-        flipped, noise = inject_label_noise(labels, 0.0, seed=0)
+        flipped, noise = inject_label_noise(labels, 0.0, seed=0, n_classes=2)
         assert np.array_equal(flipped, labels)
         assert noise.flip_mask.sum() == 0
 
     def test_thirty_percent_of_ten(self):
         labels = np.arange(10) % 2
-        flipped, noise = inject_label_noise(labels, 0.3, seed=1)
+        flipped, noise = inject_label_noise(labels, 0.3, seed=1, n_classes=2)
         assert noise.flip_mask.sum() == 3
         changed = np.flatnonzero(flipped != labels)
         assert np.array_equal(np.sort(changed), np.sort(np.flatnonzero(noise.flip_mask)))
 
     def test_full_rate_flips_everything(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
-        flipped, noise = inject_label_noise(labels, 1.0, seed=2)
+        flipped, noise = inject_label_noise(labels, 1.0, seed=2, n_classes=3)
         assert noise.flip_mask.all()
         assert np.all(flipped != labels)
 
@@ -112,13 +112,13 @@ class TestInjectNoise:
     def test_flips_always_change_class(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 4, 200)
-        flipped, noise = inject_label_noise(labels, 0.4, seed=4)
+        flipped, noise = inject_label_noise(labels, 0.4, seed=4, n_classes=4)
         assert np.all(flipped[noise.flip_mask] != labels[noise.flip_mask])
         assert np.all(flipped[~noise.flip_mask] == labels[~noise.flip_mask])
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            inject_label_noise(np.zeros(5, dtype=int), 0.4, seed=5)
+            inject_label_noise(np.zeros(5, dtype=int), 0.4, seed=5, n_classes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ class TestDetectionCurve:
         values = np.arange(n, dtype=float)
         mask = np.zeros(n, dtype=bool)
         mask[:flips] = True  # lowest-valued points are exactly the noisy ones
-        report = detection_curve(values, NoiseSpec(rate=0.3, seed=0, flip_mask=mask))
+        report = detection_curve(values, NoiseSpec(flip_mask=mask))
         at_rate = report.detection_rate[np.searchsorted(report.fractions, 0.3)]
         assert at_rate == pytest.approx(1.0)
         assert report.auc >= 0.84  # 1 - rate/2 for the perfect detector
@@ -142,7 +142,7 @@ class TestDetectionCurve:
         values = rng.standard_normal(n)
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, size=1200, replace=False)] = True
-        report = detection_curve(values, NoiseSpec(rate=0.3, seed=0, flip_mask=mask))
+        report = detection_curve(values, NoiseSpec(flip_mask=mask))
         assert np.max(np.abs(report.detection_rate - report.fractions)) <= 0.05
         assert report.auc == pytest.approx(0.5, abs=0.03)
 
@@ -150,7 +150,7 @@ class TestDetectionCurve:
         rng = np.random.default_rng(7)
         values = rng.standard_normal(50)
         mask = rng.random(50) < 0.4
-        report = detection_curve(values, NoiseSpec(rate=0.4, seed=0, flip_mask=mask))
+        report = detection_curve(values, NoiseSpec(flip_mask=mask))
         assert report.detection_rate[0] == 0.0
         assert report.detection_rate[-1] == 1.0
         assert report.fractions.tobytes() == np.linspace(0.0, 1.0, 101).tobytes()
@@ -162,7 +162,7 @@ class TestDetectionCurve:
         values = rng.integers(0, 5, n).astype(float)  # ties go by ascending index
         mask = rng.random(n) < 0.3
         mask[0] = True
-        report = detection_curve(values, NoiseSpec(rate=0.3, seed=0, flip_mask=mask))
+        report = detection_curve(values, NoiseSpec(flip_mask=mask))
         order = sorted(range(n), key=lambda i: (values[i], i))
         for q, rate in zip(report.fractions, report.detection_rate):
             lowest = order[: round(q * n)]
@@ -170,7 +170,7 @@ class TestDetectionCurve:
 
     def test_no_noise_rejected(self):
         with pytest.raises(ValueError):
-            detection_curve(np.ones(4), NoiseSpec(rate=0.0, seed=0, flip_mask=np.zeros(4, bool)))
+            detection_curve(np.ones(4), NoiseSpec(flip_mask=np.zeros(4, bool)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected_naming_the_index(self, bad):
@@ -178,7 +178,7 @@ class TestDetectionCurve:
         values[[3, 7]] = bad
         mask = np.arange(10) % 2 == 0
         with pytest.raises(ValueError, match="at index 3"):
-            detection_curve(values, NoiseSpec(rate=0.5, seed=0, flip_mask=mask))
+            detection_curve(values, NoiseSpec(flip_mask=mask))
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,11 @@ class TestInitModel:
         again = init_model((6, 2), seed=3, hidden_width=10)
         assert np.array_equal(m.feature_map.projection, again.feature_map.projection)
 
+    @pytest.mark.parametrize("width", [2.0, True, 0, -3])
+    def test_refuses_a_hidden_width_it_cannot_run(self, width):
+        with pytest.raises(ValueError, match="hidden_width"):
+            init_model((4, 3), seed=0, hidden_width=width)
+
     def test_head_dataset_maps_rows_once(self):
         data = small_dataset(np.random.default_rng(3))
         assert head_dataset(init_model((4, 3), seed=3), data) is data

@@ -170,10 +170,15 @@ class TestExactShapley:
         assert values == pytest.approx([3.0, 3.0, 3.0], abs=1e-12)
 
     def test_size_limit_refusal(self):
+        def never(idx):
+            raise AssertionError("a refused game must not be played")
+
+        with pytest.raises(GameSizeError, match="n=21 exceeds limit=20"):
+            exact_shapley(GameSpec(n=21, utility=never))
+
+    def test_eight_players_are_valued_within_the_limit(self):
         game = GameSpec(n=8, utility=lambda idx: float(idx.size))
-        with pytest.raises(GameSizeError):
-            exact_shapley(game, limit=6)
-        assert exact_shapley(game, limit=8).values == pytest.approx([1.0] * 8)
+        assert exact_shapley(game).values == pytest.approx([1.0] * 8)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +557,7 @@ class TestPermutationShapley:
     def test_input_validation(self):
         game = GameSpec(n=3, utility=lambda idx: 0.0)
         with pytest.raises(ValueError):
-            permutation_shapley(game, samples=0)
+            permutation_shapley(game, samples=0, seed=0)
 
 
 # ---------------------------------------------------------------------------
