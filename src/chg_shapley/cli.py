@@ -90,7 +90,12 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_training_options(sub: argparse.ArgumentParser, per_class: bool = True) -> None:
-    sub.add_argument("--scheme", choices=KINDS, default="chg")
+    sub.add_argument(
+        "--scheme", choices=KINDS, default="chg",
+        help="hardness values rise with the loss, so 'select --scheme hardness' keeps "
+        "mislabelled rows and 'bench --scheme hardness' ranks them last (AUC 0.15 against "
+        "chg's 0.84 at 30%% label noise, seed 100)",
+    )
     sub.add_argument("--epochs", type=int, default=20)
     sub.add_argument("--lr", type=float, default=0.1)
     if per_class:
@@ -249,8 +254,8 @@ def _cmd_select(args) -> int:
 
 def oracle_report(n: int, d: int, trials: int, seed: int, mc_samples: int) -> dict:
     """Compare the closed form against enumeration and permutation sampling."""
-    if n < 1 or d < 1 or trials < 1:
-        raise ValueError("need n, d, trials >= 1")
+    if n < 1 or d < 1 or trials < 1 or mc_samples < 1:
+        raise ValueError("need n, d, trials, mc_samples >= 1")
     rng = np.random.default_rng(seed)
     max_err = 0.0
     mc_err = 0.0

@@ -2,15 +2,15 @@
 
 The closed form covers the quadratic "mean-distance" utility
 ``U(S) = ||alpha||^2 - ||mean_{i in S} x_i - alpha||^2``.  Centred on the
-mean row it is a constant, a subset-mean game and a mean-square game,
-each with one weight, `mean_game_weight` and `mean_square_game_weight`;
-all three closed forms (here and `utilities.hardness_shapley`) are
-centred.  It runs in O(n*d) on a dense X, or in O(n*(C+w)) memory on a
-factored gradient matrix, either of which `chg_game` also takes; the
-enumeration and permutation-sampling routes serve as its oracles.  With
-alpha omitted, X is played against its own mean row m, as every game of
-the pipeline is: then r = m - alpha = 0 and U(N) = ||m||^2, and a
-factored X takes one column sum and one inner-product row <x_i, m>.
+mean row m it is the sum of two games, each stated once with one weight:
+the own-mean square game ||m||^2 - ||mean_S (x - m)||^2, weight
+`mean_square_game_weight`, which every game of the pipeline plays, and the
+mean game on 2<x_i, alpha - m>, weight `mean_game_weight`, whose values
+`mean_game_values` gives.  The linear term (`shapley_linear_term`) and the
+hardness utility (`utilities.hardness_shapley`) are mean games alone.  Both
+run in O(n*d) on a dense X, or in O(n*(C+w)) memory on a factored gradient
+matrix, either of which `chg_game` also takes; the enumeration and
+permutation-sampling routes serve as their oracles.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ def mean_game_weight(n: int) -> float:
     """own_n of the subset-mean game U(S) = mean_{i in S} z_i on values summing to 0.
 
     Datum k's value is own_n z_k, own_n = (H_n - 1/n)/(n - 1), or 1 at n = 1.
-    Centred on ybar = mean_i y_i, any subset-mean game is the constant ybar
-    plus this one, so its values are ybar/n + own_n (y_k - ybar).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -137,36 +135,40 @@ def closed_form_result(values: np.ndarray, grand_utility: float) -> ShapleyValue
     return ShapleyValues(values, grand_utility)
 
 
-def _validate_players_matrix(X, alpha, own_mean=False):
-    """Checked (X, alpha); with `own_mean`, alpha may be None, for X's own mean row.
+def _validate_players_matrix(X):
+    """X as a dense n x d array scanned for non-finite entries (ValueError),
+    or a `FactoredGrads`, which is not scanned.
 
-    A dense X is scanned for non-finite entries (ValueError).  A
-    `FactoredGrads` is not: a non-finite factor makes its column sum
-    non-finite, which every closed form forms first and which raises
-    FloatingPointError, so a scan would only repeat the forward pass's checks.
+    A non-finite factor makes the column sum non-finite, which every closed
+    form forms first and which raises FloatingPointError, so a scan would
+    only repeat the forward pass's checks.
     """
-    factored = isinstance(X, FactoredGrads)
-    if not factored:
+    if not isinstance(X, FactoredGrads):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError(f"X must be n x d, got shape {X.shape}")
-    n, d = X.shape
-    if not (own_mean and alpha is None):
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.ndim != 1 or alpha.shape[0] != d:
-            raise ValueError(f"alpha must be a length-{d} vector, got shape {alpha.shape}")
-    if n < 1 or d < 1:
+        if not np.all(np.isfinite(X)):
+            raise ValueError("non-finite entries in X")
+    if min(X.shape) < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got shape {X.shape}")
-    finite = factored or np.all(np.isfinite(X))
-    if not (finite and (alpha is None or np.all(np.isfinite(alpha)))):
-        raise ValueError("non-finite entries in X or alpha")
-    return X, alpha
+    return X
+
+
+def _validate_alpha(alpha, d: int) -> np.ndarray:
+    """alpha as a finite length-d vector; ValueError otherwise, for None too."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (d,):
+        raise ValueError(f"alpha must be a length-{d} vector, got shape {alpha.shape}")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("non-finite entries in alpha")
+    return alpha
 
 
 def chg_game(X, alpha) -> GameSpec:
     """The game whose closed form `chg_closed_form_shapley` computes, on
     everything it takes: a dense n x d X or a `FactoredGrads`."""
-    X, alpha = _validate_players_matrix(X, alpha)
+    X = _validate_players_matrix(X)
+    alpha = _validate_alpha(alpha, X.shape[1])
     base, factored = float(alpha @ alpha), isinstance(X, FactoredGrads)
 
     def utility(idx: np.ndarray) -> float:
@@ -177,92 +179,84 @@ def chg_game(X, alpha) -> GameSpec:
     return GameSpec(n=X.shape[0], utility=utility)
 
 
-@dataclass(frozen=True)
-class ClosedFormStatistics:
-    """Everything the closed form reads from (X, alpha): m is the mean row, r = m - alpha."""
+def mean_game_values(grand: float, z: np.ndarray) -> np.ndarray:
+    """Shapley values of U(S) = grand + mean_{i in S} z_i, for z summing to 0
+    but for rounding: grand/n + own_n z_k, own_n = `mean_game_weight(n)`.
 
-    d: np.ndarray  # ||x_i - m||^2
-    e: np.ndarray  # <x_i - m, r>
-    y_alpha: np.ndarray  # <x_i - m, alpha>
-    m_alpha: float  # <m, alpha>
-    grand_utility: float  # U(N) = ||alpha||^2 - ||r||^2
-
-    @property
-    def n(self) -> int:
-        return self.d.size
+    The rounding z leaves, the mean of z, is carried into the small terms,
+    so a large grand rounds only in grand/n and in the final sum.  Callers
+    hold np.errstate, so that an overflow reaches `closed_form_result`.
+    """
+    n = z.size
+    residual = float(z.mean())
+    return grand / n + (residual / n + mean_game_weight(n) * (z - residual))
 
 
-def closed_form_statistics(X, alpha=None) -> ClosedFormStatistics:
-    """Centred statistics of a dense X, or of a `FactoredGrads` without densifying it.
+def _centred(X, m: np.ndarray, beta=None):
+    """d_k = ||x_k - m||^2 and, given beta, <x_k - m, beta> (else None).
 
     A dense X is centred in blocks of `_CENTRED_BLOCK` entries before it is
-    squared; a factored X forms d_i = ||x_i||^2 - 2<x_i, m> + ||m||^2.  An
-    omitted alpha is X's own mean row m, so r = 0: a factored X then takes
-    the one inner-product row <x_i, m>, and e is 0.
+    squared.  A factored X forms d_k = ||x_k||^2 - 2<x_k, m> + ||m||^2 and
+    <x_k, beta> - <m, beta>, one n x C inner-product row per vector; the
+    row <x_k, m> comes before the row norms, which lowers the peak.
     """
-    X, alpha = _validate_players_matrix(X, alpha, own_mean=True)
-    (n, width), factored = X.shape, isinstance(X, FactoredGrads)
-    own = alpha is None
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = (X.column_sum() if factored else X.sum(axis=0)) / n
-        if own:
-            alpha = m
-        r = m - alpha
-        if factored:
-            m_sq = float(m @ m)
-            if own:
-                x_m, x_r = X.inner(m[None])[0], np.zeros(n)
-            else:
-                x_m, x_r = X.inner(np.stack([m, r]))
-            e = x_r - float(m @ r)
-            d = X.row_sq_norms() - 2.0 * x_m + m_sq
-            y_alpha = x_m - m_sq - e
-        else:
-            d, e, y_alpha = np.empty((3, n))
-            step = max(1, _CENTRED_BLOCK // width)
-            for lo in range(0, n, step):
-                Y = X[lo:lo + step] - m
-                d[lo:lo + step] = np.einsum("ij,ij->i", Y, Y)
-                e[lo:lo + step], y_alpha[lo:lo + step] = np.stack([r, alpha]) @ Y.T
-        grand = float(alpha @ alpha) - float(r @ r)
-        return ClosedFormStatistics(d, e, y_alpha, float(m @ alpha), grand)
+    n, width = X.shape
+    if isinstance(X, FactoredGrads):
+        x_m = X.inner(m[None])[0]
+        d = X.row_sq_norms() - 2.0 * x_m + float(m @ m)
+        return d, None if beta is None else X.inner(beta[None])[0] - float(m @ beta)
+    d, proj = np.empty(n), None if beta is None else np.empty(n)
+    step = max(1, _CENTRED_BLOCK // width)
+    for lo in range(0, n, step):
+        Y = X[lo:lo + step] - m
+        d[lo:lo + step] = np.einsum("ij,ij->i", Y, Y)
+        if beta is not None:
+            proj[lo:lo + step] = Y @ beta
+    return d, proj
 
 
 def chg_closed_form_shapley(X, alpha=None) -> ShapleyValues:
     """O(n*d) Shapley values of the quadratic mean-distance utility.
 
-    On every non-empty S, U(S) = U(N) - 2<mean_S (x - m), r> - ||mean_S (x - m)||^2:
-    a constant, a mean game and a mean-square game on centred rows, so
-
-        value_k = U(N)/n + kappa_n (mean_j d_j - d_k) - 2 own_n e_k
-
-    with the `ClosedFormStatistics`, kappa_n = `mean_square_game_weight(n)`
-    and own_n = `mean_game_weight(n)`.  With alpha omitted it is X's own
-    mean row m: then r = 0, e_k = 0 and U(N) = ||m||^2.  X is a dense
-    n x d array or a `FactoredGrads`.  Raises FloatingPointError when
-    finite inputs overflow to non-finite statistics or values.
+    With m the mean row and beta = alpha - m, on every non-empty S
+    U(S) = ||m||^2 - ||mean_S (x - m)||^2 + 2<mean_S x, beta>: the own-mean
+    square game, whose values are ||m||^2/n + kappa_n (mean_j d_j - d_k)
+    with d from `_centred` and kappa_n = `mean_square_game_weight(n)`, plus
+    the mean game on 2<x_k, beta> (`mean_game_values`).  With alpha omitted
+    it is m, and only the first game is played.  X is a dense n x d array
+    or a `FactoredGrads`.  Raises FloatingPointError when finite inputs
+    overflow to non-finite values.
     """
-    s = closed_form_statistics(X, alpha)
-    kappa, own = mean_square_game_weight(s.n), mean_game_weight(s.n)
+    X = _validate_players_matrix(X)
+    if alpha is not None:
+        alpha = _validate_alpha(alpha, X.shape[1])
+    n = X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = s.grand_utility / s.n + kappa * (float(s.d.mean()) - s.d) - 2.0 * own * s.e
-    return closed_form_result(values, s.grand_utility)
+        m = (X.column_sum() if isinstance(X, FactoredGrads) else X.sum(axis=0)) / n
+        beta = None if alpha is None else alpha - m
+        d, proj = _centred(X, m, beta)
+        grand = float(m @ m)
+        values = grand / n + mean_square_game_weight(n) * (float(d.mean()) - d)
+        if beta is not None:
+            linear = 2.0 * float(m @ beta)
+            values += mean_game_values(linear, 2.0 * proj)
+            grand += linear
+    return closed_form_result(values, grand)
 
 
 def shapley_linear_term(X, alpha) -> ShapleyValues:
-    """Shapley values of the linear part U(S) = 2*<mean_{i in S} x_i, alpha>.
+    """Shapley values of the linear part U(S) = 2*<mean_{i in S} x_i, alpha>:
+    the mean game on 2<x_k - m, alpha> with U(N) = 2<m, alpha>.
 
-    That is 2<m, alpha> plus the mean game on 2<x_i - m, alpha>, which sums
-    to 0, so value_k = 2<m, alpha>/n + 2 own_n <x_k - m, alpha>.  X is a
-    dense n x d array or a `FactoredGrads`.  Raises FloatingPointError when
-    finite inputs overflow to non-finite values.
+    X is a dense n x d array or a `FactoredGrads`.  Raises
+    FloatingPointError when finite inputs overflow to non-finite values.
     """
-    if alpha is None:
-        raise ValueError("alpha must be a vector; the linear term has no default")
-    s = closed_form_statistics(X, alpha)
-    own = mean_game_weight(s.n)
+    X = _validate_players_matrix(X)
+    alpha, n = _validate_alpha(alpha, X.shape[1]), X.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        values, grand = 2.0 * s.m_alpha / s.n + 2.0 * own * s.y_alpha, 2.0 * s.m_alpha
+        m = (X.column_sum() if isinstance(X, FactoredGrads) else X.sum(axis=0)) / n
+        grand = 2.0 * float(m @ alpha)
+        values = mean_game_values(grand, 2.0 * _centred(X, m, alpha)[1])
     return closed_form_result(values, grand)
 
 

@@ -6,16 +6,13 @@ holds one loss per datum and the per-datum gradients as a
 O(n * (classes + width)) memory.  The chg kind plays `shapley.chg_game`
 on the loss-weighted vectors, the gradient kind on the raw ones, each
 against their full-set mean; `_vectors` is the one place a kind picks
-them.  The hardness kind scores a subset by its mean loss; its values
-take the centred form of the other closed forms, lbar/n + own_n (l_k -
-lbar), with the one weight `shapley.mean_game_weight(n)`.  A game is
-named by its rows and kind: `utility_game(gs, kind)` plays it against
-the explicit mean `X.column_sum() / n`, and `gradient_set_values(gs,
-kind)`, through which valuation and selection value every game, gives its
-values by the closed form's own-mean route,
-`shapley.chg_closed_form_shapley(X, None)`, which forms no term in
-r = m - alpha = 0 and does not scan the factors again.  A dense gradient
-matrix is valued directly by `shapley.chg_closed_form_shapley(X, alpha)`.
+them.  The hardness kind scores a subset by its mean loss, a mean game
+(`shapley.mean_game_values`).  A game is named by its rows and kind:
+`utility_game(gs, kind)` plays it against the explicit mean
+`X.column_sum() / n`, and `gradient_set_values(gs, kind)`, through which
+valuation and selection value every game, gives its values by the own-mean
+square game alone, `shapley.chg_closed_form_shapley(X, None)`.  A dense
+gradient matrix is valued directly by `shapley.chg_closed_form_shapley(X, alpha)`.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from .shapley import (
     chg_closed_form_shapley,
     chg_game,
     closed_form_result,
-    mean_game_weight,
+    mean_game_values,
 )
 
 KINDS = ("chg", "hardness", "gradient")
@@ -77,26 +74,21 @@ def gradient_set_values(gs: GradientSet, kind: str, rows=None) -> ShapleyValues:
         return hardness_shapley(losses)
     if rows is not None:
         gs = gs.restrict(rows)
-    return chg_closed_form_shapley(_vectors(gs, kind), None)  # None: the rows' own mean
+    # None: the rows' own mean.  Keep the two arguments positional:
+    # perfbench's trace wraps this call and reads X's shape from args[0].
+    return chg_closed_form_shapley(_vectors(gs, kind), None)
 
 
 def hardness_shapley(losses) -> ShapleyValues:
-    """Closed-form Shapley values of the mean-loss game U(S) = mean_S l,
-    lbar/n + own_n (l_k - lbar); FloatingPointError when finite losses overflow them.
-
-    lbar is carried as the float mean plus the rounding it leaves, the
-    mean of l - mean, which joins the small terms: a large common offset
-    then rounds only in mean/n and in the final sum.
-    """
+    """Closed-form Shapley values of the mean-loss game U(S) = mean_S l: the
+    mean game on l - lbar with U(N) = lbar; FloatingPointError when finite
+    losses overflow them."""
     l = np.asarray(losses, dtype=float)
     if l.ndim != 1 or l.size < 1:
         raise ValueError(f"losses must be a non-empty vector, got shape {l.shape}")
     if not np.all(np.isfinite(l)):
         raise ValueError("non-finite losses")
-    n = l.size
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(l.mean())
-        z = l - mean
-        residual = float(z.mean())
-        values = mean / n + (residual / n + mean_game_weight(n) * (z - residual))
+        values = mean_game_values(mean, l - mean)
     return closed_form_result(values, mean)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chg_shapley.cli as cli
 from chg_shapley import __version__
 from chg_shapley.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, cli_main, oracle_report
 
@@ -75,6 +76,18 @@ class TestOracleCommand:
                          "--out-dir", str(tmp_path / "fresh" / "dir")])
         assert code == EXIT_INPUT
         assert "n=21 exceeds limit=20" in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_mc_samples_exits_1_before_enumerating(self, samples, tmp_path, capsys, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the refusal must come before any enumeration")
+
+        monkeypatch.setattr(cli, "exact_shapley", refuse)
+        code = cli_main(["oracle", "--n", "12", "--d", "3", "--trials", "1",
+                         "--mc-samples", samples, "--out-dir", str(tmp_path / "fresh" / "dir")])
+        assert code == EXIT_INPUT
+        assert "mc_samples" in capsys.readouterr().err
         assert not (tmp_path / "fresh").exists()
 
 

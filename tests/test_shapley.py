@@ -471,6 +471,25 @@ class TestExactRationalReference:
         worst = max(abs(Fraction(float(c)) - e) for c, e in zip(closed, exact))
         assert worst / spread <= (5 if factored else 2) * floor
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e5, 1e7])
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_linear_term_at_large_offset_stays_at_the_precision_floor(self, offset, factored):
+        # The data of the chg case above.  Centring on the float mean row
+        # without carrying the rounding it leaves read up to 8.9 floors
+        # (factored, offset 1e5); carried, it stays under 0.84 over seeds 300-305.
+        rng = np.random.default_rng(300)
+        X = rng.integers(-9, 10, size=(300, 2)) + offset
+        alpha = rng.integers(-9, 10, size=2) + offset
+        linear_own, linear_total = exact_weights(300)[0]
+        y = [2 * sum(int(v) * int(a) for v, a in zip(row, alpha)) for row in X]
+        exact = [linear_own * v + linear_total * sum(y) for v in y]
+        spread = max(exact) - min(exact)
+        floor = np.finfo(float).eps * max(abs(sum(exact)) / 300, spread)
+        rows = FactoredGrads(X, np.zeros((300, 0))) if factored else X
+        values = shapley_linear_term(rows, alpha).values
+        worst = max(abs(Fraction(float(v)) - e) for v, e in zip(values, exact))
+        assert worst <= 1.5 * floor
+
     @pytest.mark.parametrize(
         "offset, spread", [(0.69, 1e-6), (5.0, 1e-8), (0.69, 1e-9), (1e3, 1e-3)]
     )
