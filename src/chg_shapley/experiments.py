@@ -8,7 +8,6 @@ value order.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ import numpy as np
 from .models import (
     Dataset,
     TrainingDivergedError,
+    _release_free_heap,
     accuracy,
     check_learning_rate,
     epoch_guard,
@@ -85,26 +85,6 @@ class DescentBoundCheck:
     holds: bool
 
 
-try:  # glibc only; other C libraries keep freed pages with the allocator
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes = [ctypes.c_size_t]
-except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
-
-def _release_free_heap() -> None:
-    """Return the C heap's free pages to the OS, where the C library can.
-
-    Freed arrays below glibc's self-raising mmap threshold leave resident
-    holes in the heap.  Whether a new n x p array reuses one or grows the
-    heap depends on unrelated small allocations, so a process that builds
-    several datasets would otherwise change its resident size by whole
-    arrays from one seed to the next.
-    """
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
-
 def make_synthetic_dataset(
     n: int, p: int, n_classes: int, separation: float, seed: int
 ) -> Dataset:
@@ -125,9 +105,10 @@ def make_synthetic_dataset(
     rng = np.random.default_rng(seed)
     counts = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     labels = np.repeat(np.arange(n_classes), counts)
-    means = np.zeros((n_classes, p))
-    means[np.arange(n_classes), np.arange(n_classes)] = separation / math.sqrt(2.0)
-    features = means[labels] + rng.standard_normal((n, p))
+    # Row i's mean is zero but at column labels[i], so the shift goes into
+    # the noise in place: one n x p draw, then the shuffled copy.
+    features = rng.standard_normal((n, p))
+    features[np.arange(n), labels] += separation / math.sqrt(2.0)
     order = rng.permutation(n)
     return Dataset(features=features[order], labels=labels[order], n_classes=n_classes)
 

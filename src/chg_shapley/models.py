@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import ctypes
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -304,6 +305,29 @@ def init_model(
     return ModelState(weights=weights, bias=bias, feature_map=feature_map)
 
 
+try:  # glibc only; other C libraries keep freed pages with the allocator
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS, where the C library can.
+
+    Freed arrays below glibc's self-raising mmap threshold leave resident
+    holes in the heap.  Whether a new n x p array reuses one or grows the
+    heap depends on unrelated small allocations, so a process that builds
+    several datasets or valuation runs would otherwise change its resident
+    size by whole arrays from one seed to the next.  Called before each
+    synthetic build and once per valuation run, after the head's inputs
+    are mapped.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def head_dataset(model: ModelState, data: Dataset) -> Dataset:
     """`data` as the softmax head sees it: every row through the frozen feature map.
 
@@ -331,7 +355,8 @@ def _head_inputs(model: ModelState, data: Dataset, idx) -> tuple[np.ndarray, np.
     if idx is None:
         phi, labels = data.features, data.labels
     else:
-        phi, labels = data.features[idx], data.labels[idx]
+        # np.take copies the same rows as data.features[idx], faster on narrow rows.
+        phi, labels = np.take(data.features, idx, axis=0), data.labels[idx]
     if model.feature_map is not None:
         phi = model.feature_map.apply(phi)
     return phi, labels

@@ -6,7 +6,8 @@ parameters as a `GradientSet`, computes closed-form Shapley values of the
 chosen utility kind from that set (from the losses alone for the
 hardness kind), and only then steps on the same gradients, so values
 describe the state they were measured at.  A datum's reported value is
-its mean over every epoch.
+its mean over every epoch, summed as the epochs come, so a run holds one
+epoch's values however many epochs it has.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .models import (
     Dataset,
     GradientSet,
     TrainingDivergedError,  # noqa: F401  (raised by the loop; callers catch it from here)
+    _release_free_heap,
     _write_csv,
     check_hidden_width,
     check_learning_rate,
@@ -63,20 +65,25 @@ class ValuationConfig:
 
 @dataclass
 class ValuationRun:
-    """Per-epoch values, their mean, and the recorded per-epoch utilities."""
+    """Mean values over the epochs, and each epoch's value sum and U(N).
 
-    per_epoch_values: np.ndarray  # epochs x n
+    Each epoch's values are added into the mean as they come and then
+    dropped, so a run's memory does not grow with its epoch count; the
+    efficiency audit needs only their sums.
+    """
+
     mean_values: np.ndarray  # n
+    value_sums: np.ndarray  # epochs, sum_j value_j of each epoch
     per_epoch_utilities: np.ndarray  # epochs, U(N) at valuation time
     config: ValuationConfig
 
     @property
     def epochs(self) -> int:
-        return self.per_epoch_values.shape[0]
+        return self.value_sums.shape[0]
 
     @property
     def n(self) -> int:
-        return self.per_epoch_values.shape[1]
+        return self.mean_values.shape[0]
 
 
 @dataclass
@@ -119,36 +126,41 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     )
     head_data = head_dataset(model, data)
     model = replace(model, feature_map=None)
-    per_epoch = np.empty((config.epochs, data.n))
+    # After the map: a trim before it returns pages that phi then takes back.
+    _release_free_heap()
+    # A running total from zeros has the bits of numpy's axis-0 mean of the
+    # stacked epochs at every n >= 2 (both turn -0.0 into 0.0).
+    total = np.zeros(data.n)
+    sums = np.empty(config.epochs)
     utilities = np.empty(config.epochs)
     for epoch in range(config.epochs):
         with epoch_guard(epoch):
             batch = per_example_loss_and_grad(model, head_data)
-            per_epoch[epoch], utilities[epoch] = epoch_values(
+            values, utilities[epoch] = epoch_values(
                 batch, head_data, config.kind, config.per_class
             )
+            sums[epoch] = values.sum()
+            total += values
             model = sgd_step_weighted(model, batch.vectors, config.lr)
-        del batch  # free the factors before the next forward pass
+        del batch, values  # free the factors and values before the next forward pass
+    total /= config.epochs
     return ValuationRun(
-        per_epoch_values=per_epoch,
-        mean_values=per_epoch.mean(axis=0),
-        per_epoch_utilities=utilities,
-        config=config,
+        mean_values=total, value_sums=sums, per_epoch_utilities=utilities, config=config
     )
 
 
 def epoch_efficiency_audit(run: ValuationRun) -> EfficiencyAudit:
     """Check sum_j value_j = U(N) for every epoch, within EFFICIENCY_TOLERANCE.
 
-    The relative violation is measured against `run.per_epoch_utilities`;
-    np.sum's pairwise accumulation keeps the check meaningful at n >= 1e4.
-    Raises `EfficiencyAuditError` listing the offending epochs on failure.
+    The relative violation of `run.value_sums` is measured against
+    `run.per_epoch_utilities`; np.sum's pairwise accumulation of each
+    epoch's values keeps the check meaningful at n >= 1e4.  Raises
+    `EfficiencyAuditError` listing the offending epochs on failure.
     """
     utilities = np.asarray(run.per_epoch_utilities, dtype=float)
     if utilities.shape != (run.epochs,):
         raise ValueError("need one recorded utility per epoch")
-    sums = run.per_epoch_values.sum(axis=1)
-    violation = np.abs(sums - utilities) / np.maximum(1.0, np.abs(utilities))
+    violation = np.abs(run.value_sums - utilities) / np.maximum(1.0, np.abs(utilities))
     worst = float(violation.max())
     if worst > EFFICIENCY_TOLERANCE:
         bad = np.flatnonzero(violation > EFFICIENCY_TOLERANCE).tolist()

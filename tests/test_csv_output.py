@@ -101,8 +101,8 @@ def assert_same_bytes(path, reference_path):
 def test_values_csv_matches_csv_writer(tmp_path, n, with_mask):
     values = edge_column(n, seed=n)
     run = ValuationRun(
-        per_epoch_values=values[None, :],
         mean_values=values,
+        value_sums=np.zeros(1),
         per_epoch_utilities=np.zeros(1),
         config=ValuationConfig(epochs=1),
     )

@@ -1,12 +1,13 @@
 """Tests for synthetic tasks, noise injection, and the evaluation curves."""
 
+import math
 import platform
 import sys
 
 import numpy as np
 import pytest
 
-from chg_shapley import experiments
+from chg_shapley import experiments, models
 from chg_shapley.experiments import (
     NoiseSpec,
     RemovalConfig,
@@ -56,6 +57,24 @@ class TestSyntheticDataset:
         with pytest.raises(ValueError, match="separation must be a finite number >= 0"):
             make_synthetic_dataset(50, 6, 3, separation, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, p, classes, separation, seed",
+        [(50, 6, 3, 2.0, 0), (1001, 20, 10, 3.0, 7), (400, 4, 2, 0.0, 3), (600, 12, 5, 1e-3, 11)],
+    )
+    def test_matches_the_class_mean_expression(self, n, p, classes, separation, seed):
+        # The build adds each row's mean into its noise in place; the
+        # reference adds the full n x p mean matrix, as the model states it.
+        rng = np.random.default_rng(seed)
+        counts = [n // classes + (1 if c < n % classes else 0) for c in range(classes)]
+        labels = np.repeat(np.arange(classes), counts)
+        means = np.zeros((classes, p))
+        means[np.arange(classes), np.arange(classes)] = separation / math.sqrt(2.0)
+        features = means[labels] + rng.standard_normal((n, p))
+        order = rng.permutation(n)
+        data = make_synthetic_dataset(n, p, classes, separation, seed=seed)
+        assert data.features.tobytes() == features[order].tobytes()
+        assert np.array_equal(data.labels, labels[order])
+
     def test_free_heap_released_before_each_build(self, monkeypatch):
         calls = []
         monkeypatch.setattr(experiments, "_release_free_heap", lambda: calls.append(True))
@@ -68,8 +87,8 @@ class TestSyntheticDataset:
 
     def test_free_heap_release_found_on_glibc(self):
         if sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc":
-            assert experiments._malloc_trim is not None
-        experiments._release_free_heap()  # a no-op elsewhere, never an error
+            assert models._malloc_trim is not None
+        models._release_free_heap()  # a no-op elsewhere, never an error
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,32 @@ def tiny_task(seed=0, n=40):
     return make_synthetic_dataset(n, 5, 2, 3.0, seed=seed)
 
 
+def stored_epochs(data, config):
+    """The valuation loop with every epoch's values kept: (epochs x n values, U(N) per epoch).
+
+    The reference for `run_valuation`, which keeps only their running sum.
+    """
+    model = models.init_model(
+        (data.n_features, data.n_classes), seed=config.seed, hidden_width=config.hidden_width
+    )
+    head = models.head_dataset(model, data)
+    model = replace(model, feature_map=None)
+    per_epoch, utilities = [], []
+    for _ in range(config.epochs):
+        batch = models.per_example_loss_and_grad(model, head)
+        values, utility = valuation.epoch_values(batch, head, config.kind, config.per_class)
+        per_epoch.append(values)
+        utilities.append(utility)
+        model = models.sgd_step_weighted(model, batch.vectors, config.lr)
+    return np.array(per_epoch), np.array(utilities)
+
+
+def assert_same_run(a, b):
+    assert a.mean_values.tobytes() == b.mean_values.tobytes()
+    assert a.value_sums.tobytes() == b.value_sums.tobytes()
+    assert a.per_epoch_utilities.tobytes() == b.per_epoch_utilities.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Valuation runs
 # ---------------------------------------------------------------------------
@@ -50,18 +77,77 @@ class TestRunValuation:
         assert abs(run.mean_values[7] - run.mean_values[2]) <= 1e-9
 
     def test_single_epoch_mean_is_that_epoch(self):
-        run = run_valuation(tiny_task(), ValuationConfig(epochs=1, seed=2))
-        assert np.array_equal(run.mean_values, run.per_epoch_values[0])
+        data = tiny_task()
+        config = ValuationConfig(epochs=1, seed=2)
+        run = run_valuation(data, config)
+        (values,), utilities = stored_epochs(data, config)
+        assert np.array_equal(run.mean_values, values)
+        assert run.value_sums.tolist() == [values.sum()]
+        assert run.per_epoch_utilities.tolist() == utilities.tolist()
 
     def test_mean_is_column_mean(self):
-        run = run_valuation(tiny_task(), ValuationConfig(epochs=5, seed=3))
-        assert run.mean_values.tobytes() == run.per_epoch_values.mean(axis=0).tobytes()
+        data = tiny_task()
+        config = ValuationConfig(epochs=5, seed=3)
+        run = run_valuation(data, config)
+        per_epoch, utilities = stored_epochs(data, config)
+        assert run.mean_values.tobytes() == per_epoch.mean(axis=0).tobytes()
+        assert run.value_sums.tobytes() == per_epoch.sum(axis=1).tobytes()
+        assert run.per_epoch_utilities.tobytes() == utilities.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("kind", ["chg", "hardness", "gradient"])
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_mean_bits_match_the_stored_epochs(self, n, kind, per_class):
+        rng = np.random.default_rng(n)
+        data = Dataset(rng.standard_normal((n, 4)), rng.integers(0, 3, n), n_classes=3)
+        per_epoch, _ = stored_epochs(data, ValuationConfig(kind=kind, epochs=20, per_class=per_class))
+        for epochs in (1, 2, 7, 8, 9, 20):
+            run = run_valuation(data, ValuationConfig(kind=kind, epochs=epochs, per_class=per_class))
+            total = np.zeros(n)
+            for values in per_epoch[:epochs]:
+                total = total + values
+            assert run.mean_values.tobytes() == (total / epochs).tobytes()
+            stacked_mean = per_epoch[:epochs].mean(axis=0)
+            if n >= 2:
+                assert run.mean_values.tobytes() == stacked_mean.tobytes(), epochs
+            else:
+                # numpy sums one column pairwise from 8 epochs up: the last
+                # bit may differ (chg and gradient at 20 epochs do).
+                np.testing.assert_array_max_ulp(run.mean_values, stacked_mean, maxulp=1)
+
+    @pytest.mark.parametrize("per_class", [False, True])
+    def test_peak_memory_does_not_grow_with_the_epochs(self, per_class):
+        n, p, c = 200_000, 20, 10
+        rng = np.random.default_rng(33)
+        data = Dataset(rng.standard_normal((n, p)), rng.integers(0, c, n), n_classes=c)
+        peaks = []
+        for epochs in (2, 12):
+            tracemalloc.start()
+            try:
+                run_valuation(data, ValuationConfig(epochs=epochs, seed=33, per_class=per_class))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Keeping every epoch's values grew the peak by 10 x 1.6 MB.
+        assert peaks[1] - peaks[0] < 8 * n / 2, peaks
+
+    def test_free_heap_released_once_after_the_map(self, monkeypatch):
+        calls = []
+        head_dataset = valuation.head_dataset
+
+        def mapping(model, data):
+            calls.append("map")
+            return head_dataset(model, data)
+
+        monkeypatch.setattr(valuation, "head_dataset", mapping)
+        monkeypatch.setattr(valuation, "_release_free_heap", lambda: calls.append("trim"))
+        run_valuation(tiny_task(), ValuationConfig(epochs=3, seed=4, hidden_width=8))
+        assert calls == ["map", "trim"]
 
     def test_bit_identical_given_config(self):
         a = run_valuation(tiny_task(), ValuationConfig(epochs=4, seed=4))
         b = run_valuation(tiny_task(), ValuationConfig(epochs=4, seed=4))
-        assert np.array_equal(a.per_epoch_values, b.per_epoch_values)
-        assert np.array_equal(a.per_epoch_utilities, b.per_epoch_utilities)
+        assert_same_run(a, b)
 
     @pytest.mark.parametrize("kind", ["chg", "hardness", "gradient"])
     def test_kinds_run_and_audit(self, kind):
@@ -73,7 +159,7 @@ class TestRunValuation:
         data = Dataset(features=tiny_task().features, labels=np.zeros(40, dtype=int))
         whole = run_valuation(data, ValuationConfig(epochs=3, seed=6, per_class=False))
         per_class = run_valuation(data, ValuationConfig(epochs=3, seed=6, per_class=True))
-        assert np.array_equal(whole.per_epoch_values, per_class.per_epoch_values)
+        assert_same_run(whole, per_class)
 
     def test_per_class_mode_audits(self):
         run = run_valuation(tiny_task(), ValuationConfig(epochs=3, seed=7, per_class=True))
@@ -133,16 +219,22 @@ class TestFactoredRoute:
     @pytest.mark.parametrize("hidden_width", [None, 16])
     def test_matches_dense_oracle(self, kind, per_class, hidden_width, monkeypatch):
         data = make_synthetic_dataset(90, 4, 3, 2.0, seed=20)
-        config = ValuationConfig(
-            kind=kind, epochs=3, seed=20, per_class=per_class, hidden_width=hidden_width
-        )
-        factored = run_valuation(data, config)
-        monkeypatch.setattr(valuation, "gradient_set_values", dense_values)
-        dense = run_valuation(data, config)
-        for got, want in zip(factored.per_epoch_values, dense.per_epoch_values):
+        # A run keeps only the mean, so each prefix of 1, 2 and 3 epochs is
+        # compared: together they pin every epoch's values.
+        for epochs in (1, 2, 3):
+            config = ValuationConfig(
+                kind=kind, epochs=epochs, seed=20, per_class=per_class, hidden_width=hidden_width
+            )
+            factored = run_valuation(data, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(valuation, "gradient_set_values", dense_values)
+                dense = run_valuation(data, config)
+            got, want = factored.mean_values, dense.mean_values
             assert np.max(np.abs(got - want)) <= 1e-12 * np.ptp(want)
             assert np.array_equal(valuation.value_ranks(got), valuation.value_ranks(want))
-        assert factored.per_epoch_utilities == pytest.approx(dense.per_epoch_utilities, rel=1e-12)
+            assert factored.per_epoch_utilities == pytest.approx(
+                dense.per_epoch_utilities, rel=1e-12
+            )
 
     def test_epoch_never_allocates_the_gradient_matrix(self):
         n, classes, width = 4000, 10, 512
@@ -351,7 +443,7 @@ class TestEfficiencyAudit:
 
     def test_negative_control_perturbation_fails(self):
         run = run_valuation(tiny_task(), ValuationConfig(epochs=2, seed=11))
-        run.per_epoch_values[1, 0] += 1e-3
+        run.value_sums[1] += 1e-3
         with pytest.raises(EfficiencyAuditError) as err:
             epoch_efficiency_audit(run)
         assert err.value.epochs == [1]
