@@ -17,7 +17,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -94,35 +94,20 @@ def per_class_count(fraction: float, class_size: int) -> int:
     return max(1, math.ceil(fraction * class_size - _COUNT_EPS))
 
 
-def select_top_fraction_per_class(
-    values_by_class: Mapping[int, tuple[np.ndarray, np.ndarray]], fraction: float
-) -> dict[int, np.ndarray]:
-    """Each class's top ceil(a*N_c) indices, sorted; ties by ascending index.
-
-    `values_by_class` maps class id to (global indices, their values); the
-    result maps it to the sorted picks.  An empty class maps to an empty
-    array, with a warning; ValueError if every class is empty.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+def _class_picks(
+    data: Dataset, fraction: float, pick: Callable[[np.ndarray, int], np.ndarray]
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """Each class's picks and their sorted union, walking the classes in
+    label order: `pick(idx, count)` for the class's rows `idx`, with count
+    ceil(a*N_c).  An empty class keeps no rows, with a warning."""
     picks: dict[int, np.ndarray] = {}
-    for label in sorted(values_by_class):
-        indices, values = values_by_class[label]
-        indices = np.asarray(indices, dtype=np.intp)
-        values = np.asarray(values, dtype=float)
-        if values.shape != indices.shape or indices.ndim != 1:
-            raise ValueError(
-                f"class {label}: need one value per index, got shapes "
-                f"{indices.shape} and {values.shape}"
-            )
-        if indices.size == 0:
+    for label, idx in enumerate(data.class_index):
+        if idx.size == 0:
             warnings.warn(f"class {label} is empty; skipped", stacklevel=2)
-            picks[label] = indices
-            continue
-        picks[label] = _top_count(indices, values, per_class_count(fraction, indices.size))
-    if not any(idx.size for idx in picks.values()):
-        raise ValueError("no non-empty classes to select from")
-    return picks
+            picks[label] = idx
+        else:
+            picks[label] = pick(idx, per_class_count(fraction, idx.size))
+    return picks, np.sort(np.concatenate(list(picks.values())))
 
 
 def _top_count(indices: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
@@ -175,6 +160,8 @@ def _training_loop(
     event replaces the plan, the next step's batch.  An event's plan brings
     its epoch's batch when the event made a pass on its subset.
     """
+    if data.n < 1:
+        raise ValueError("dataset is empty")
     model = init_model((data.n_features, data.n_classes), seed=cfg.seed)
     eval_data = data if test_data is None else test_data
     history = SelectionHistory()
@@ -215,17 +202,14 @@ def _value_selection(
     on the union plays the union's; the plan carries the union's pass as
     the event epoch's batch.  No pass covers rows that no game reads.
     """
+
+    def top_of_class_game(idx: np.ndarray, count: int) -> np.ndarray:
+        # The class's factors go on return, before the next class's pass.
+        class_batch = per_example_loss_and_grad(model, data, idx)
+        return _top_count(idx, gradient_set_values(class_batch, cfg.kind).values, count)
+
     with epoch_guard(epoch):
-        by_class = {}
-        for label, idx in enumerate(data.class_index):
-            values = np.empty(0)
-            if idx.size:
-                class_batch = per_example_loss_and_grad(model, data, idx)
-                values = gradient_set_values(class_batch, cfg.kind).values
-                del class_batch  # free the factors before the next class's pass
-            by_class[label] = (idx, values)
-        picks = select_top_fraction_per_class(by_class, cfg.fraction)
-        subset = np.sort(np.concatenate(list(picks.values())))
+        picks, subset = _class_picks(data, cfg.fraction, top_of_class_game)
         batch = per_example_loss_and_grad(model, data, subset)
         subset_values = gradient_set_values(batch, cfg.kind)
     return SelectionPlan(
@@ -250,20 +234,16 @@ def run_selection_training(
 
 def _uniform_plan(data: Dataset, cfg: SelectionConfig, epoch: int, event: int) -> SelectionPlan:
     rng = np.random.default_rng([cfg.seed, 1000 + event])
-    by_class: dict[int, np.ndarray] = {}
-    for label, idx in enumerate(data.class_index):
-        if idx.size == 0:
-            warnings.warn(f"class {label} is empty; skipped", stacklevel=2)
-            by_class[label] = idx
-            continue
-        count = per_class_count(cfg.fraction, idx.size)
-        by_class[label] = np.sort(rng.choice(idx, size=count, replace=False))
-    subset = np.sort(np.concatenate(list(by_class.values())))
+
+    def draw(idx: np.ndarray, count: int) -> np.ndarray:
+        return np.sort(rng.choice(idx, size=count, replace=False))
+
+    picks, subset = _class_picks(data, cfg.fraction, draw)
     return SelectionPlan(
         subset=subset,
         weights=np.ones(subset.size),
         epoch_created=epoch,
-        per_class_indices=by_class,
+        per_class_indices=picks,
     )
 
 

@@ -202,9 +202,9 @@ def _centred(X, m: np.ndarray, beta=None):
     """
     n, width = X.shape
     if isinstance(X, FactoredGrads):
-        x_m = X.inner(m[None])[0]
+        x_m = X.inner(m)
         d = X.row_sq_norms() - 2.0 * x_m + float(m @ m)
-        return d, None if beta is None else X.inner(beta[None])[0] - float(m @ beta)
+        return d, None if beta is None else X.inner(beta) - float(m @ beta)
     d, proj = np.empty(n), None if beta is None else np.empty(n)
     step = max(1, _CENTRED_BLOCK // width)
     for lo in range(0, n, step):

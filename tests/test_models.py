@@ -343,6 +343,19 @@ class TestRowIndices:
         assert np.array_equal(grads.rows({7, 2}).dense(), grads.dense()[[2, 7]])
         assert grads.rows([]).shape == (0, 3 * 4 + 3)
 
+    @pytest.mark.parametrize(
+        "n,classes,width", [(1, 1, 1), (50, 2, 20), (300, 10, 20), (64, 7, 512)]
+    )
+    def test_gather_matches_fancy_indexing(self, n, classes, width):
+        rng = np.random.default_rng(n + classes + width)
+        delta, phi = rng.standard_normal((n, classes)), rng.standard_normal((n, width))
+        gs = GradientSet(FactoredGrads(delta, phi), rng.uniform(0, 2, n))
+        for idx in (np.arange(n), rng.integers(0, n, 2 * n), rng.permutation(n)[: n // 2 + 1]):
+            for got in (gs.vectors.rows(idx), gs.restrict(idx).vectors):
+                assert got.delta.tobytes() == delta[idx].tobytes()
+                assert got.phi.tobytes() == phi[idx].tobytes()
+            assert gs.restrict(idx).losses.tobytes() == gs.losses[idx].tobytes()
+
     def test_restrict_checks_each_index_once(self, monkeypatch):
         calls = []
         check = models._row_indices
@@ -609,8 +622,8 @@ class TestFactoredGrads:
         assert grads.nbytes == 8 * 30 * (4 + 6) < X.nbytes
         assert grads.row_sq_norms() == pytest.approx(np.einsum("ij,ij->i", X, X), rel=1e-12)
         assert grads.column_sum() == pytest.approx(X.sum(axis=0), rel=1e-12, abs=1e-12)
-        V = rng.standard_normal((2, X.shape[1]))
-        assert grads.inner(V) == pytest.approx(V @ X.T, rel=1e-12, abs=1e-12)
+        for v in rng.standard_normal((2, X.shape[1])):
+            assert grads.inner(v) == pytest.approx(X @ v, rel=1e-12, abs=1e-12)
         idx = np.array([5, 0, 29])
         assert np.array_equal(grads.rows(idx).dense(), X[idx])
         assert np.array_equal(grads.scaled(np.full(30, 2.0)).dense(), 2.0 * X)

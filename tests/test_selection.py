@@ -1,5 +1,6 @@
 """Tests for per-class top-fraction selection and weighted training."""
 
+import functools
 import json
 import time
 import warnings
@@ -16,11 +17,12 @@ from chg_shapley.selection import (
     SelectionConfig,
     SelectionHistory,
     SelectionPlan,
+    _class_picks,
+    _top_count,
     minmax_weights,
     per_class_count,
     random_baseline_training,
     run_selection_training,
-    select_top_fraction_per_class,
     write_metrics_csv,
     write_selection_history_jsonl,
 )
@@ -37,70 +39,59 @@ def identical_rows_dataset(n=60, d=5, seed=0) -> Dataset:
 # Top-fraction selection
 # ---------------------------------------------------------------------------
 
-def as_lists(picks) -> dict[int, list[int]]:
-    return {label: idx.tolist() for label, idx in picks.items()}
+def top(indices, values, fraction) -> list[int]:
+    """The top ceil(a*N_c) of one class's `indices` by `values`, as a list."""
+    indices, values = np.asarray(indices), np.asarray(values, dtype=float)
+    return _top_count(indices, values, per_class_count(fraction, indices.size)).tolist()
+
+
+def labelled(sizes, n_classes=None) -> Dataset:
+    """Class c has sizes[c] rows, interleaved; all features zero."""
+    labels = np.concatenate([np.full(size, c) for c, size in enumerate(sizes)])
+    labels = np.random.default_rng(0).permutation(labels)
+    return Dataset(np.zeros((labels.size, 2)), labels, n_classes=n_classes)
 
 
 class TestSelectTopFraction:
     def test_half_of_one_class(self):
-        picked = select_top_fraction_per_class(
-            {0: (np.arange(4), np.array([1.0, 3.0, 2.0, 4.0]))}, fraction=0.5
-        )
-        assert as_lists(picked) == {0: [1, 3]}
+        assert top(np.arange(4), [1.0, 3.0, 2.0, 4.0], 0.5) == [1, 3]
 
     def test_full_fraction_keeps_everything(self):
-        picked = select_top_fraction_per_class(
-            {0: (np.arange(5), np.array([5.0, 1.0, 3.0, 2.0, 4.0]))}, fraction=1.0
-        )
-        assert as_lists(picked) == {0: [0, 1, 2, 3, 4]}
+        assert top(np.arange(5), [5.0, 1.0, 3.0, 2.0, 4.0], 1.0) == [0, 1, 2, 3, 4]
 
     def test_ceiling_counts_across_classes(self):
-        rng = np.random.default_rng(1)
-        by_class = {
-            0: (np.arange(10), rng.standard_normal(10)),
-            1: (np.arange(10, 40), rng.standard_normal(30)),
-        }
-        picked = select_top_fraction_per_class(by_class, fraction=0.1)
-        assert {label: idx.size for label, idx in picked.items()} == {0: 1, 1: 3}
-        assert np.all((10 <= picked[1]) & (picked[1] < 40))
+        data = labelled([10, 30])
+        seen = []
+
+        def pick(idx, count):
+            seen.append((idx, count))
+            return idx[-count:]
+
+        picks, subset = _class_picks(data, 0.1, pick)
+        assert [(idx.tolist(), count) for idx, count in seen] == [
+            (data.class_index[0].tolist(), 1), (data.class_index[1].tolist(), 3)
+        ]
+        assert {label: idx.size for label, idx in picks.items()} == {0: 1, 1: 3}
+        assert np.all(np.isin(picks[1], data.class_index[1]))
+        assert subset.tolist() == sorted(picks[0].tolist() + picks[1].tolist())
 
     def test_ties_break_by_ascending_index(self):
-        picked = select_top_fraction_per_class(
-            {0: (np.array([4, 7, 9]), np.array([1.0, 1.0, 1.0]))}, fraction=0.5
-        )
-        assert as_lists(picked) == {0: [4, 7]}
+        assert top([4, 7, 9], [1.0, 1.0, 1.0], 0.5) == [4, 7]
 
     def test_picks_sorted_by_index_not_by_value(self):
-        picked = select_top_fraction_per_class(
-            {2: (np.array([9, 3, 5]), np.array([3.0, 1.0, 2.0])),
-             0: (np.array([8, 1]), np.array([0.0, 1.0]))},
-            fraction=0.6,
-        )
-        assert list(picked) == [0, 2]
-        assert as_lists(picked) == {0: [1, 8], 2: [5, 9]}
+        assert top([9, 3, 5], [3.0, 1.0, 2.0], 0.6) == [5, 9]
+        assert top([8, 1], [0.0, 1.0], 0.6) == [1, 8]
 
     def test_empty_class_skipped_with_warning(self):
-        by_class = {
-            0: (np.arange(3), np.array([1.0, 2.0, 3.0])),
-            1: (np.array([], dtype=int), np.array([])),
-        }
-        with pytest.warns(UserWarning, match="empty"):
-            picked = select_top_fraction_per_class(by_class, fraction=0.5)
-        assert as_lists(picked) == {0: [1, 2], 1: []}
-
-    def test_every_class_empty_rejected(self):
-        empty = (np.array([], dtype=int), np.array([]))
-        with pytest.warns(UserWarning, match="empty"):
-            with pytest.raises(ValueError, match="no non-empty classes"):
-                select_top_fraction_per_class({0: empty, 1: empty}, fraction=0.5)
-
-    def test_values_must_align_with_indices(self):
-        with pytest.raises(ValueError, match="one value per index"):
-            select_top_fraction_per_class({0: (np.arange(3), np.zeros(5))}, fraction=0.5)
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            select_top_fraction_per_class({0: (np.arange(2), np.zeros(2))}, fraction=0.0)
+        data = labelled([3, 0, 4], n_classes=4)
+        with pytest.warns(UserWarning) as caught:
+            picks, subset = _class_picks(data, 0.5, lambda idx, count: idx[:count])
+        assert [str(w.message) for w in caught] == [
+            "class 1 is empty; skipped", "class 3 is empty; skipped"
+        ]
+        assert {label: idx.size for label, idx in picks.items()} == {0: 2, 1: 0, 2: 2, 3: 0}
+        assert picks[0].tolist() == data.class_index[0][:2].tolist()
+        assert subset.tolist() == sorted(picks[0].tolist() + picks[2].tolist())
 
     def test_count_rule_guards_float_noise(self):
         assert per_class_count(0.1, 30) == 3
@@ -111,12 +102,8 @@ class TestSelectTopFraction:
     def test_argmax_invariance_under_positive_scaling(self):
         rng = np.random.default_rng(2)
         values = rng.standard_normal(12)
-        by_class = {0: (np.arange(12), values)}
-        scaled = {0: (np.arange(12), 4.0 * values)}
-        assert as_lists(select_top_fraction_per_class(by_class, 0.4)) == as_lists(
-            select_top_fraction_per_class(scaled, 0.4)
-        )
-        kept = select_top_fraction_per_class(by_class, 0.4)[0]
+        kept = top(np.arange(12), values, 0.4)
+        assert top(np.arange(12), 4.0 * values, 0.4) == kept
         assert np.array_equal(
             minmax_weights(values[kept]), minmax_weights(4.0 * values[kept])
         )
@@ -139,7 +126,7 @@ class TestSelectTopFraction:
             fraction = 1.0 if case % 11 == 0 else float(rng.uniform(0.01, 1.0))
             count = per_class_count(fraction, size)
             want = np.sort(indices[np.lexsort((indices, -values))[:count]])
-            got = select_top_fraction_per_class({0: (indices, values)}, fraction)[0]
+            got = _top_count(indices, values, count)
             assert np.array_equal(got, want), (case, indices, values, fraction)
 
 
@@ -251,6 +238,20 @@ class TestSelectionTraining:
         _, history = run_selection_training(data, cfg)
         assert len(history.events) == 2
         assert scans == []
+
+
+@pytest.mark.parametrize(
+    "train",
+    [run_selection_training, random_baseline_training,
+     functools.partial(random_baseline_training, adaptive=True)],
+    ids=["value", "random", "adaptive-random"],
+)
+def test_empty_dataset_refused_before_training(train):
+    data = Dataset(np.empty((0, 3)), np.empty(0, dtype=int), n_classes=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any class is walked
+        with pytest.raises(ValueError, match="dataset is empty"):
+            train(data, SelectionConfig(fraction=0.5, epochs=2))
 
 
 class TestRandomBaselines:
