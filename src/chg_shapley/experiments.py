@@ -93,7 +93,8 @@ def make_synthetic_dataset(
     Class c's mean sits at (separation / sqrt(2)) * e_c, so every pair of
     means is exactly `separation` apart; classes are balanced up to the
     remainder and rows are shuffled deterministically.  Free heap pages
-    are released first, so the build's resident cost is its own arrays.
+    are released first, so the build's resident cost is its own arrays:
+    the n x p features, shuffled in place, plus one n x ceil(p/4) block.
     """
     if n_classes < 2 or n < n_classes:
         raise ValueError(f"need n >= n_classes >= 2, got n={n}, n_classes={n_classes}")
@@ -105,12 +106,25 @@ def make_synthetic_dataset(
     rng = np.random.default_rng(seed)
     counts = [n // n_classes + (1 if c < n % n_classes else 0) for c in range(n_classes)]
     labels = np.repeat(np.arange(n_classes), counts)
-    # Row i's mean is zero but at column labels[i], so the shift goes into
-    # the noise in place: one n x p draw, then the shuffled copy.
+    # Before the shuffle class c's rows are contiguous and its mean is zero
+    # but at column c, so the shift goes into the noise as a row slice.
     features = rng.standard_normal((n, p))
-    features[np.arange(n), labels] += separation / math.sqrt(2.0)
+    shift = separation / math.sqrt(2.0)
+    lo = 0
+    for c, count in enumerate(counts):
+        features[lo : lo + count, c] += shift
+        lo += count
+    # Shuffle the rows in place, a quarter of the columns at a time: the
+    # right side is gathered into an n x block temporary before the write.
+    # Each row's part of a block is viewed as one opaque item, so the
+    # gather copies whole items, not a strided run of floats per row.
     order = rng.permutation(n)
-    return Dataset(features=features[order], labels=labels[order], n_classes=n_classes)
+    block = -(-p // 4)
+    for j in range(0, p, block):
+        part = features[:, j : j + block]
+        rows = part.view(np.dtype((np.void, part.shape[1] * part.itemsize)))[:, 0]
+        rows[:] = rows[order]
+    return Dataset(features=features, labels=labels[order], n_classes=n_classes)
 
 
 def inject_label_noise(

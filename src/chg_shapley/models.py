@@ -67,7 +67,11 @@ class Dataset:
             raise ValueError(f"features must be n x p, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with feature rows")
-        if not np.all(np.isfinite(self.features)):
+        # A finite sum has only finite terms; finite rows whose sum
+        # overflows still go through the scan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(self.features.sum())
+        if not math.isfinite(total) and not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite features")
         if self.labels.size and self.labels.min() < 0:
             raise ValueError("labels must be non-negative")

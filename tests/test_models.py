@@ -66,6 +66,23 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((2, 2)), labels=np.array([-1, 0]))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf]],
+        ids=["nan", "inf", "-inf", "inf-and--inf"],
+    )
+    def test_non_finite_features_refused(self, bad):
+        features = np.zeros((4, 2))
+        features.flat[: len(bad)] = bad
+        with pytest.raises(ValueError, match="non-finite features"):
+            Dataset(features=features, labels=np.zeros(4, dtype=int))
+
+    def test_finite_features_whose_sum_overflows_accepted(self):
+        # The sum overflows to inf (a RuntimeWarning fails the suite); the
+        # scan then finds every feature finite.
+        data = Dataset(features=np.array([[1e308], [1e308]]), labels=np.array([0, 1]))
+        assert data.n == 2
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         data = small_dataset(rng)
