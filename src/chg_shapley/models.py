@@ -10,6 +10,14 @@ width)) memory instead of the O(n * classes * width) dense matrix.
 
 The forward pass returns them as the `GradientSet` every game values,
 unscanned, as are the rows `restrict` takes; the public constructor scans.
+It runs class-major in blocks of at most `_BLOCK_ROWS` rows: a block's
+logits are C x B, one contiguous row per class, and every row-wise step
+is a fold over the class rows, the exp row sum a replay of numpy's
+pairwise order for a row (`_class_sum`), so the probabilities and losses
+keep the bits of the textbook row-major pass.  delta is held class-major
+(C x n), and every factor product runs in the same blocks, as does the
+column sum a removal arm steps on (`mean_gradient`), which never holds
+delta.
 """
 
 from __future__ import annotations
@@ -137,10 +145,12 @@ class FactoredGrads:
     works in without building it, is the softmax-head gradient layout:
     the C x w weight block row-major by class, then the C bias entries.
     A per-row factor (the losses, for chg vectors) is folded into delta
-    by `scaled`.
+    by `scaled`.  delta is held class-major: `.delta` is the n x C view
+    `.T` of a C-contiguous C x n array, copied into that layout when
+    given another, and every product runs in blocks of `_BLOCK_ROWS` rows.
     """
 
-    delta: np.ndarray  # n x C
+    delta: np.ndarray  # n x C, the view .T of a C x n C-contiguous array
     phi: np.ndarray  # n x w
 
     def __post_init__(self) -> None:
@@ -149,6 +159,7 @@ class FactoredGrads:
             raise ValueError(
                 f"delta and phi must be 2-D with the same rows, got shapes {delta} and {phi}"
             )
+        object.__setattr__(self, "delta", np.ascontiguousarray(np.asarray(self.delta).T).T)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -167,14 +178,15 @@ class FactoredGrads:
     def _take(self, idx: np.ndarray) -> "FactoredGrads":
         """The rows at checked indices `idx`.  np.take copies the same rows
         as fancy indexing, faster on narrow rows."""
-        return FactoredGrads(np.take(self.delta, idx, axis=0), np.take(self.phi, idx, axis=0))
+        delta = np.take(self.delta.T, idx, axis=1)
+        return FactoredGrads(delta.T, np.take(self.phi, idx, axis=0))
 
     def scaled(self, factors) -> "FactoredGrads":
-        """Rows multiplied by per-row `factors`: an n x C product; phi is shared."""
+        """Rows multiplied by per-row `factors`: a C x n product; phi is shared."""
         factors = np.asarray(factors, dtype=float)
         if factors.shape != self.delta.shape[:1]:
             raise ValueError(f"need {self.delta.shape[0]} row factors, got shape {factors.shape}")
-        return FactoredGrads(factors[:, None] * self.delta, self.phi)
+        return FactoredGrads((self.delta.T * factors).T, self.phi)
 
     @property
     def nbytes(self) -> int:
@@ -186,35 +198,33 @@ class FactoredGrads:
 
     def row_sq_norms(self) -> np.ndarray:
         """||x_i||^2 = ||delta_i||^2 (||phi_i||^2 + 1)."""
-        delta_sq = np.einsum("ic,ic->i", self.delta, self.delta)
-        return delta_sq * (np.einsum("iq,iq->i", self.phi, self.phi) + 1.0)
+        norms = np.einsum("iq,iq->i", self.phi, self.phi)
+        norms += 1.0
+        delta = self.delta.T
+        for rows in _blocks(norms.size):
+            norms[rows] *= np.einsum("ci,ci->i", delta[:, rows], delta[:, rows])
+        return norms
 
     def column_sum(self) -> np.ndarray:
-        """sum_i x_i, from G = delta^T [Phi, 1]; FloatingPointError if finite rows overflow it.
-
-        From two classes up the bias block is an einsum: it adds the rows
-        in the same order as `delta.sum(axis=0)`, the same bits, without
-        an inner-loop call per row.  A single column numpy sums pairwise,
-        so there `sum` stays.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            weights = self.delta.T @ self.phi
-            if self.delta.shape[1] > 1:
-                bias = np.einsum("ic->c", self.delta)
-            else:
-                bias = self.delta.sum(axis=0)
-        total = np.concatenate([weights.ravel(), bias])
-        if not np.all(np.isfinite(total)):
-            raise FloatingPointError("gradient sum overflowed to non-finite numbers")
-        return total
+        """sum_i x_i, from G = delta^T [Phi, 1] added up block by block;
+        FloatingPointError if finite rows overflow it."""
+        delta = self.delta.T
+        blocks = ((rows, self.phi[rows], delta[:, rows]) for rows in _blocks(self.shape[0]))
+        return _column_sum(blocks, self.shape[1])
 
     def inner(self, vector) -> np.ndarray:
-        """<x_i, v> for every row i, for one length-d `vector`."""
+        """<x_i, v> for every row i, for one length-d `vector`: per block a
+        C x B head V phi_b^T + v_bias, dotted with delta class by class."""
         v = np.asarray(vector, dtype=float)
         c, w = self.delta.shape[1], self.phi.shape[1]
-        head = self.phi @ v[: c * w].reshape(c, w).T
-        head += v[c * w :]  # in place: no second n x C temporary
-        return np.einsum("ic,ic->i", self.delta, head)
+        weights, bias = v[: c * w].reshape(c, w), v[c * w :, None]
+        delta = self.delta.T
+        out = np.empty(self.shape[0])
+        for rows in _blocks(out.size):
+            head = weights @ self.phi[rows].T
+            head += bias  # in place: no second C x B temporary
+            out[rows] = np.einsum("ci,ci->i", delta[:, rows], head)
+        return out
 
 
 @dataclass
@@ -367,84 +377,134 @@ def _head_inputs(model: ModelState, data: Dataset, idx) -> tuple[np.ndarray, np.
     return phi, labels
 
 
-# Below this many classes numpy adds up a row left to right, so a fold of
-# column adds gives its bits; from here up it sums a row pairwise.
-_FOLD_CLASSES = 8
+# Rows per block of the forward pass and of every factor product: a block's
+# C x B arrays stay in cache, and a pass holds no n x C temporary.
+_BLOCK_ROWS = 16384
 
 
-def _label_positions(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Flat positions of (i, labels[i]) in a C-contiguous n x `n_classes` array."""
-    return np.arange(0, labels.size * n_classes, n_classes) + labels
+def _blocks(n: int):
+    """Slices of at most `_BLOCK_ROWS` consecutive rows covering range(n), in order."""
+    return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
-def _check_finite_rows(values: np.ndarray, what: str, indices) -> None:
+def _class_sum(rows: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """rows[lo] + ... + rows[hi - 1] of a C x B block in numpy's pairwise order,
+    the bits of `sum(axis=1)` on the B x C transpose: left to right below 8
+    rows; up to 128, eight accumulators, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rows left over in order; above, the two halves split at a
+    multiple of 8."""
+    hi = rows.shape[0] if hi is None else hi
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(rows, lo, lo + half) + _class_sum(rows, lo + half, hi)
+    if n < 8:
+        total = rows[lo].copy()
+        rest = range(lo + 1, hi)
+    else:
+        r = list(rows[lo : lo + 8])
+        stop = hi - n % 8
+        for i in range(lo + 8, stop, 8):
+            r = [r[j] + rows[i + j] for j in range(8)]
+        total, right = r[0] + r[1], r[4] + r[5]  # each pair's sum in its left buffer
+        total += r[2] + r[3]
+        right += r[6] + r[7]
+        total += right
+        rest = range(stop, hi)
+    for k in rest:
+        total += rows[k]
+    return total
+
+
+def _column_sum(blocks, d: int) -> np.ndarray:
+    """sum_i delta_i outer [phi_i, 1], flattened, from blocks (rows, phi_b,
+    delta_b, ...) with delta_b class-major: each block's delta_b @ phi_b and
+    row sums, added in block order; FloatingPointError if finite rows
+    overflow it."""
+    total = None
+    for _, phi, delta, *_ in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            part = np.concatenate([(delta @ phi).ravel(), delta.sum(axis=1)])
+            # Not 0 + part for the first block, which would turn a -0.0 into 0.0.
+            total = part if total is None else np.add(total, part, out=total)
+        del phi, delta  # before the next block is made
+    if total is None:
+        return np.zeros(d)
+    if not np.all(np.isfinite(total)):
+        raise FloatingPointError("gradient sum overflowed to non-finite numbers")
+    return total
+
+
+def _check_finite_rows(values: np.ndarray, what: str, indices, start: int = 0) -> None:
     """NonFiniteBatchError naming the data row of the first row of `values`
-    (n or n x C) with a non-finite entry; `indices` are checked rows or None."""
+    (n or n x k, the rows from `start` on) with a non-finite entry;
+    `indices` are checked rows or None."""
     finite = np.isfinite(values)
     if finite.all():
         return
     if finite.ndim > 1:
         finite = finite.all(axis=1)
-    bad = int(np.flatnonzero(~finite)[0])
+    bad = start + int(np.flatnonzero(~finite)[0])
     if indices is not None:
         bad = int(indices[bad])
     raise NonFiniteBatchError(f"non-finite {what} at example {bad}", index=bad)
 
 
-def _subtract_per_row(logits: np.ndarray, columns, values: np.ndarray) -> None:
-    """logits -= values[:, None] in place, column by column when `columns` are given."""
-    if columns:
-        for column in columns:
-            column -= values
-    else:
-        logits -= values[:, None]
+def _forward(model: ModelState, phi, labels, indices, out=None, gather=False, delta=True):
+    """The forward pass, class-major, one block of at most `_BLOCK_ROWS` rows
+    at a time: yields (rows, phi_b, delta_b, losses_b) per block, where
+    delta_b = softmax(z) - onehot(y), C x B, is written into `out[:, rows]`
+    of a C-contiguous C x n `out` (into a new block when `out` is None).
+    The one place delta is formed; with `delta` False the block holds the
+    probabilities alone.
 
-
-def _probs_and_losses(
-    model: ModelState, phi: np.ndarray, labels: np.ndarray, indices
-) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax probabilities and cross-entropy losses in two n x C buffers.
-
-    The textbook pass, shifted = z - max_c z, log_z = log sum_c
-    exp(shifted), probs = exp(shifted - log_z), allocates four n x C
-    arrays.  Here the logits buffer is shifted, and later moved by log_z,
-    in place, and the probabilities are exp'd into the second buffer
-    twice, so every element goes through the same operations and the
-    bits are the same.  Below `_FOLD_CLASSES` classes the row-wise steps
-    run on column views: numpy takes one inner-loop call per row for a
-    reduction or broadcast along so short an axis, and sums such a row in
-    the same left-to-right order as the fold of columns.
+    `phi` and `labels` are the head inputs of the pass's rows, or with
+    `gather` the data's own arrays, from which each block takes its rows
+    `indices[rows]`.  `indices` (checked rows, or None for every row) name
+    the data row of a non-finite logit or loss in a NonFiniteBatchError.
     """
-    c = model.n_classes
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the row
-        logits = phi @ model.weights.T
-        columns = [logits[:, k] for k in range(c)] if c < _FOLD_CLASSES else None
-        if columns:
-            for column, bias in zip(columns, model.bias):
-                column += bias
-        else:
-            logits += model.bias
-    _check_finite_rows(logits, "logits", indices)
-    # A max of finite numbers is exact in any order, so it folds at every C.
-    row_max = logits[:, 0].copy()
-    for k in range(1, c):
-        np.maximum(row_max, logits[:, k], out=row_max)
-    with np.errstate(over="ignore"):  # logits further apart than the float range: checked below
-        _subtract_per_row(logits, columns, row_max)
-    del row_max
-    probs = np.exp(logits)
-    if columns:
-        row_sum = probs[:, 0].copy()
-        for k in range(1, c):
-            row_sum += probs[:, k]
+    n = indices.size if gather else labels.size
+    for rows in _blocks(n):
+        yield rows, *_forward_block(model, phi, labels, indices, rows, out, gather, delta)
+
+
+def _forward_block(model, phi, labels, indices, rows, out, gather, delta):
+    """(phi_b, delta_b, losses_b) of one block of `_forward`: a function of
+    its own, so that `_forward` holds nothing of a block while it makes the
+    next.
+
+    The logits are W phi_b^T + b, one contiguous row per class, and every
+    row-wise step is a fold over those class rows: the max, exact in any
+    order; the exp row sum in the order numpy sums a row of a row-major
+    block (`_class_sum`); the shift by the max and then by log_z, in place.
+    Every element goes through the operations of the textbook row-major
+    pass, shifted = z - max_c z, log_z = log sum_c exp(shifted), probs =
+    exp(shifted - log_z), so the probabilities and losses have its bits.
+    """
+    if gather:
+        taken = indices[rows]
+        phi_b, labels_b = np.take(phi, taken, axis=0), labels[taken]
     else:
-        row_sum = probs.sum(axis=1)
-    log_z = np.log(row_sum, out=row_sum)
-    losses = log_z - logits.reshape(-1)[_label_positions(labels, c)]
-    _check_finite_rows(losses, "loss", indices)
-    _subtract_per_row(logits, columns, log_z)
+        phi_b, labels_b = phi[rows], labels[rows]
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the row
+        logits = model.weights @ phi_b.T
+        logits += model.bias[:, None]
+    _check_finite_rows(logits.T, "logits", indices, rows.start)
+    with np.errstate(over="ignore"):  # logits further apart than the float range: checked below
+        logits -= logits.max(axis=0)  # a fold of np.maximum over the class rows
+    probs = np.exp(logits) if out is None else np.exp(logits, out=out[:, rows])
+    log_z = _class_sum(probs)
+    np.log(log_z, out=log_z)
+    # The label's entry of each column, by flat position in the contiguous logits.
+    cols = np.arange(labels_b.size)
+    losses = log_z - np.take(logits, labels_b * labels_b.size + cols)
+    _check_finite_rows(losses, "loss", indices, rows.start)
+    logits -= log_z
     np.exp(logits, out=probs)
-    return probs, losses
+    if delta:  # by flat position in the block, or in `out` from the block's first column
+        base, cols = (probs, cols) if out is None else (out, cols + rows.start)
+        base.reshape(-1)[labels_b * base.shape[1] + cols] -= 1.0
+    return phi_b, probs, losses
 
 
 def per_example_loss_and_grad(model: ModelState, data: Dataset, indices=None) -> GradientSet:
@@ -452,17 +512,37 @@ def per_example_loss_and_grad(model: ModelState, data: Dataset, indices=None) ->
 
     Row i of the gradient is the weight gradient (softmax(z_i) -
     onehot(y_i)) outer phi_i, row-major by class, followed by the bias
-    gradient; it is returned factored, never built.  Example i's row
-    depends only on example i and the current parameters.  Logits and
-    losses are checked finite, and a loss, log_z - (z_y - max z) with
-    log_z >= 0, is never negative, so the set is returned unscanned.
+    gradient; it is returned factored, never built, with delta filled
+    class-major block by block.  Example i's row depends only on example
+    i and the current parameters.  Logits and losses are checked finite,
+    and a loss, log_z - (z_y - max z) with log_z >= 0, is never negative,
+    so the set is returned unscanned.
     """
     idx = None if indices is None else _row_indices(indices, data.n)
     phi, labels = _head_inputs(model, data, idx)
-    delta, losses = _probs_and_losses(model, phi, labels, idx)
-    # delta is C-contiguous, so reshape(-1) is a view and the subtraction lands in it.
-    delta.reshape(-1)[_label_positions(labels, delta.shape[1])] -= 1.0
-    return GradientSet._unscanned(FactoredGrads(delta, phi), losses)
+    delta = np.empty((model.n_classes, labels.size))
+    losses = np.empty(labels.size)
+    for rows, _, _, block_losses in _forward(model, phi, labels, idx, delta):
+        losses[rows] = block_losses
+    return GradientSet._unscanned(FactoredGrads(delta.T, phi), losses)
+
+
+def mean_gradient(model: ModelState, data: Dataset, indices=None) -> np.ndarray:
+    """(1/n) sum_i x_i over the rows `indices` (every row with None) of the
+    per-example gradients at `model`, flattened as `FactoredGrads` lays a row out.
+
+    The sum is added up block by block as the forward pass makes each
+    block's delta, in the order `FactoredGrads.column_sum` adds it, so a
+    step on it has the bits of a step on the pass's factors.  No n x C
+    delta is held, nor, for a head on the raw features, an n x w copy of
+    the rows.  Raises the pass's NonFiniteBatchError and the sum's
+    FloatingPointError.
+    """
+    idx = None if indices is None else _row_indices(indices, data.n)
+    phi, labels = _head_inputs(model, data, None)
+    n = data.n if idx is None else idx.size
+    blocks = _forward(model, phi, labels, idx, gather=idx is not None)
+    return _column_sum(blocks, model.weights.size + model.bias.size) / n
 
 
 def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
@@ -471,9 +551,14 @@ def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
 
 
 def accuracy(model: ModelState, data: Dataset) -> float:
+    """Share of rows whose largest logit is their label's, from class-major blocks."""
     phi, labels = _head_inputs(model, data, None)
-    logits = phi @ model.weights.T + model.bias
-    return float(np.mean(logits.argmax(axis=1) == labels))
+    correct = 0
+    for rows in _blocks(data.n):
+        logits = model.weights @ phi[rows].T
+        logits += model.bias[:, None]
+        correct += int(np.count_nonzero(logits.argmax(axis=0) == labels[rows]))
+    return correct / data.n
 
 
 def check_hidden_width(width: int | None) -> None:
@@ -494,11 +579,19 @@ def sgd_step_weighted(model: ModelState, grads: FactoredGrads, lr: float) -> Mod
     """One step theta <- theta - lr * (1/n) sum_i x_i over the n rows of `grads`.
 
     `grads` are the per-example gradients at `model`; `grads.scaled(w)`
-    weights the step.  Returns a new state; the input model is untouched.
-    Raises FloatingPointError when the gradient sum or the new parameters
-    overflow, so the step's own epoch reports it.
+    weights the step.  Raises FloatingPointError when the gradient sum
+    overflows, and as `sgd_step` does.
     """
-    grad = grads.column_sum() / grads.shape[0]
+    return sgd_step(model, grads.column_sum() / grads.shape[0], lr)
+
+
+def sgd_step(model: ModelState, grad: np.ndarray, lr: float) -> ModelState:
+    """One step theta <- theta - lr * grad on a flattened head gradient.
+
+    Returns a new state; the input model is untouched.  Raises
+    FloatingPointError when the new parameters overflow, so the step's
+    own epoch reports it.
+    """
     split = model.weights.size
     with np.errstate(over="ignore", invalid="ignore"):
         weights = model.weights - lr * grad[:split].reshape(model.weights.shape)

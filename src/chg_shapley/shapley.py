@@ -197,13 +197,18 @@ def _centred(X, m: np.ndarray, beta=None):
 
     A dense X is centred in blocks of `_CENTRED_BLOCK` entries before it is
     squared.  A factored X forms d_k = ||x_k||^2 - 2<x_k, m> + ||m||^2 and
-    <x_k, beta> - <m, beta>, one n x C inner-product row per vector; the
-    row <x_k, m> comes before the row norms, which lowers the peak.
+    <x_k, beta> - <m, beta>, one inner product per row per vector, made a
+    C x B block at a time; the row <x_k, m> comes before the row norms,
+    which lowers the peak.
     """
     n, width = X.shape
     if isinstance(X, FactoredGrads):
         x_m = X.inner(m)
-        d = X.row_sq_norms() - 2.0 * x_m + float(m @ m)
+        x_m *= 2.0  # in place, here and below: one length-n temporary, not three
+        d = X.row_sq_norms()
+        d -= x_m
+        d += float(m @ m)
+        del x_m
         return d, None if beta is None else X.inner(beta) - float(m @ beta)
     d, proj = np.empty(n), None if beta is None else np.empty(n)
     step = max(1, _CENTRED_BLOCK // width)
@@ -236,7 +241,10 @@ def chg_closed_form_shapley(X, alpha=None) -> ShapleyValues:
         beta = None if alpha is None else alpha - m
         d, proj = _centred(X, m, beta)
         grand = float(m @ m)
-        values = grand / n + mean_square_game_weight(n) * (float(d.mean()) - d)
+        # kappa (mean_j d_j - d_k) + ||m||^2 / n, in d's own buffer.
+        values = np.subtract(float(d.mean()), d, out=d)
+        values *= mean_square_game_weight(n)
+        values += grand / n
         if beta is not None:
             linear = 2.0 * float(m @ beta)
             values += mean_game_values(linear, 2.0 * proj)

@@ -13,6 +13,7 @@ epoch's values however many epochs it has.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -199,8 +200,20 @@ def write_values_csv(path, run: ValuationRun, data: Dataset, noise_mask=None) ->
     _write_csv(path, header, ",".join(formats), columns)
 
 
+def blas_info() -> dict:
+    """The BLAS numpy was built with, and its thread-count variables as set
+    (None when unset): the bits of a long product can depend on both."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {"name": blas.get("name"), "version": blas.get("version"), **threads}
+
+
 def write_run_meta(path, config, n: int, seconds: float, extra: dict) -> None:
-    """Write run_meta.json: version, the config dataclass, n, seconds, then `extra`."""
-    meta = {"version": __version__, "config": asdict(config), "n": n, "seconds": seconds}
+    """Write run_meta.json: version, the config dataclass, n, seconds, the
+    BLAS (`blas_info`), then `extra`."""
+    meta = {
+        "version": __version__, "config": asdict(config), "n": n, "seconds": seconds,
+        "blas": blas_info(),
+    }
     meta.update(extra)
     Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

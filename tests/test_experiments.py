@@ -288,6 +288,29 @@ class TestPointRemoval:
         assert len(calls) == arms
         assert calls.count(None) == (0.0 in fractions)
 
+    @pytest.mark.parametrize("c", [2, 10])
+    def test_an_arm_holds_a_few_blocks_whatever_n(self, c):
+        # An arm steps on a gradient summed block by block: it never holds
+        # delta or a copy of its rows, so its peak does not grow with n.
+        # Holding them took 2.5x-10.6x a block's bytes at these n.
+        block = 8 * models._BLOCK_ROWS * (20 + c)  # a block of features and of delta
+        test = make_synthetic_dataset(1000, 20, c, 2.0, seed=13)
+        cfg = RemovalConfig(epochs=2, seed=13)
+        peaks = []
+        for n in (3 * models._BLOCK_ROWS + 5, 8 * models._BLOCK_ROWS + 1):
+            train = make_synthetic_dataset(n, 20, c, 2.0, seed=12)
+            retained = np.sort(np.random.default_rng(12).permutation(n)[: n - n // 10])
+            for rows in (None, retained):
+                tracemalloc.start()
+                try:
+                    experiments._retrain_accuracy(rows, train, test, cfg)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        # 0.41x-0.84x with every row and 1.37x-1.54x with gathered rows.
+        assert max(peaks) <= 1.7 * block, [peak / block for peak in peaks]
+        assert abs(peaks[2] - peaks[0]) < block / 16 and abs(peaks[3] - peaks[1]) < block / 16, peaks
+
     def test_fraction_zero_identical_across_orders(self):
         train = make_synthetic_dataset(120, 5, 2, 3.0, seed=8)
         test = make_synthetic_dataset(120, 5, 2, 3.0, seed=9)

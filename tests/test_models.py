@@ -402,7 +402,47 @@ def parent_probs_and_losses(model, phi, labels, idx):
 
 
 class FixedLogits:
-    """Head input whose product with any weights is `logits`, signed zeros included."""
+    """Head input whose class-major product with any weights, W @ phi_b.T, is
+    the C x B transpose of its rows of `logits`, signed zeros included."""
+
+    __array_ufunc__ = None  # so that W @ phi_b.T defers to __rmatmul__
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def __getitem__(self, rows):
+        return FixedLogits(self.logits[rows])
+
+    @property
+    def T(self):
+        return self
+
+    def __rmatmul__(self, weights):
+        return self.logits.T.copy()  # C-contiguous, and never a view of `logits`
+
+
+def kernel_probs_and_losses(model, phi, labels, indices=None):
+    """The blocked forward kernel's m x C probabilities and m losses, gathered
+    from its blocks; written into one C x m array and into new blocks, the
+    two routes must agree bit for bit."""
+    m = labels.size
+    probs = np.empty((model.n_classes, m))
+    losses = np.empty(m)
+    for rows, _, block_probs, block_losses in models._forward(
+        model, phi, labels, indices, probs, delta=False
+    ):
+        assert np.shares_memory(block_probs, probs)
+        losses[rows] = block_losses
+    blocks = list(models._forward(model, phi, labels, indices, delta=False))
+    assert [b[0] for b in blocks] == list(models._blocks(m))
+    if blocks:
+        assert np.concatenate([b[2] for b in blocks], axis=1).tobytes() == probs.tobytes()
+        assert np.concatenate([b[3] for b in blocks]).tobytes() == losses.tobytes()
+    return probs.T, losses
+
+
+class TextbookLogits:
+    """Head input whose row-major product with any weights is `logits`."""
 
     def __init__(self, logits):
         self.logits = logits
@@ -420,18 +460,21 @@ def logit_cases(rng, m, c):
 
 
 class TestForwardPassMatchesRowwiseMax:
-    @pytest.mark.parametrize("m", [0, 1, 7, 1000])
+    # 2 * 16384 + 3 rows: two full blocks and a short one.
+    @pytest.mark.parametrize("m", [0, 1, 7, 1000, 2 * models._BLOCK_ROWS + 3])
     def test_bit_identical_for_every_class_count(self, m):
+        assert models._BLOCK_ROWS == 16384
         rng = np.random.default_rng(m)
-        for c in range(1, 13):
+        for c in [*range(1, 13), 16, 17, 50]:
             # Adding -0.0 keeps every logit, its sign included.
             model = ModelState(weights=np.zeros((c, 1)), bias=np.full(c, -0.0))
             labels = rng.integers(0, c, m)
             for logits in logit_cases(rng, m, c):
                 phi = FixedLogits(logits)
-                assert (phi @ model.weights.T + model.bias).tobytes() == logits.tobytes()
-                want = parent_probs_and_losses(model, phi, labels, np.arange(m))
-                got = models._probs_and_losses(model, phi, labels, None)
+                block = model.weights @ phi[: min(m, 5)].T + model.bias[:, None]
+                assert block.tobytes() == logits[: min(m, 5)].T.tobytes()
+                want = parent_probs_and_losses(model, TextbookLogits(logits), labels, np.arange(m))
+                got = kernel_probs_and_losses(model, phi, labels)
                 for w, g in zip(want, got):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes(), (c, logits)
 
@@ -467,6 +510,30 @@ class TestForwardPassMatchesRowwiseMax:
                 with pytest.raises(NonFiniteBatchError, match="example 4") as err:
                     per_example_loss_and_grad(model, data, indices)
             assert err.value.index == 4
+
+    @pytest.mark.parametrize("what", ["logits", "loss"])
+    @pytest.mark.parametrize("route", [per_example_loss_and_grad, models.mean_gradient])
+    def test_a_bad_row_in_a_later_block_names_the_row_of_the_data(self, what, route):
+        # Every row before the bad one is finite, and the bad one is read in
+        # the second block or later: with every row, with sorted rows, and
+        # with shuffled rows that put it in the last block.
+        n, bad = 2 * models._BLOCK_ROWS + 5, models._BLOCK_ROWS + 7
+        if what == "logits":
+            features, labels = np.ones((n, 1)), np.arange(n) % 2
+            features[bad] = 1e308
+            model = ModelState(weights=np.full((2, 1), 1e308), bias=np.zeros(2))
+        else:  # logits 2e308 apart: the shift overflows and the loss is infinite
+            features, labels = np.full((n, 1), 0.5), np.ones(n, dtype=int)
+            features[bad] = 1.0
+            model = ModelState(weights=np.array([[1e308], [-1e308]]), bias=np.zeros(2))
+        data = Dataset(features=features, labels=labels, n_classes=2)
+        shuffled = np.random.default_rng(11).permutation(n)
+        at = int(np.flatnonzero(shuffled == bad)[0])
+        shuffled[[at, -1]] = shuffled[[-1, at]]
+        for indices in (None, np.delete(np.arange(n), [0, 3, 40]), shuffled):
+            with pytest.raises(NonFiniteBatchError, match=f"non-finite {what} at example {bad}$") as err:
+                route(model, data, indices)
+            assert err.value.index == bad
 
     def test_overflowing_logits_are_reported_not_warned(self):
         # Under pytest a RuntimeWarning is an error, so this also shows that
@@ -515,9 +582,10 @@ def unfused_column_sum(grads):
 
 
 class TestInPlaceKernelIsBitIdentical:
-    """The in-place forward pass and the einsum column sum against the
-    unfused formulas, byte for byte.  The row-sum fold and the einsum
-    order are numpy internals, so this runs on every numpy CI tests with."""
+    """The blocked class-major forward pass and the blocked column sum
+    against the unfused formulas, byte for byte.  The pairwise order the
+    row sum replays and the order of a reduction are numpy internals, so
+    this runs on every numpy CI tests with."""
 
     @pytest.mark.parametrize("c", range(1, 18))
     def test_sweep(self, c):
@@ -533,7 +601,7 @@ class TestInPlaceKernelIsBitIdentical:
                         bias=rng.standard_normal(c) * scale,
                     )
                     want_probs, want_losses = unfused_probs_and_losses(model, phi, labels, None)
-                    got_probs, got_losses = models._probs_and_losses(model, phi, labels, None)
+                    got_probs, got_losses = kernel_probs_and_losses(model, phi, labels)
                     assert got_probs.tobytes() == want_probs.tobytes(), (n, p, scale)
                     assert got_losses.tobytes() == want_losses.tobytes(), (n, p, scale)
 
@@ -577,9 +645,38 @@ class TestInPlaceKernelIsBitIdentical:
         finally:
             tracemalloc.stop()
         held = result.vectors.delta.nbytes + result.losses.nbytes  # 17.6 MB
-        # The unfused pass peaks at 4.0x (four n x C arrays alive at once);
-        # in place it holds the logits and the probabilities.
-        assert peak <= 2.5 * held, peak / held
+        # The unfused pass peaks at 4.0x (four n x C arrays alive at once)
+        # and the whole-array in-place pass at 2.09x; in blocks it holds
+        # delta, the losses and one block's temporaries: 1.18x.
+        assert peak <= 1.25 * held, peak / held
+
+    @pytest.mark.parametrize("c", [1, 2, 10])
+    def test_column_sum_adds_the_blocks_in_order(self, c):
+        # Each block as the single-block sum makes it, then added left to right.
+        n, p = 2 * models._BLOCK_ROWS + 3, 5
+        rng = np.random.default_rng(c)
+        grads = FactoredGrads(rng.standard_normal((n, c)), rng.standard_normal((n, p)))
+        parts = [unfused_column_sum(grads.rows(np.arange(n)[rows])) for rows in models._blocks(n)]
+        assert len(parts) == 3
+        assert grads.column_sum().tobytes() == ((parts[0] + parts[1]) + parts[2]).tobytes()
+
+    @pytest.mark.parametrize("c", [2, 10])
+    def test_mean_gradient_is_the_factored_step_bit_for_bit(self, c):
+        # The removal arms step on mean_gradient; it must be the mean of the
+        # pass's own factors, across block edges, with and without rows.
+        n, p = 2 * models._BLOCK_ROWS + 3, 6
+        rng = np.random.default_rng(c + 20)
+        data = Dataset(rng.standard_normal((n, p)), rng.integers(0, c, n), n_classes=c)
+        model = ModelState(weights=rng.standard_normal((c, p)), bias=rng.standard_normal(c))
+        rows = np.sort(rng.permutation(n)[: n - 100])
+        for indices in (None, rows, rows[:5]):
+            grads = per_example_loss_and_grad(model, data, indices).vectors
+            want = grads.column_sum() / grads.shape[0]
+            assert models.mean_gradient(model, data, indices).tobytes() == want.tobytes()
+            want_model = sgd_step_weighted(model, grads, 0.1)
+            got_model = models.sgd_step(model, models.mean_gradient(model, data, indices), 0.1)
+            assert got_model.weights.tobytes() == want_model.weights.tobytes()
+            assert got_model.bias.tobytes() == want_model.bias.tobytes()
 
     def test_column_sum_overflow_raises(self):
         grads = FactoredGrads(np.ones((2, 2)), np.full((2, 1), 1.7e308))

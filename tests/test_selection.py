@@ -326,8 +326,7 @@ def parent_select_top_fraction_per_class(values_by_class, fraction):
 def parent_value_selection(model, data, cfg, epoch):
     """A losses-only pass for hardness, a per-class loop, picks rebuilt with np.isin."""
     if cfg.kind == "hardness":
-        phi, labels = models._head_inputs(model, data, None)
-        losses = models._probs_and_losses(model, phi, labels, None)[1]
+        losses = kernel_losses(model, data, None)
 
         def values_of(idx):
             return hardness_shapley(losses[idx]).values
@@ -363,10 +362,16 @@ def parent_uniform_plan(data, cfg, epoch, event):
     return SelectionPlan(subset, np.ones(subset.size), epoch, by_class)
 
 
+def kernel_losses(model, data, indices):
+    """The losses of one forward pass of the kernel alone, without delta."""
+    phi, labels = models._head_inputs(model, data, indices)
+    blocks = models._forward(model, phi, labels, indices, delta=False)
+    return np.concatenate([block_losses for *_, block_losses in blocks])
+
+
 def parent_batch_loss(model, data, indices=None):
     """The mean of a losses-only forward pass."""
-    phi, labels = models._head_inputs(model, data, indices)
-    return float(models._probs_and_losses(model, phi, labels, indices)[1].mean())
+    return float(kernel_losses(model, data, indices).mean())
 
 
 def parent_training_loop(data, cfg, select, test_data):

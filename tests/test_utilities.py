@@ -52,7 +52,12 @@ class TestGradientSet:
         X = np.random.default_rng(30).standard_normal((7, 4))
         vectors = dense_set(X, np.ones(7)).vectors
         assert np.array_equal(vectors.dense(), X)
-        assert np.array_equal(vectors.row_sq_norms(), np.einsum("ij,ij->i", X, X))
+        # delta is held class-major, and ||x_i||^2 sums its squares class by class.
+        class_major = np.ascontiguousarray(X.T)
+        assert np.array_equal(
+            vectors.row_sq_norms(), np.einsum("ci,ci->i", class_major, class_major)
+        )
+        assert vectors.row_sq_norms() == pytest.approx(np.einsum("ij,ij->i", X, X), rel=1e-15)
         assert np.array_equal(vectors.column_sum(), X.sum(axis=0))
 
     def test_validation(self):
