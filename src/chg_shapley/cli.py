@@ -80,8 +80,15 @@ def _add_task_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--noise-rate", type=float, default=0.0, help="label-flip fraction in [0, 1]")
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument(
         "--out-dir",
         default=None,

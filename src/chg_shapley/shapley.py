@@ -304,12 +304,26 @@ def exact_shapley(game: GameSpec) -> ShapleyValues:
     return ShapleyValues(values, u[size - 1])
 
 
-def _mc_base_permutations(n: int, blocks: int, seed: int) -> np.ndarray:
-    """Scrambled-Halton base permutations, one per block of 2n samples."""
-    from scipy.stats import qmc
+def _scrambled_halton(n: int, count: int, seed: int) -> np.ndarray:
+    """The first `count` scrambled-Halton points in [0, 1)^n, as a count x n array.
 
-    engine = qmc.Halton(d=n, scramble=True, seed=seed)
-    return np.argsort(engine.random(blocks), axis=1)
+    Owen's scrambling (arXiv:1706.02808), in the bits the tests pin: the k-th
+    prime b takes ceil(54/log2 b) - 1 shuffles of range(b) from one generator,
+    and point i adds sum_j perm_j[digit_j(i)] b^-(j+1) digit by digit.
+    """
+    rng = np.random.default_rng(seed)
+    primes = (k for k in itertools.count(2) if all(k % p for p in range(2, math.isqrt(k) + 1)))
+    points = np.zeros((n, count))
+    for coord, b in zip(points, primes):
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        quotient, scale = np.arange(count), 1.0 / b
+        for perm in perms:
+            coord += perm[quotient % b] * scale
+            quotient //= b
+            scale /= b
+    return points.T
 
 
 def permutation_shapley(game: GameSpec, samples: int, seed: int) -> ShapleyValues:
@@ -332,8 +346,10 @@ def permutation_shapley(game: GameSpec, samples: int, seed: int) -> ShapleyValue
         raise ValueError(f"need samples >= 1, got {samples}")
     totals = np.zeros(n, dtype=float)
     cache: dict[int, float] = {}
-
-    def walk(perm: np.ndarray) -> None:
+    bases = np.argsort(_scrambled_halton(n, -(-samples // (2 * n)), seed), axis=1)
+    rotations = (np.roll(base, -r) for base in bases for r in range(n))
+    walks = (perm for rot in rotations for perm in (rot, rot[::-1]))
+    for perm in itertools.islice(walks, samples):
         mask = 0
         prev = 0.0  # U(empty) = 0
         for pos in range(n):
@@ -344,18 +360,4 @@ def permutation_shapley(game: GameSpec, samples: int, seed: int) -> ShapleyValue
                 cache[mask] = val
             totals[perm[pos]] += val - prev
             prev = val
-
-    block_size = 2 * n
-    bases = _mc_base_permutations(n, (samples + block_size - 1) // block_size, seed)
-    drawn = 0
-    for base in bases:
-        for r in range(n):
-            if drawn >= samples:
-                break
-            rotation = np.concatenate([base[r:], base[:r]])
-            for perm in (rotation, rotation[::-1]):
-                if drawn >= samples:
-                    break
-                walk(perm)
-                drawn += 1
     return ShapleyValues(totals / samples, cache[(1 << n) - 1])

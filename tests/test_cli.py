@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chg_shapley
 import chg_shapley.cli as cli
 from chg_shapley import __version__
 from chg_shapley.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, cli_main, oracle_report
@@ -34,6 +39,18 @@ class TestArguments:
             ["select", "--fraction", "0", "--n", "50", "--out-dir", str(tmp_path)]
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "command, seed",
+        [(command, "-1") for command in ("value", "select", "oracle", "bench", "removal")]
+        + [("value", "1.5")],
+    )
+    def test_bad_seed_is_refused_by_name(self, command, seed, tmp_path, capsys):
+        code = cli_main([command, "--seed", seed, "--out-dir", str(tmp_path / "fresh" / "dir")])
+        assert code == EXIT_INPUT
+        message = f"argument --seed: must be a non-negative integer, got '{seed}'"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHG_OUT_DIR", str(tmp_path / "from_env"))
@@ -89,6 +106,34 @@ class TestOracleCommand:
         assert code == EXIT_INPUT
         assert "mc_samples" in capsys.readouterr().err
         assert not (tmp_path / "fresh").exists()
+
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # The package depends on numpy alone: with scipy made unimportable
+        # (sys.modules maps it to None), every module imports, the oracle's
+        # Monte Carlo check runs, and no scipy module is ever loaded.
+        script = """
+import importlib, json, pathlib, pkgutil, sys
+sys.modules["scipy"] = None
+import chg_shapley
+for module in pkgutil.iter_modules(chg_shapley.__path__):
+    if module.name != "__main__":
+        importlib.import_module("chg_shapley." + module.name)
+from chg_shapley.cli import cli_main
+out = sys.argv[1]
+code = cli_main(["oracle", "--n", "6", "--trials", "2", "--mc-samples", "50", "--out-dir", out])
+report = json.loads((pathlib.Path(out) / "oracle_report.json").read_text())
+loaded = [name for name, mod in sys.modules.items() if name.split(".")[0] == "scipy" and mod is not None]
+print(json.dumps({"code": code, "passed": report["passed"], "scipy_loaded": loaded}))
+"""
+        src = str(Path(chg_shapley.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"code": 0, "passed": True, "scipy_loaded": []}
 
 
 class TestValueCommand:

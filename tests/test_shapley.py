@@ -1,5 +1,6 @@
 """Tests for the core Shapley routines against brute-force enumeration."""
 
+import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -525,24 +526,44 @@ class TestPermutationShapley:
             assert values == pytest.approx(v, abs=1e-12)
 
     def test_single_sample_equals_that_permutations_marginals(self):
-        from scipy.stats import qmc
-
         rng = np.random.default_rng(5)
         X = rng.standard_normal((6, 3))
         alpha = rng.standard_normal(3)
         game = chg_game(X, alpha)
-        seed = 99
         # First walked permutation: the identity rotation of the first
-        # scrambled-Halton base permutation.
-        perm = np.argsort(qmc.Halton(d=6, scramble=True, seed=seed).random(1), axis=1)[0]
+        # scrambled-Halton base permutation at n = 6, seed 99, recorded
+        # from scipy 1.17.1's qmc.Halton.
+        perm = np.array([0, 4, 1, 2, 5, 3])
         expected = np.zeros(6)
         prev = 0.0
         for pos in range(6):
             val = game.utility(np.sort(perm[: pos + 1]))
             expected[perm[pos]] = val - prev
             prev = val
-        values = permutation_shapley(game, samples=1, seed=seed).values
+        values = permutation_shapley(game, samples=1, seed=99).values
         assert values == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_walks_rotations_and_their_reverses_block_by_block(self, n):
+        # Sample t walks rotation (t // 2) % n of base t // (2n), reversed
+        # when t is odd; every count up to past a second block edge.
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        game = GameSpec(n=n, utility=lambda idx: float(v[idx].sum() ** 2))
+        bases = np.argsort(shapley._scrambled_halton(n, 3, 11), axis=1)
+        for samples in range(1, 4 * n + 2):
+            totals = np.zeros(n)
+            for t in range(samples):
+                base = bases[t // (2 * n)]
+                r = (t // 2) % n
+                perm = np.concatenate([base[r:], base[:r]])[:: -1 if t % 2 else 1]
+                prev = 0.0
+                for pos in range(n):
+                    val = game.utility(np.sort(perm[: pos + 1]))
+                    totals[perm[pos]] += val - prev
+                    prev = val
+            got = permutation_shapley(game, samples=samples, seed=11).values
+            assert np.array_equal(got, totals / samples)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)
@@ -577,6 +598,125 @@ class TestPermutationShapley:
         game = GameSpec(n=3, utility=lambda idx: 0.0)
         with pytest.raises(ValueError):
             permutation_shapley(game, samples=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Scrambled Halton points
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the bytes of qmc.Halton(d=n, scramble=True, seed=seed).random(count),
+# keyed (n, seed, count), recorded from scipy 1.17.1.
+SCIPY_1_17_HALTON_SHA256 = {
+    (1, 0, 1): "5953b8cabc7d8d3a88a27b4cfee545fa462c9c94aad9d36910fc014124320585",
+    (1, 0, 2): "dce50c43494abf76d34104d85a76bb84cffd96aa6fa730aa08caaf01e3f50ae2",
+    (1, 0, 17): "24db4d1fe340a9ff957a59db8a65356aede8cf63e28861536718dd373fb22659",
+    (1, 0, 500): "9fe00e0a66d4237bde9082c1736fddbf4059f9dff034f7a8195f2e35238ccc4d",
+    (1, 7, 1): "38c271e95f13791fe3f3d64292cdbf6757d5a9243836d1ef89533cb11fd00612",
+    (1, 7, 2): "176cadf8d8ce65572c370fc78dd27bd32535aa7083672d1406b42662b80110e8",
+    (1, 7, 17): "1c67cbf0e96281bda743d17a335ed1e226999ed9dfb588c561a56e3f2171285f",
+    (1, 7, 500): "4780e761d04f5d2e8844835f8735e7617a9a2dd232b5bdefcf661f9f670764ea",
+    (1, 99, 1): "4604c5fd4b2f918eab5e861e4e03f7423264ea06eea2205d52eab056b5dfe520",
+    (1, 99, 2): "a1911f58adafbf1c62e1c5aa15ecf821e67e1f25b1afddc32df6116e003973de",
+    (1, 99, 17): "4f3a1dccb9f89d5bb55dd99f6be6016a6604d05bfe1e149713adde694cf6f587",
+    (1, 99, 500): "2c8a9e4b9647b5e45b06e2baa012f54e7fbb5b98664df41b2872c4b651998265",
+    (2, 0, 1): "1623024cd457f945b82aec557ea5f7bcd861cf9ff46e51e0939d9c6f8cc70240",
+    (2, 0, 2): "8bc519b6d32f2f7fff507d900b431f92c604a9cab472789561667b07f1b14a40",
+    (2, 0, 17): "b034aca322c14accb48d3fbfef7dd8f163659dd8a3c2c2e29f092e7edba1f474",
+    (2, 0, 500): "115209721d513c5295c2394a1985b2146841f143cb7b814779a878070dc937ac",
+    (2, 7, 1): "df96cfc6a80dc3b0c1dee12887c7c5298a29c1444dee36b69e5d8e3020998d60",
+    (2, 7, 2): "cd7cf73832d8b1d28d5022468016721ac6fc43e9d2df99aeb39c0fc0f517c8b1",
+    (2, 7, 17): "895c6bfc4db412f033d7d745d795c77ae1e60efb6a3f9e9bafc4c38867ec1813",
+    (2, 7, 500): "8e1ebeffbb3afbf3e8e7fce500498c8126bab88ec5ac458a68d4f51bb4f285c1",
+    (2, 99, 1): "66a6a997810526917db09b3b453c1b6f8801d754e83faee9c5801829ae044c37",
+    (2, 99, 2): "70e2d4c65256e6b794218fd61e3f33e4debba251ddc0eef5e0a73c09d87135b4",
+    (2, 99, 17): "c13247d9777d6a9827c5ca51c39c4edbcb546bed5459a2bc6e25fd172b754385",
+    (2, 99, 500): "df85b7ecb4a207685a3cb4f87e22dd72d23877890f5e3f9a09123e8dafb1c8bb",
+    (3, 0, 1): "cf9a76d28966c83a0bd7c43f14cf8d170f3597502cca5de9d8bb807c5ac5cbf6",
+    (3, 0, 2): "357bf3ebb77da77c45e88d8f20dc8aacf77c2c6db9cb8fc113affed32f0aa999",
+    (3, 0, 17): "08d483029da2089d7226f7ca169f95d328fdbd827c89623ea524024271bc5192",
+    (3, 0, 500): "9f26c9244219fca2e96aff13d9d8670757f5250dea16d2c9590c96c1efcb3e1a",
+    (3, 7, 1): "e208f0dd862a6967d4318898bbf3d311851f36784f2f489738aa145801b34d1e",
+    (3, 7, 2): "6f923e18e7a1667b309005f394a689b5eb7a1379349dfd576dfeb1d0c7fb0e55",
+    (3, 7, 17): "4a4b08b982f00fe72afd64dc4aa771e62e949ecc89b95173ec5e9e781aa88d5e",
+    (3, 7, 500): "e7aa3d5acbee4da708c64cc37174a95889f27f15a91adc3a991a32fa1dd3f6a2",
+    (3, 99, 1): "68cbdd87c8d2c76c85be74b2e5cc05585be836cbc78ef5ce320b3a58af438760",
+    (3, 99, 2): "67a794647b36f0616d83d70f33ae5a259b4231352582a10f504a24858aeabe52",
+    (3, 99, 17): "3cb866198cad076078f0ca0e5e7ad1da62039101b3b964f92d08ac77ef866fb7",
+    (3, 99, 500): "9986803423a6c0723386b40e9b1e34d80b6585ec51c1931506b350cfc34f2dce",
+    (6, 0, 1): "3865b739260a43f30dcfc9281a8cc38e1efaefb983743cec160a6a10f1a3d8f5",
+    (6, 0, 2): "a0f677a6cfb4e3a7dae0ee116a92e774387664977ee35687a8fea68c2148a9cd",
+    (6, 0, 17): "fa48fa7cdcd3efd43f119317be6f58a8379dcc0cef8b0bf4c3ebe6244a77bf9b",
+    (6, 0, 500): "8e3e8e83c6c3c5985a3162004300265d9266ff969693fcf4bc15a8a232615b99",
+    (6, 7, 1): "7ce37bb30a2cc6b85cb2f7a9ed7475096985a143f37a54ffdfcf70759c9e8ecd",
+    (6, 7, 2): "bfc16f6896ca6703581c0165c276c36d4c8bc6092fc0d5eee5743b076d37bffc",
+    (6, 7, 17): "4c02c81ddf809d60a1866fcb89d9fc2e2f61539768e625160dcbb5d6d00f46ee",
+    (6, 7, 500): "421bc4cd2de4c8d7cd9f4722fc0af12eaf90e574ae262728759e6f8150546c3b",
+    (6, 99, 1): "29fc0852377d740d12a6c55daafb105e1f7c1229e4656e33b26e4f3024cffcdf",
+    (6, 99, 2): "1087a27db77e094d64dbf19374b706d08725ece2ab60eb276d76e5a022802400",
+    (6, 99, 17): "37c0b9277418675c4ccfaceab64b371bdb2bd702ed64f8becb70a3ea069ad1c0",
+    (6, 99, 500): "bfcf3c0c71e0187f03ecd5d57d27e15d1d2d9079fc05e95d855b8bf23370b5f8",
+    (8, 0, 1): "366b7aebd9cb9d9e53b3c869f799bfea5c024c40025995d83278e0211053cc1e",
+    (8, 0, 2): "9301b3050e06caf04f15042a007f6727eec28bb551090e0c74d1c88ccf29e7ad",
+    (8, 0, 17): "32ebf138a86e12d6ed5957c0b1f48e0e1e19a4015be8da95124bf8614fa7b6f2",
+    (8, 0, 500): "59f8f320a2c5a424da5829ff65e35f550f119ce4e7a8db3a2b0116602a908d74",
+    (8, 7, 1): "54f1dc2a9b05c59bc11ef2bd5597d6aa5744d1eb88c6c261caf6c73e0963e620",
+    (8, 7, 2): "0dcf9a579b2e4d35f2cff89ddc12d90ba52311d462f208b46d87d760b3c15486",
+    (8, 7, 17): "e590b25fe3c1cdd8fce59500e44f1b03940c49e4c172cd9b5bceb6559c5d363c",
+    (8, 7, 500): "4ec7b81a2443c1a12f17febf3435cbb1f7870a5dd98bd078f4acd6f726dcaab7",
+    (8, 99, 1): "d03b8a425adda986b84d9d7770a7f67261e7a42ef02befbfcd4fb73fac3e6eeb",
+    (8, 99, 2): "833d40ec3c43a2d672962d1974f3c4548db81d4941acfcacb2e6d1436c47c474",
+    (8, 99, 17): "6cd7f166026a0cced0c482e41ddde9fab24edb53502b205c013b06e2d9a77ac3",
+    (8, 99, 500): "de330b5e66c11de9ac2aed7988f04123829d1c04f134151b70e6589665330ede",
+    (12, 0, 1): "a52777ceea1458227c80961e4a6f75d1f65d82e302b7e317d886eb055e6d49e9",
+    (12, 0, 2): "b3a9052392f2b01cbae44c119e6a76773475a092d4efdcdaa1aabd38ff9ab70f",
+    (12, 0, 17): "53d848f1d1db06344d1a0328f17bfe2dbbc84a9ece36ee2de14a6d49eca63b71",
+    (12, 0, 500): "3ab7c7347170e26d33ea28075a7f1b2eb46a296fe0b6adbf4ceb560f6cb38965",
+    (12, 7, 1): "fc57aaba7e88d95c5ff7b7c5804849b6e5e51d56988585ad1ae93c523d6a3762",
+    (12, 7, 2): "5fd963a9c4977bc6145141a266f2e08be543a72f73937a1fac0e1e859b4af757",
+    (12, 7, 17): "19bd63620be5f73537e2d4c112ace35ecc8e132063865d4950058bf8f8e8e2a6",
+    (12, 7, 500): "696576e73e9825e26c6ffe19015fafae535ecef194133fb9129f7d59bff6adaf",
+    (12, 99, 1): "62f175dc376ada8a0230713b3707fd6f6f2239094a4ff5f624277a2b1bd42551",
+    (12, 99, 2): "9e0d2b838d5a604299f4d88852652874c696d16f07e0452c740c056ec4161c79",
+    (12, 99, 17): "1af69f041f8ca96804ea2b5e709f221fea53597c633ede3be36edec517d685e2",
+    (12, 99, 500): "2b3b575e035d22c8c1abb94fdf07a4e16d23d3aaa60f5c338cd9a972b9f5da34",
+    (20, 0, 1): "4176d958ff31374e0838f9ccf267871c303dbdb531d171bcd5f1c8e8573df585",
+    (20, 0, 2): "2c011da1d7be5c4bbc87deaad01622a1b81e9ccb16aeff5a6ec3ccab88a9e97f",
+    (20, 0, 17): "f529604d627d47955956bf50252b0f1bb14b519ecdd4eecb6d1df17619de95c5",
+    (20, 0, 500): "4591ae28d40bc53ad1a22709c3a84f7add696763a3ddc815d9cac4e62461b797",
+    (20, 7, 1): "f3b8ec62309bf40dcfe5d9baf644433fffb390b0c99e3b3a981d09d08763ae3d",
+    (20, 7, 2): "f4e3b3ecff1105b84cffa3f3965669aa741d8006d4cf37ba5070104ab5bae226",
+    (20, 7, 17): "511a5e388dde555e632bd04eba0d8b145a243a809eb07f905e632445bf4775c6",
+    (20, 7, 500): "6692dccdba2fb4c980bfccab485b38da6addc2cddc39a8a4c56d017e40787082",
+    (20, 99, 1): "2951a72ec81ae8e3a3ae1e6e24f0bef40b9873a37cf9b11daadf048a69d70c25",
+    (20, 99, 2): "5b1fc6f693ef497718c04d0fd7c08316439e8a13fdc7b6a73f58a04e695837db",
+    (20, 99, 17): "625ba90ab19dbf96fceb338645c5a3c988edd5e00b687f55172e264a4efa790c",
+    (20, 99, 500): "bc338fd8d08c16f55bcd891a37a94997ed6c4f69b4beceacf279dcdf907be5fc",
+}
+
+
+class TestScrambledHalton:
+    @pytest.mark.parametrize("n, seed, count", sorted(SCIPY_1_17_HALTON_SHA256))
+    def test_points_keep_scipy_1_17_bits(self, n, seed, count):
+        points = shapley._scrambled_halton(n, count, seed)
+        assert points.shape == (count, n)
+        digest = hashlib.sha256(points.tobytes()).hexdigest()
+        assert digest == SCIPY_1_17_HALTON_SHA256[n, seed, count]
+
+    def test_first_base_permutation_at_n6_seed99(self):
+        points = shapley._scrambled_halton(6, 1, 99)
+        assert np.argsort(points, axis=1)[0].tolist() == [0, 4, 1, 2, 5, 3]
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 20, 40])
+    def test_same_points_as_installed_scipy_1_17(self, n):
+        # Other scipy releases were not checked, so only 1.17.x is compared.
+        scipy = pytest.importorskip("scipy")
+        if not scipy.__version__.startswith("1.17."):
+            pytest.skip(f"scipy {scipy.__version__} is not 1.17.x")
+        from scipy.stats import qmc
+
+        for seed in (0, 5):
+            expected = qmc.Halton(d=n, scramble=True, seed=seed).random(300)
+            assert shapley._scrambled_halton(n, 300, seed).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
