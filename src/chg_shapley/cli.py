@@ -337,7 +337,7 @@ def _cmd_removal(args) -> int:
     )
     data, _noise, run, _audit, _seconds = _run_valuation_task(args)
     test = make_synthetic_dataset(
-        max(200, args.n // 2), args.p, args.classes, args.separation, args.seed + 500
+        max(200, args.n // 2, args.classes), args.p, args.classes, args.separation, args.seed + 500
     ) if args.data is None else data
     curve = point_removal_curve(run.mean_values, data, test, cfg)
     out = _out_dir(args)

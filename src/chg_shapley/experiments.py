@@ -223,6 +223,8 @@ def point_removal_curve(
     if values.shape != (train.n,):
         raise ValueError("values must align with the training data")
     _check_finite(values)
+    if test.n < 1:
+        raise ValueError("evaluation set is empty")
     n = train.n
     orders = {
         "lowest_first": np.argsort(values, kind="stable"),

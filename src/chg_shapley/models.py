@@ -270,10 +270,6 @@ class GradientSet:
         # this name; it goes when the benchmark is re-keyed to `vectors`.
         return self.vectors
 
-    def weighted_vectors(self) -> FactoredGrads:
-        """Loss-weighted vectors l_i * grad_i: losses folded into delta, phi shared."""
-        return self.vectors.scaled(self.losses)
-
     def restrict(self, indices) -> "GradientSet":
         """The sub-collection at `indices`, not scanned again; ValueError
         for an empty subset or indices `_row_indices` rejects."""
@@ -387,32 +383,30 @@ def _blocks(n: int):
     return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
-def _class_sum(rows: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """rows[lo] + ... + rows[hi - 1] of a C x B block in numpy's pairwise order,
-    the bits of `sum(axis=1)` on the B x C transpose: left to right below 8
-    rows; up to 128, eight accumulators, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the rows left over in order; above, the two halves split at a
-    multiple of 8."""
-    hi = rows.shape[0] if hi is None else hi
-    n = hi - lo
+def _class_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum of the rows of a C x B block in numpy's pairwise order, the
+    bits of `sum(axis=1)` on the B x C transpose: left to right below 8
+    rows; up to 128, eight accumulator rows advanced 8 rows at a time, then
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rows left over in order;
+    above, the two halves split at a multiple of 8."""
+    n = rows.shape[0]
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _class_sum(rows, lo, lo + half) + _class_sum(rows, lo + half, hi)
+        return _class_sum(rows[:half]) + _class_sum(rows[half:])
     if n < 8:
-        total = rows[lo].copy()
-        rest = range(lo + 1, hi)
+        total, rest = rows[0].copy(), rows[1:]
     else:
-        r = list(rows[lo : lo + 8])
-        stop = hi - n % 8
-        for i in range(lo + 8, stop, 8):
-            r = [r[j] + rows[i + j] for j in range(8)]
+        stop = n - n % 8
+        r = rows[:8]
+        for i in range(8, stop, 8):
+            r = r + rows[i : i + 8]
         total, right = r[0] + r[1], r[4] + r[5]  # each pair's sum in its left buffer
         total += r[2] + r[3]
         right += r[6] + r[7]
         total += right
-        rest = range(stop, hi)
-    for k in rest:
-        total += rows[k]
+        rest = rows[stop:]
+    for row in rest:
+        total += row
     return total
 
 
@@ -552,6 +546,8 @@ def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
 
 def accuracy(model: ModelState, data: Dataset) -> float:
     """Share of rows whose largest logit is their label's, from class-major blocks."""
+    if data.n < 1:
+        raise ValueError("evaluation set is empty")
     phi, labels = _head_inputs(model, data, None)
     correct = 0
     for rows in _blocks(data.n):

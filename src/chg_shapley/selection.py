@@ -144,8 +144,8 @@ def minmax_weights(values) -> np.ndarray:
     return (v - lo) / (hi - lo)
 
 
-# (model, data, epoch, event index) -> the plan to train on
-SelectFn = Callable[[ModelState, Dataset, int, int], SelectionPlan]
+# (model, epoch, event index) -> the plan to train on
+SelectFn = Callable[[ModelState, int, int], SelectionPlan]
 
 
 def _training_loop(
@@ -157,24 +157,25 @@ def _training_loop(
     """Train a softmax head on the raw features, one forward pass per step.
 
     The pass after the step gives the epoch's train loss and, unless an
-    event replaces the plan, the next step's batch.  An event's plan brings
-    its epoch's batch when the event made a pass on its subset.
+    event replaces the plan, the next step's batch.  An event runs under its
+    epoch's guard; its plan brings the epoch's batch if it made a pass.
     """
     if data.n < 1:
         raise ValueError("dataset is empty")
-    model = init_model((data.n_features, data.n_classes), seed=cfg.seed)
     eval_data = data if test_data is None else test_data
+    if eval_data.n < 1:
+        raise ValueError("evaluation set is empty")
+    model = init_model((data.n_features, data.n_classes), seed=cfg.seed)
     history = SelectionHistory()
-    plan: SelectionPlan | None = None
     batch = None
     started = time.perf_counter()
     for epoch in range(cfg.epochs):
-        if epoch % cfg.interval == 0:
-            batch = None  # free the factors before the event's passes
-            plan = select(model, data, epoch, len(history.events))
-            history.events.append(plan)
-            batch, plan.batch = plan.batch, None
         with epoch_guard(epoch):
+            if epoch % cfg.interval == 0:
+                batch = None  # free the factors before the event's passes
+                plan = select(model, epoch, len(history.events))
+                history.events.append(plan)
+                batch, plan.batch = plan.batch, None
             if batch is None:
                 batch = per_example_loss_and_grad(model, data, plan.subset)
             model = sgd_step_weighted(model, batch.vectors.scaled(plan.weights), cfg.lr)
@@ -208,10 +209,9 @@ def _value_selection(
         class_batch = per_example_loss_and_grad(model, data, idx)
         return _top_count(idx, gradient_set_values(class_batch, cfg.kind).values, count)
 
-    with epoch_guard(epoch):
-        picks, subset = _class_picks(data, cfg.fraction, top_of_class_game)
-        batch = per_example_loss_and_grad(model, data, subset)
-        subset_values = gradient_set_values(batch, cfg.kind)
+    picks, subset = _class_picks(data, cfg.fraction, top_of_class_game)
+    batch = per_example_loss_and_grad(model, data, subset)
+    subset_values = gradient_set_values(batch, cfg.kind)
     return SelectionPlan(
         subset=subset,
         weights=minmax_weights(subset_values.values),
@@ -226,7 +226,7 @@ def run_selection_training(
 ) -> tuple[ModelState, SelectionHistory]:
     """Value-driven selection and weighted training over the epoch budget."""
 
-    def select(model: ModelState, data: Dataset, epoch: int, _event: int) -> SelectionPlan:
+    def select(model: ModelState, epoch: int, _event: int) -> SelectionPlan:
         return _value_selection(model, data, cfg, epoch)
 
     return _training_loop(data, cfg, select, test_data)
@@ -259,7 +259,7 @@ def random_baseline_training(
     the adaptive variant redraws at every selection event.
     """
 
-    def select(_model: ModelState, _data: Dataset, epoch: int, event: int) -> SelectionPlan:
+    def select(_model: ModelState, epoch: int, event: int) -> SelectionPlan:
         return _uniform_plan(data, cfg, epoch, event if adaptive else 0)
 
     return _training_loop(data, cfg, select, test_data)

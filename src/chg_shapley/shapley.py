@@ -39,7 +39,6 @@ class GameSizeError(ValueError):
 class HarmonicSums:
     """Running sums h1 = sum_{k=1..n} 1/k and h2 = sum_{k=1..n} 1/k^2."""
 
-    n: int
     h1: float
     h2: float
 
@@ -54,7 +53,7 @@ def harmonic_sums(n: int) -> HarmonicSums:
     k = np.arange(1, n + 1, dtype=float)
     h1 = float(np.cumsum(1.0 / k)[-1])
     h2 = float(np.cumsum(1.0 / (k * k))[-1])
-    return HarmonicSums(n=n, h1=h1, h2=h2)
+    return HarmonicSums(h1=h1, h2=h2)
 
 
 @lru_cache(maxsize=None)

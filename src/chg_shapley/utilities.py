@@ -42,7 +42,7 @@ def _vectors(gs: GradientSet, kind: str) -> FactoredGrads:
     _check_kind(kind)
     if kind == "hardness":
         raise ValueError("hardness utility is not quadratic; use hardness_shapley")
-    return gs.weighted_vectors() if kind == "chg" else gs.vectors
+    return gs.vectors.scaled(gs.losses) if kind == "chg" else gs.vectors
 
 
 def utility_game(gs: GradientSet, kind: str) -> GameSpec:

@@ -377,6 +377,15 @@ class TestRemovalCommand:
         assert lines[0] == "fraction,order,accuracy"
         assert len(lines) == 1 + 3 * 3
 
+    def test_test_set_has_a_row_for_every_class(self, tmp_path):
+        # n // 2 = 125 rows would be fewer than the 201 classes.
+        code = cli_main(
+            ["removal", "--n", "250", "--classes", "201", "--p", "201", "--epochs", "1",
+             "--out-dir", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        assert (tmp_path / "removal.csv").exists()
+
     def test_thread_independence(self, tmp_path):
         base = ["removal", "--n", "120", "--epochs", "3", "--seed", "7",
                 "--fractions", "0.0", "0.4"]

@@ -478,6 +478,20 @@ class TestForwardPassMatchesRowwiseMax:
                 for w, g in zip(want, got):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes(), (c, logits)
 
+    @pytest.mark.parametrize("mix", ["uniform", "signed"])
+    def test_class_sum_has_the_bits_of_numpys_row_sum(self, mix):
+        # Every branch: short rows, the eight accumulators, and the halves
+        # above 128 classes.  No -0.0: numpy's short-row sum starts at +0.0.
+        rng = np.random.default_rng(5)
+        for c in [*range(1, 300), 511, 1000, 1031]:
+            for b in (1, 7, 300):
+                if mix == "uniform":
+                    rows = rng.uniform(0.0, 1.0, (c, b))
+                else:
+                    rows = rng.standard_normal((c, b)) * 10.0 ** rng.integers(-5, 5, (c, b))
+                want = np.ascontiguousarray(rows.T).sum(axis=1)
+                assert models._class_sum(rows).tobytes() == want.tobytes(), (c, b)
+
     @pytest.mark.parametrize("hidden_width", [None, 6])
     def test_bit_identical_through_a_model(self, hidden_width):
         rng = np.random.default_rng(3)

@@ -383,7 +383,7 @@ def parent_training_loop(data, cfg, select, test_data):
     started = time.perf_counter()
     for epoch in range(cfg.epochs):
         if epoch % cfg.interval == 0:
-            plan = select(model, data, epoch, len(history.events))
+            plan = select(model, epoch, len(history.events))
             history.events.append(plan)
         with models.epoch_guard(epoch):
             batch = models.per_example_loss_and_grad(model, data, plan.subset)

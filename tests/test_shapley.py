@@ -130,7 +130,7 @@ class TestCoefficients:
 
         def perturbed(n):
             h = true_sums(n)
-            return shapley.HarmonicSums(n, h.h1, h.h2 * (1 + 1e-9))
+            return shapley.HarmonicSums(h.h1, h.h2 * (1 + 1e-9))
 
         monkeypatch.setattr(shapley, "harmonic_sums", perturbed)
         mean_square_game_weight.cache_clear()

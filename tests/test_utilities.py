@@ -72,9 +72,9 @@ class TestGradientSet:
         with pytest.raises(TypeError, match=r"chg_closed_form_shapley\(X, alpha\)"):
             GradientSet(np.ones((2, 2)), np.ones(2))
 
-    def test_weighted_vectors_scale_by_loss(self):
+    def test_chg_vectors_scale_by_loss(self):
         gs = dense_set([[1.0, 0.0], [0.0, 1.0]], np.array([2.0, 0.0]))
-        assert np.array_equal(gs.weighted_vectors().dense(), [[2.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(_vectors(gs, "chg").dense(), [[2.0, 0.0], [0.0, 0.0]])
 
     def test_restrict_selects_rows(self):
         gs = dense_set(np.arange(8.0).reshape(4, 2), np.arange(4.0))
@@ -104,9 +104,9 @@ class TestFactoredGradientSet:
         grads = FactoredGrads(rng.standard_normal((n, 3)), rng.standard_normal((n, 5)))
         return GradientSet(grads, rng.uniform(0.0, 2.0, n))
 
-    def test_weighted_vectors_share_the_factors(self):
+    def test_chg_vectors_share_the_factors(self):
         gs = self.factored_set(np.random.default_rng(20))
-        weighted = gs.weighted_vectors()
+        weighted = _vectors(gs, "chg")
         assert weighted.phi is gs.vectors.phi
         assert np.array_equal(weighted.delta, gs.losses[:, None] * gs.vectors.delta)
         dense = gs.vectors.dense()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chg_shapley.models as models
+import chg_shapley.selection as selection
 import chg_shapley.utilities as utilities
 import chg_shapley.valuation as valuation
 from chg_shapley import __version__
@@ -189,6 +190,34 @@ class TestRunValuation:
         with pytest.raises(TrainingDivergedError, match="SGD step overflowed") as err:
             run_selection_training(data, cfg)
         assert err.value.epoch == 0
+
+    def test_divergence_inside_a_later_event_names_its_epoch_once(self, monkeypatch):
+        # Two classes: each event plays three games, so the fourth game is
+        # the first of the event at epoch 2.
+        games = []
+
+        def diverge_at_second_event(gs, kind, rows=None):
+            games.append(kind)
+            if len(games) > 3:
+                raise FloatingPointError("closed-form values overflowed")
+            return utilities.gradient_set_values(gs, kind, rows)
+
+        monkeypatch.setattr(selection, "gradient_set_values", diverge_at_second_event)
+        cfg = SelectionConfig(fraction=0.5, interval=2, epochs=4, seed=3)
+        with pytest.raises(TrainingDivergedError) as err:
+            run_selection_training(tiny_task(), cfg)
+        assert err.value.epoch == 2 and len(games) == 4
+        assert str(err.value) == "training diverged at epoch 2: closed-form values overflowed"
+
+    def test_empty_evaluation_set_is_refused_on_every_route(self):
+        data, empty = tiny_task(), Dataset(np.empty((0, 5)), np.empty(0, int), n_classes=2)
+        model = models.init_model((5, 2), seed=0)
+        with pytest.raises(ValueError, match="evaluation set is empty"):
+            models.accuracy(model, empty)
+        with pytest.raises(ValueError, match="evaluation set is empty"):
+            run_selection_training(data, SelectionConfig(fraction=0.5, epochs=2), test_data=empty)
+        with pytest.raises(ValueError, match="evaluation set is empty"):
+            point_removal_curve(np.arange(data.n, dtype=float), data, empty, RemovalConfig())
 
     def test_scale_response_is_quadratic(self):
         # Single-epoch property of the value computation: scaling every
