@@ -30,7 +30,7 @@ from .experiments import (
     make_synthetic_dataset,
     point_removal_curve,
 )
-from .models import Dataset, _write_csv, load_dataset_csv
+from .models import Dataset, _write_csv, _write_json, load_dataset_csv
 from .selection import (
     SelectionConfig,
     run_selection_training,
@@ -292,7 +292,7 @@ def oracle_report(n: int, d: int, trials: int, seed: int, mc_samples: int) -> di
 def _cmd_oracle(args) -> int:
     report = oracle_report(args.n, args.d, args.trials, args.seed, args.mc_samples)
     out = _out_dir(args)
-    (out / "oracle_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "oracle_report.json", report)
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK if report["passed"] else EXIT_NUMERIC
 
@@ -315,7 +315,7 @@ def _cmd_bench(args) -> int:
         "seconds": seconds,
         "audit_max_violation": audit.max_violation,
     }
-    (out / "detection.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "detection.json", payload)
     if args.plot_data:
         _write_csv(
             out / "detection_curve.csv",

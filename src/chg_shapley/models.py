@@ -25,7 +25,10 @@ from __future__ import annotations
 import copy
 import csv
 import ctypes
+import json
 import math
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -608,7 +611,9 @@ def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV files.  Every table the package writes goes through _write_csv; a
+# Output files.  Every file the package writes is opened by _open_new, as a
+# new file in place of any regular file at its path; every table goes
+# through _write_csv and every JSON document through _write_json.  A
 # dataset is a header row, feature columns, then one integer label column.
 # ---------------------------------------------------------------------------
 
@@ -616,21 +621,45 @@ _CSV_CHUNK_ROWS = 1024  # rows converted to Python objects at a time
 _INTP = np.iinfo(np.intp)
 
 
+def _open_new(path, newline=None):
+    """Open `path` to write text, as a new file in place of a regular one.
+
+    A regular file at `path` is unlinked first, so a reader holding it keeps
+    its bytes and no write truncates a file in place (which on ext4 can
+    block the open until the old blocks are flushed).  Anything else at
+    `path` (a symlink, a device, a FIFO), or a file whose unlink is
+    refused, is opened as it is.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass
+    return open(path, "w", newline=newline)
+
+
+def _write_json(path, payload) -> None:
+    """Write `payload` as indented JSON with sorted keys and a final newline."""
+    with _open_new(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _write_csv(path, header, row_format: str, columns) -> None:
-    """Write `header`, then row i as `row_format % (c[i] for c in columns)`.
+    """Write `header`, then row i as `row_format % (c[i] for c in columns)`,
+    to a new file at `path` (`_open_new`).
 
     Fields are comma-separated and unquoted, and lines end in "\r\n": the
     bytes csv.writer writes for fields with no comma, quote or line
-    break.  `columns` are equal-length arrays; a chunk of rows is converted
-    with `.tolist()` and formatted by one `%`, so peak memory stays flat in
-    the number of rows.
+    break.  `columns` are equal-length arrays, checked before the file is
+    opened; a chunk of rows is converted with `.tolist()` and formatted by
+    one `%`, so peak memory stays flat in the number of rows.
     """
     n = len(columns[0])
     for name, column in zip(header, columns):
         if len(column) != n:
             raise ValueError(f"{path}: column {name!r} has {len(column)} rows, expected {n}")
     width = len(columns)
-    with open(path, "w", newline="") as fh:
+    with _open_new(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, n)

@@ -24,6 +24,7 @@ import numpy as np
 from .models import (
     Dataset,
     ModelState,
+    _open_new,
     _write_csv,
     accuracy,
     check_learning_rate,
@@ -271,12 +272,12 @@ def random_baseline_training(
 
 def write_selection_history_jsonl(path, history: SelectionHistory) -> None:
     """One JSON record per selection event."""
-    with open(path, "w") as fh:
+    with _open_new(path) as fh:
         for plan in history.events:
             record = {
                 "epoch": plan.epoch_created,
                 "per_class_indices": {
-                    str(k): [int(i) for i in v] for k, v in plan.per_class_indices.items()
+                    str(k): v.tolist() for k, v in plan.per_class_indices.items()
                 },
                 "weights_summary": {
                     "min": float(plan.weights.min()),

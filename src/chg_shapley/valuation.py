@@ -12,10 +12,8 @@ epoch's values however many epochs it has.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from .models import (
     TrainingDivergedError,  # noqa: F401  (raised by the loop; callers catch it from here)
     _release_free_heap,
     _write_csv,
+    _write_json,
     check_hidden_width,
     check_learning_rate,
     epoch_guard,
@@ -216,4 +215,4 @@ def write_run_meta(path, config, n: int, seconds: float, extra: dict) -> None:
         "blas": blas_info(),
     }
     meta.update(extra)
-    Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(path, meta)

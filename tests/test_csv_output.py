@@ -1,4 +1,5 @@
-"""Byte oracle for every table the package writes.
+"""Byte oracle for every table the package writes, and how every output
+file replaces the one at its path.
 
 Each `reference_*` function below writes its table row by row with
 csv.writer; `models._write_csv`, which formats a chunk of rows at a time,
@@ -6,18 +7,31 @@ must match it byte for byte, across its chunk boundaries too.
 """
 
 import csv
+import json
+import os
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import chg_shapley.cli as cli
-from chg_shapley.experiments import DetectionReport, RemovalCurve
+from chg_shapley.experiments import DetectionReport, RemovalCurve, make_synthetic_dataset
 from chg_shapley.models import _CSV_CHUNK_ROWS, Dataset, save_dataset_csv
-from chg_shapley.selection import EpochMetrics, SelectionHistory, write_metrics_csv
+from chg_shapley.selection import (
+    EpochMetrics,
+    SelectionConfig,
+    SelectionHistory,
+    SelectionPlan,
+    run_selection_training,
+    write_metrics_csv,
+    write_selection_history_jsonl,
+)
 from chg_shapley.valuation import (
     ValuationConfig,
     ValuationRun,
     value_ranks,
+    write_run_meta,
     write_values_csv,
 )
 
@@ -90,6 +104,24 @@ def reference_removal_csv(path, curve):
         for order, accs in curve.accuracy.items():
             for f, acc in zip(curve.fractions, accs):
                 writer.writerow([f"{f:.17g}", order, f"{acc:.17g}"])
+
+
+def reference_selection_history_jsonl(path, history):
+    with open(path, "w") as fh:
+        for plan in history.events:
+            record = {
+                "epoch": plan.epoch_created,
+                "per_class_indices": {
+                    str(k): [int(i) for i in v] for k, v in plan.per_class_indices.items()
+                },
+                "weights_summary": {
+                    "min": float(plan.weights.min()),
+                    "max": float(plan.weights.max()),
+                    "mean": float(plan.weights.mean()),
+                    "count": int(plan.weights.size),
+                },
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def assert_same_bytes(path, reference_path):
@@ -172,3 +204,168 @@ def test_removal_csv_matches_csv_writer(tmp_path, monkeypatch):
     assert code == cli.EXIT_OK
     reference_removal_csv(tmp_path / "ref.csv", curve)
     assert_same_bytes(tmp_path / "removal.csv", tmp_path / "ref.csv")
+
+
+def test_selection_history_jsonl_matches_int_lists(tmp_path):
+    # A selection run with an empty class, and hand-made events whose
+    # indices reach the intp range.
+    data = make_synthetic_dataset(80, 4, 3, 2.0, seed=8)
+    data = Dataset(data.features, np.where(data.labels == 0, 0, data.labels + 1), n_classes=4)
+    cfg = SelectionConfig(fraction=0.3, interval=2, epochs=4, seed=8)
+    with pytest.warns(UserWarning, match="empty"):
+        _, history = run_selection_training(data, cfg)
+    big = np.iinfo(np.intp)
+    history.events.append(
+        SelectionPlan(
+            subset=np.array([0, 1, big.max]),
+            weights=np.array([0.0, 1 / 3, 1.0]),
+            epoch_created=9,
+            per_class_indices={0: np.array([0, big.max]), 1: np.array([1]), 2: np.array([], np.intp)},
+        )
+    )
+    write_selection_history_jsonl(tmp_path / "new.jsonl", history)
+    reference_selection_history_jsonl(tmp_path / "ref.jsonl", history)
+    assert_same_bytes(tmp_path / "new.jsonl", tmp_path / "ref.jsonl")
+
+
+# ---------------------------------------------------------------------------
+# Write semantics: every output is a new file in place of a regular file at
+# its path; a symlink is written through, and anything else, or a file
+# whose unlink is refused, is opened as it is.
+# ---------------------------------------------------------------------------
+
+def _values_run(k):
+    values = np.arange(5.0) * (k + 1) - 1.5
+    run = ValuationRun(
+        mean_values=values,
+        value_sums=np.zeros(1),
+        per_epoch_utilities=np.zeros(1),
+        config=ValuationConfig(epochs=1),
+    )
+    return run, Dataset(np.zeros((5, 2)), np.arange(5) % 2)
+
+
+def _write_values(out, k):
+    run, data = _values_run(k)
+    write_values_csv(out / "values.csv", run, data)
+    return out / "values.csv"
+
+
+def _write_run_meta(out, k):
+    write_run_meta(out / "run_meta.json", ValuationConfig(epochs=1), k, 0.0, extra={"k": k})
+    return out / "run_meta.json"
+
+
+def _write_history(out, k):
+    picks = np.arange(k + 1)
+    plan = SelectionPlan(
+        subset=picks, weights=np.ones(k + 1), epoch_created=k, per_class_indices={0: picks}
+    )
+    write_selection_history_jsonl(out / "selection_history.jsonl", SelectionHistory(events=[plan]))
+    return out / "selection_history.jsonl"
+
+
+def _write_oracle(out, k):
+    argv = ["oracle", "--n", "3", "--d", "2", "--trials", "1", "--seed", str(k)]
+    assert cli.cli_main(argv + ["--out-dir", str(out)]) == cli.EXIT_OK
+    return out / "oracle_report.json"
+
+
+def _write_detection(out, k):
+    argv = ["bench", "--n", "60", "--epochs", "2", "--seed", str(k + 3), "--noise-rate", "0.2"]
+    # A stopped clock, so that the file's "seconds" repeat.
+    with mock.patch.object(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0)):
+        assert cli.cli_main(argv + ["--out-dir", str(out)]) == cli.EXIT_OK
+    return out / "detection.json"
+
+
+# Each writes version k (0 or 1) of its file into directory `out` and
+# returns the file's path; the two versions differ.  values.csv stands for
+# every table, all of which _write_csv writes.
+WRITERS = {
+    "values.csv": _write_values,
+    "run_meta.json": _write_run_meta,
+    "selection_history.jsonl": _write_history,
+    "oracle_report.json": _write_oracle,
+    "detection.json": _write_detection,
+}
+
+
+def _fresh_bytes(tmp_path, write, k):
+    fresh = tmp_path / f"fresh-{k}"
+    fresh.mkdir()
+    return write(fresh, k).read_bytes()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_rewrite_is_a_new_file(tmp_path, name):
+    write = WRITERS[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    path = write(out, 0)
+    first = path.read_bytes()
+    with open(path, "rb") as held:
+        write(out, 1)
+        assert held.read() == first
+    second = path.read_bytes()
+    assert second != first
+    assert second == _fresh_bytes(tmp_path, write, 1)
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_symlink_is_written_through(tmp_path, name):
+    write = WRITERS[name]
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    target = elsewhere / "target"
+    target.write_bytes(b"old bytes\n")
+    (out / name).symlink_to(target)
+    path = write(out, 1)
+    assert path.is_symlink()
+    assert os.readlink(path) == str(target)
+    assert target.read_bytes() == _fresh_bytes(tmp_path, write, 1)
+
+
+@pytest.fixture
+def refused_unlinks(monkeypatch):
+    """Every os.unlink raises PermissionError; the paths it was asked for."""
+    asked = []
+
+    def refuse(path, *args, **kwargs):
+        asked.append(os.fspath(path))
+        raise PermissionError(13, "Permission denied", os.fspath(path))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    return asked
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_refused_unlink_rewrites_in_place(tmp_path, name, refused_unlinks):
+    write = WRITERS[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    path = write(out, 0)
+    inode = path.stat().st_ino
+    with open(path, "rb") as held:
+        write(out, 1)
+        second = path.read_bytes()
+        assert held.read() == second  # truncated and written in place
+    assert path.stat().st_ino == inode
+    assert str(path) in refused_unlinks
+    assert second == _fresh_bytes(tmp_path, write, 1)
+
+
+def test_device_is_opened_as_it_is(refused_unlinks):
+    run, data = _values_run(0)
+    write_values_csv(os.devnull, run, data)
+    assert refused_unlinks == []
+    assert os.path.exists(os.devnull)
+
+
+def test_directory_at_the_output_path_exits_one(tmp_path, capsys):
+    (tmp_path / "values.csv").mkdir()
+    code = cli.cli_main(["value", "--out-dir", str(tmp_path)] + SMALL_RUN)
+    assert code == cli.EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+    assert (tmp_path / "values.csv").is_dir()
