@@ -612,7 +612,7 @@ def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset) -> float:
 
 # ---------------------------------------------------------------------------
 # Output files.  Every file the package writes is opened by _open_new, as a
-# new file in place of any regular file at its path; every table goes
+# new file in place of a writable regular file at its path; every table goes
 # through _write_csv and every JSON document through _write_json.  A
 # dataset is a header row, feature columns, then one integer label column.
 # ---------------------------------------------------------------------------
@@ -624,14 +624,15 @@ _INTP = np.iinfo(np.intp)
 def _open_new(path, newline=None):
     """Open `path` to write text, as a new file in place of a regular one.
 
-    A regular file at `path` is unlinked first, so a reader holding it keeps
-    its bytes and no write truncates a file in place (which on ext4 can
-    block the open until the old blocks are flushed).  Anything else at
-    `path` (a symlink, a device, a FIFO), or a file whose unlink is
-    refused, is opened as it is.
+    A regular file at `path` that the process may write is unlinked first,
+    so a reader holding it keeps its bytes and no write truncates a file in
+    place (which on ext4 can block the open until the old blocks are
+    flushed).  Anything else at `path` (a symlink, a device, a FIFO, a
+    file the process may not write), or a file whose unlink is refused, is
+    opened as it is, so a read-only file still makes the open fail.
     """
     try:
-        if stat.S_ISREG(os.lstat(path).st_mode):
+        if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
             os.unlink(path)
     except OSError:
         pass
@@ -639,9 +640,11 @@ def _open_new(path, newline=None):
 
 
 def _write_json(path, payload) -> None:
-    """Write `payload` as indented JSON with sorted keys and a final newline."""
+    """Write `payload` as indented JSON with sorted keys and a final newline;
+    a payload that does not serialise leaves the file at `path` untouched."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with _open_new(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def _write_csv(path, header, row_format: str, columns) -> None:

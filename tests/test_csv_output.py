@@ -356,6 +356,45 @@ def test_refused_unlink_rewrites_in_place(tmp_path, name, refused_unlinks):
     assert second == _fresh_bytes(tmp_path, write, 1)
 
 
+@pytest.mark.parametrize("name", WRITERS)
+def test_file_the_process_may_not_write_is_opened_as_it_is(tmp_path, name, monkeypatch):
+    # os.access stands in for a read-only file here, since root may write one.
+    write = WRITERS[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    path = write(out, 0)
+    inode = path.stat().st_ino
+    monkeypatch.setattr(os, "access", lambda p, mode, **kw: os.fspath(p) != str(path))
+    unlink = mock.Mock(wraps=os.unlink)
+    monkeypatch.setattr(os, "unlink", unlink)
+    write(out, 1)
+    assert path.stat().st_ino == inode
+    assert str(path) not in [os.fspath(call.args[0]) for call in unlink.call_args_list]
+    monkeypatch.undo()
+    assert path.read_bytes() == _fresh_bytes(tmp_path, write, 1)
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_values_csv_exits_one_and_keeps_its_bytes(tmp_path, capsys):
+    path = tmp_path / "values.csv"
+    path.write_bytes(b"kept\n")
+    path.chmod(0o444)
+    code = cli.cli_main(["value", "--out-dir", str(tmp_path)] + SMALL_RUN)
+    assert code == cli.EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+    assert path.read_bytes() == b"kept\n"
+
+
+def test_unserialisable_json_leaves_the_file_untouched(tmp_path):
+    path = _write_run_meta(tmp_path, 0)
+    first = path.read_bytes()
+    inode = path.stat().st_ino
+    with pytest.raises(TypeError):
+        write_run_meta(path, ValuationConfig(epochs=1), 1, 0.0, extra={"k": np.int64(1)})
+    assert path.read_bytes() == first
+    assert path.stat().st_ino == inode
+
+
 def test_device_is_opened_as_it_is(refused_unlinks):
     run, data = _values_run(0)
     write_values_csv(os.devnull, run, data)
