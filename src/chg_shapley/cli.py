@@ -8,8 +8,9 @@ Subcommands:
   removal  point-removal curves; writes removal.csv
 
 Every subcommand is deterministic given --seed.  Exit codes: 0 success,
-1 input error, 2 numeric or audit failure.  The output directory is
-created only once a run's outputs are computed.
+1 input error, 2 numeric or audit failure.  A run's config is checked
+before any data is built or read, and the output directory is created
+only once a run's outputs are computed.
 """
 
 from __future__ import annotations
@@ -186,7 +187,6 @@ def _load_task(args):
 
 
 def _run_valuation_task(args):
-    data, noise = _load_task(args)
     config = ValuationConfig(
         kind=args.scheme,
         epochs=args.epochs,
@@ -194,6 +194,7 @@ def _run_valuation_task(args):
         lr=args.lr,
         per_class=args.per_class,
     )
+    data, noise = _load_task(args)
     started = time.perf_counter()
     run = run_valuation(data, config)
     audit = epoch_efficiency_audit(run)
@@ -222,12 +223,6 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    data, _ = _load_task(args)
-    test = (
-        make_synthetic_dataset(args.n, args.p, args.classes, args.separation, args.seed + 500)
-        if args.data is None
-        else None
-    )
     cfg = SelectionConfig(
         fraction=args.fraction,
         interval=args.interval,
@@ -235,6 +230,12 @@ def _cmd_select(args) -> int:
         seed=args.seed,
         kind=args.scheme,
         lr=args.lr,
+    )
+    data, _ = _load_task(args)
+    test = (
+        make_synthetic_dataset(args.n, args.p, args.classes, args.separation, args.seed + 500)
+        if args.data is None
+        else None
     )
     started = time.perf_counter()
     _, history = run_selection_training(data, cfg, test_data=test)
@@ -307,7 +308,7 @@ def _cmd_bench(args) -> int:
         "auc": report.auc,
         "fractions": report.fractions.tolist(),
         "detection_rate": report.detection_rate.tolist(),
-        "random_baseline": report.random_baseline.tolist(),
+        "random_baseline": report.fractions.tolist(),  # random inspection's rate
         "noise_rate": args.noise_rate,
         "scheme": args.scheme,
         "seed": args.seed,
@@ -321,7 +322,7 @@ def _cmd_bench(args) -> int:
             out / "detection_curve.csv",
             ["fraction", "detection_rate", "random_baseline"],
             "%.17g,%.17g,%.17g",
-            [report.fractions, report.detection_rate, report.random_baseline],
+            [report.fractions, report.detection_rate, report.fractions],
         )
     print(f"wrote {out / 'detection.json'} (AUC {report.auc:.4f})")
     return EXIT_OK

@@ -40,12 +40,14 @@ class NoiseSpec:
 
 @dataclass
 class DetectionReport:
-    """Noisy-point recall among the lowest-valued fraction, swept over fractions."""
+    """Noisy-point recall among the lowest-valued fraction, swept over fractions.
+
+    Random inspection finds each fraction's share of the noisy points, so
+    `fractions` is also the random baseline."""
 
     fractions: np.ndarray
     detection_rate: np.ndarray
     auc: float
-    random_baseline: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -181,12 +183,7 @@ def detection_curve(values, noise: NoiseSpec) -> DetectionReport:
     inspected = np.round(fractions * n).astype(int)
     rate = found[inspected] / total
     auc = float(np.trapezoid(rate, fractions))
-    return DetectionReport(
-        fractions=fractions,
-        detection_rate=rate,
-        auc=auc,
-        random_baseline=fractions.copy(),
-    )
+    return DetectionReport(fractions=fractions, detection_rate=rate, auc=auc)
 
 
 def _retrain_accuracy(

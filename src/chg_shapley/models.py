@@ -346,7 +346,8 @@ def head_dataset(model: ModelState, data: Dataset) -> Dataset:
     """`data` as the softmax head sees it: every row through the frozen feature map.
 
     The map never trains, so a training loop maps its data once with this
-    and steps a head whose `feature_map` is None.  Raises
+    and steps a head whose `feature_map` is None; every pass takes its head
+    inputs from here too, `data` itself for a model with no map.  Raises
     `NonFiniteBatchError` naming the first row the map overflows on.
 
     Every tanh output lies in [-1, 1] or is NaN, so the sum of phi is
@@ -362,18 +363,6 @@ def head_dataset(model: ModelState, data: Dataset) -> Dataset:
     mapped = copy.copy(data)
     mapped.features = phi
     return mapped
-
-
-def _head_inputs(model: ModelState, data: Dataset, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Head inputs and labels of the checked rows `idx`; with None, `data`'s own arrays."""
-    if idx is None:
-        phi, labels = data.features, data.labels
-    else:
-        # np.take copies the same rows as data.features[idx], faster on narrow rows.
-        phi, labels = np.take(data.features, idx, axis=0), data.labels[idx]
-    if model.feature_map is not None:
-        phi = model.feature_map.apply(phi)
-    return phi, labels
 
 
 # Rows per block of the forward pass and of every factor product: a block's
@@ -511,12 +500,16 @@ def per_example_loss_and_grad(model: ModelState, data: Dataset, indices=None) ->
     onehot(y_i)) outer phi_i, row-major by class, followed by the bias
     gradient; it is returned factored, never built, with delta filled
     class-major block by block.  Example i's row depends only on example
-    i and the current parameters.  Logits and losses are checked finite,
-    and a loss, log_z - (z_y - max z) with log_z >= 0, is never negative,
-    so the set is returned unscanned.
+    i and the current parameters; the rows `indices` are gathered from
+    `head_dataset`'s.  Logits and losses are checked finite, and a loss,
+    log_z - (z_y - max z) with log_z >= 0, is never negative, so the set
+    is returned unscanned.
     """
     idx = None if indices is None else _row_indices(indices, data.n)
-    phi, labels = _head_inputs(model, data, idx)
+    data = head_dataset(model, data)
+    phi, labels = data.features, data.labels
+    if idx is not None:  # np.take copies the same rows as phi[idx], faster on narrow rows
+        phi, labels = np.take(phi, idx, axis=0), labels[idx]
     delta = np.empty((model.n_classes, labels.size))
     losses = np.empty(labels.size)
     for rows, _, _, block_losses in _forward(model, phi, labels, idx, delta):
@@ -536,9 +529,9 @@ def mean_gradient(model: ModelState, data: Dataset, indices=None) -> np.ndarray:
     FloatingPointError.
     """
     idx = None if indices is None else _row_indices(indices, data.n)
-    phi, labels = _head_inputs(model, data, None)
+    data = head_dataset(model, data)
     n = data.n if idx is None else idx.size
-    blocks = _forward(model, phi, labels, idx, gather=idx is not None)
+    blocks = _forward(model, data.features, data.labels, idx, gather=idx is not None)
     return _column_sum(blocks, model.weights.size + model.bias.size) / n
 
 
@@ -548,15 +541,15 @@ def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
 
 
 def accuracy(model: ModelState, data: Dataset) -> float:
-    """Share of rows whose largest logit is their label's, from class-major blocks."""
+    """Share of `head_dataset`'s rows whose largest logit is their label's, class-major."""
     if data.n < 1:
         raise ValueError("evaluation set is empty")
-    phi, labels = _head_inputs(model, data, None)
+    data = head_dataset(model, data)
     correct = 0
     for rows in _blocks(data.n):
-        logits = model.weights @ phi[rows].T
+        logits = model.weights @ data.features[rows].T
         logits += model.bias[:, None]
-        correct += int(np.count_nonzero(logits.argmax(axis=0) == labels[rows]))
+        correct += int(np.count_nonzero(logits.argmax(axis=0) == data.labels[rows]))
     return correct / data.n
 
 
@@ -604,9 +597,10 @@ def softmax_gradient_lipschitz_bound(model: ModelState, data: Dataset) -> float:
     """A gradient-Lipschitz constant of the mean cross-entropy over `data`.
 
     The softmax Hessian in logit space is bounded by I/2, so
-    L = mean_i ||[phi_i, 1]||^2 / 2 works for the flattened head params.
+    L = mean_i ||[phi_i, 1]||^2 / 2 over `head_dataset`'s rows phi works
+    for the flattened head params.
     """
-    phi, _ = _head_inputs(model, data, None)
+    phi = head_dataset(model, data).features
     return float(0.5 * np.mean(np.einsum("iq,iq->i", phi, phi) + 1.0))
 
 

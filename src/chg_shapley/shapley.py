@@ -35,25 +35,15 @@ class GameSizeError(ValueError):
     """Game too large for exact enumeration."""
 
 
-@dataclass(frozen=True)
-class HarmonicSums:
-    """Running sums h1 = sum_{k=1..n} 1/k and h2 = sum_{k=1..n} 1/k^2."""
-
-    h1: float
-    h2: float
-
-
 @lru_cache(maxsize=None)
-def harmonic_sums(n: int) -> HarmonicSums:
-    """Accumulate h1 and h2 directly, in increasing k."""
+def harmonic_sums(n: int) -> tuple[float, float]:
+    """(h1, h2) = (sum_{k=1..n} 1/k, sum_{k=1..n} 1/k^2), each added in increasing k."""
     if n < 1:
         raise ValueError(f"harmonic sums need n >= 1, got {n}")
     # cumsum adds strictly left to right, so the last entry rounds exactly
     # like a sequential loop; np.sum's pairwise order would not.
     k = np.arange(1, n + 1, dtype=float)
-    h1 = float(np.cumsum(1.0 / k)[-1])
-    h2 = float(np.cumsum(1.0 / (k * k))[-1])
-    return HarmonicSums(h1=h1, h2=h2)
+    return float(np.cumsum(1.0 / k)[-1]), float(np.cumsum(1.0 / (k * k))[-1])
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +56,7 @@ def mean_game_weight(n: int) -> float:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return 1.0
-    return (harmonic_sums(n).h1 - 1.0 / n) / (n - 1)
+    return (harmonic_sums(n)[0] - 1.0 / n) / (n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -84,9 +74,9 @@ def mean_square_game_weight(n: int) -> float:
         raise ValueError(f"need n >= 1, got {n}")
     if n < 3:
         return (1.0, 0.75)[n - 1]
-    h = harmonic_sums(n)
+    h1, h2 = harmonic_sums(n)
     denom = n * (n - 1) * (n - 2)
-    kappa = (n * n * h.h2 - 2.0 * n * h.h1 + 1.0) / denom
+    kappa = (n * n * h2 - 2.0 * n * h1 + 1.0) / denom
     # Joining s of the other rows (they sum to -y_k), datum k's expected marginal
     # carries d_k times [(n-1-s)(n-2-2s)/(s+1)^2 + (n-2s)/s]/((n-1)(n-2)); 1 at s = 0.
     s = np.arange(1, n, dtype=float)

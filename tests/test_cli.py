@@ -487,5 +487,38 @@ def test_unreadable_data_creates_no_out_dir(tmp_path, capsys, command):
     assert not (tmp_path / "fresh").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["value", "--epochs", "0"], "need epochs >= 1"),
+        (["bench", "--noise-rate", "0.2", "--lr", "inf"], "lr must be a finite number"),
+        (["select", "--fraction", "0"], "fraction must be in (0, 1]"),
+    ],
+    ids=["value-epochs", "bench-lr", "select-fraction"],
+)
+@pytest.mark.parametrize("source", ["synthetic", "csv"])
+def test_bad_config_is_refused_before_any_data_is_built(
+    tmp_path, monkeypatch, capsys, argv, want, source
+):
+    built = []
+
+    def recording(name, real):
+        def call(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("make_synthetic_dataset", "load_dataset_csv"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    if source == "csv":
+        (tmp_path / "data.csv").write_text("x,label\n1,0\n2,1\n")
+        argv = argv + ["--data", str(tmp_path / "data.csv")]
+    code = cli_main(argv + ["--n", "60", "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_INPUT
+    assert want in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_codes_are_distinct():
     assert (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC) == (0, 1, 2)

@@ -93,8 +93,8 @@ def reference_detection_curve_csv(path, report):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fraction", "detection_rate", "random_baseline"])
-        for f, r, b in zip(report.fractions, report.detection_rate, report.random_baseline):
-            writer.writerow([f"{f:.17g}", f"{r:.17g}", f"{b:.17g}"])
+        for f, r in zip(report.fractions, report.detection_rate):
+            writer.writerow([f"{f:.17g}", f"{r:.17g}", f"{f:.17g}"])  # random inspection finds f
 
 
 def reference_removal_csv(path, curve):
@@ -184,7 +184,6 @@ def test_detection_curve_csv_matches_csv_writer(tmp_path, monkeypatch):
         fractions=edge_column(n, seed=4),
         detection_rate=edge_column(n, seed=5),
         auc=0.5,
-        random_baseline=edge_column(n, seed=6),
     )
     monkeypatch.setattr(cli, "detection_curve", lambda values, noise: report)
     code = cli.cli_main(["bench", "--plot-data", "--out-dir", str(tmp_path)] + SMALL_RUN)

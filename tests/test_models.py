@@ -175,14 +175,34 @@ class TestInitModel:
         assert np.array_equal(mapped.labels, data.labels)
         assert mapped.n_classes == data.n_classes
 
-    def test_head_dataset_names_the_row_the_map_overflows_on(self):
-        # Row 1's projection overflows to +inf, so adding the offset gives
-        # NaN whatever order the matrix product sums in.
+    @staticmethod
+    def overflowing_map():
+        """A mapped model and two rows; row 1's projection overflows to +inf,
+        so adding the offset gives NaN whatever order the product sums in."""
         feature_map = FrozenFeatureMap(projection=np.full((2, 1), 2.0), offset=np.array([-np.inf]))
         model = ModelState(np.zeros((2, 1)), np.zeros(2), feature_map=feature_map)
-        data = Dataset(np.array([[1.0, 2.0], [1.7e308, 1.7e308]]), np.array([0, 1]))
+        return model, Dataset(np.array([[1.0, 2.0], [1.7e308, 1.7e308]]), np.array([0, 1]))
+
+    def test_head_dataset_names_the_row_the_map_overflows_on(self):
+        model, data = self.overflowing_map()
         with pytest.raises(NonFiniteBatchError, match="example 1") as err:
             head_dataset(model, data)
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            per_example_loss_and_grad,
+            lambda model, data: per_example_loss_and_grad(model, data, indices=[1]),
+            models.mean_gradient,
+            accuracy,
+        ],
+        ids=["pass", "subset pass", "mean_gradient", "accuracy"],
+    )
+    def test_every_route_names_the_row_the_map_overflows_on(self, route):
+        model, data = self.overflowing_map()
+        with pytest.raises(NonFiniteBatchError, match="feature map output at example 1") as err:
+            route(model, data)
         assert err.value.index == 1
 
     @pytest.mark.parametrize("width", [1, 31, 32, 64, 512])
@@ -510,8 +530,8 @@ class TestForwardPassMatchesRowwiseMax:
     def test_whole_batch_is_read_in_place(self):
         data = small_dataset(np.random.default_rng(2))
         model = init_model((4, 3), seed=2)
-        phi, labels = models._head_inputs(model, data, None)
-        assert phi is data.features and labels is data.labels
+        assert head_dataset(model, data) is data
+        assert per_example_loss_and_grad(model, data).vectors.phi is data.features
 
     def test_non_finite_logits_name_the_row_of_the_data(self):
         features = np.ones((7, 1))

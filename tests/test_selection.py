@@ -364,7 +364,10 @@ def parent_uniform_plan(data, cfg, epoch, event):
 
 def kernel_losses(model, data, indices):
     """The losses of one forward pass of the kernel alone, without delta."""
-    phi, labels = models._head_inputs(model, data, indices)
+    data = models.head_dataset(model, data)
+    phi, labels = data.features, data.labels
+    if indices is not None:
+        phi, labels = np.take(phi, indices, axis=0), labels[indices]
     blocks = models._forward(model, phi, labels, indices, delta=False)
     return np.concatenate([block_losses for *_, block_losses in blocks])
 

@@ -42,19 +42,17 @@ def additive_game(v: np.ndarray) -> GameSpec:
 
 class TestHarmonicSums:
     def test_single_term(self):
-        h = harmonic_sums(1)
-        assert h.h1 == 1.0
-        assert h.h2 == 1.0
+        assert harmonic_sums(1) == (1.0, 1.0)
 
     def test_n4_exact_fractions(self):
-        h = harmonic_sums(4)
-        assert h.h1 == pytest.approx(25 / 12, abs=1e-15)
-        assert h.h2 == pytest.approx(205 / 144, abs=1e-15)
+        h1, h2 = harmonic_sums(4)
+        assert h1 == pytest.approx(25 / 12, abs=1e-15)
+        assert h2 == pytest.approx(205 / 144, abs=1e-15)
 
     def test_n3_exact_fractions(self):
-        h = harmonic_sums(3)
-        assert h.h1 == pytest.approx(11 / 6, abs=1e-15)
-        assert h.h2 == pytest.approx(49 / 36, abs=1e-15)
+        h1, h2 = harmonic_sums(3)
+        assert h1 == pytest.approx(11 / 6, abs=1e-15)
+        assert h2 == pytest.approx(49 / 36, abs=1e-15)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +60,7 @@ class TestHarmonicSums:
 
     def test_increment_is_reciprocal(self):
         for n in range(2, 200):
-            assert harmonic_sums(n).h1 - harmonic_sums(n - 1).h1 == pytest.approx(
+            assert harmonic_sums(n)[0] - harmonic_sums(n - 1)[0] == pytest.approx(
                 1.0 / n, abs=1e-12
             )
 
@@ -72,19 +70,17 @@ class TestHarmonicSums:
         for k in range(1, n + 1):
             h1 += 1.0 / k
             h2 += 1.0 / (k * k)
-        h = harmonic_sums(n)
-        assert h.h1 == h1
-        assert h.h2 == h2
+        assert harmonic_sums(n) == (h1, h2)
 
     def test_monotone_and_bounded(self):
-        prev = harmonic_sums(1)
+        prev1, prev2 = harmonic_sums(1)
         for n in range(2, 100):
-            h = harmonic_sums(n)
-            assert h.h1 > prev.h1
-            assert h.h2 > prev.h2
-            assert h.h2 < h.h1
-            assert h.h2 < math.pi**2 / 6
-            prev = h
+            h1, h2 = harmonic_sums(n)
+            assert h1 > prev1
+            assert h2 > prev2
+            assert h2 < h1
+            assert h2 < math.pi**2 / 6
+            prev1, prev2 = h1, h2
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +90,8 @@ class TestHarmonicSums:
 def four_weight_kappa(n: int) -> float:
     """kappa_n = own - cross - others + 2*pairs from the four mean-square
     game weights on uncentred rows, each in its own harmonic form."""
-    h = harmonic_sums(n)
-    h1, h2, inv_n = h.h1, h.h2, 1.0 / n
+    h1, h2 = harmonic_sums(n)
+    inv_n = 1.0 / n
     own = h2 * inv_n
     cross = 2.0 * (h1 - h2) / (n * (n - 1)) if n > 1 else 0.0
     others = (inv_n - h2) / (n * (n - 1)) if n > 1 else 0.0
@@ -129,8 +125,8 @@ class TestCoefficients:
         true_sums = shapley.harmonic_sums
 
         def perturbed(n):
-            h = true_sums(n)
-            return shapley.HarmonicSums(h.h1, h.h2 * (1 + 1e-9))
+            h1, h2 = true_sums(n)
+            return h1, h2 * (1 + 1e-9)
 
         monkeypatch.setattr(shapley, "harmonic_sums", perturbed)
         mean_square_game_weight.cache_clear()
@@ -299,7 +295,7 @@ class TestMeanGameWeights:
         # The uncentred values own * y_k + total * sum_i y_i, with the
         # weight on the sum total = -(H_n - 1)/(n(n - 1)) stated on its
         # own, sum to mean_i y_i only if own + n * total = 1/n.
-        total = 0.0 if n == 1 else -(harmonic_sums(n).h1 - 1.0) / (n * (n - 1))
+        total = 0.0 if n == 1 else -(harmonic_sums(n)[0] - 1.0) / (n * (n - 1))
         assert abs(mean_game_weight(n) + n * total - 1.0 / n) <= 1e-15
 
     @pytest.mark.parametrize("n", range(1, 13))
