@@ -12,9 +12,9 @@ The forward pass returns them as the `GradientSet` every game values,
 unscanned, as are the rows `restrict` takes; the public constructor scans.
 It runs class-major in blocks of at most `_BLOCK_ROWS` rows: a block's
 logits are C x B, one contiguous row per class, and every row-wise step
-is a fold over the class rows, the exp row sum a replay of numpy's
-pairwise order for a row (`_class_sum`), so the probabilities and losses
-keep the bits of the textbook row-major pass.  delta is held class-major
+is a fold over the class rows, the exp row sum a left fold
+(`_class_sum`), so below 8 classes the probabilities and losses keep the
+bits of the textbook row-major pass.  delta is held class-major
 (C x n), and every factor product runs in the same blocks, as does the
 column sum a removal arm steps on (`mean_gradient`), which never holds
 delta.
@@ -376,28 +376,11 @@ def _blocks(n: int):
 
 
 def _class_sum(rows: np.ndarray) -> np.ndarray:
-    """The sum of the rows of a C x B block in numpy's pairwise order, the
-    bits of `sum(axis=1)` on the B x C transpose: left to right below 8
-    rows; up to 128, eight accumulator rows advanced 8 rows at a time, then
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rows left over in order;
-    above, the two halves split at a multiple of 8."""
-    n = rows.shape[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _class_sum(rows[:half]) + _class_sum(rows[half:])
-    if n < 8:
-        total, rest = rows[0].copy(), rows[1:]
-    else:
-        stop = n - n % 8
-        r = rows[:8]
-        for i in range(8, stop, 8):
-            r = r + rows[i : i + 8]
-        total, right = r[0] + r[1], r[4] + r[5]  # each pair's sum in its left buffer
-        total += r[2] + r[3]
-        right += r[6] + r[7]
-        total += right
-        rest = rows[stop:]
-    for row in rest:
+    """The sum of the class rows of a C x B block, added left to right.
+    Below 8 rows this is the order of numpy's `sum(axis=1)` on the B x C
+    transpose; from 8 up it may differ from that pairwise sum by rounding."""
+    total = rows[0].copy()
+    for row in rows[1:]:
         total += row
     return total
 
@@ -436,13 +419,12 @@ def _check_finite_rows(values: np.ndarray, what: str, indices, start: int = 0) -
     raise NonFiniteBatchError(f"non-finite {what} at example {bad}", index=bad)
 
 
-def _forward(model: ModelState, phi, labels, indices, out=None, gather=False, delta=True):
+def _forward(model: ModelState, phi, labels, indices, out=None, gather=False):
     """The forward pass, class-major, one block of at most `_BLOCK_ROWS` rows
     at a time: yields (rows, phi_b, delta_b, losses_b) per block, where
     delta_b = softmax(z) - onehot(y), C x B, is written into `out[:, rows]`
     of a C-contiguous C x n `out` (into a new block when `out` is None).
-    The one place delta is formed; with `delta` False the block holds the
-    probabilities alone.
+    The one place delta is formed.
 
     `phi` and `labels` are the head inputs of the pass's rows, or with
     `gather` the data's own arrays, from which each block takes its rows
@@ -451,21 +433,20 @@ def _forward(model: ModelState, phi, labels, indices, out=None, gather=False, de
     """
     n = indices.size if gather else labels.size
     for rows in _blocks(n):
-        yield rows, *_forward_block(model, phi, labels, indices, rows, out, gather, delta)
+        yield rows, *_forward_block(model, phi, labels, indices, rows, out, gather)
 
 
-def _forward_block(model, phi, labels, indices, rows, out, gather, delta):
+def _forward_block(model, phi, labels, indices, rows, out, gather):
     """(phi_b, delta_b, losses_b) of one block of `_forward`: a function of
     its own, so that `_forward` holds nothing of a block while it makes the
     next.
 
     The logits are W phi_b^T + b, one contiguous row per class, and every
     row-wise step is a fold over those class rows: the max, exact in any
-    order; the exp row sum in the order numpy sums a row of a row-major
-    block (`_class_sum`); the shift by the max and then by log_z, in place.
-    Every element goes through the operations of the textbook row-major
-    pass, shifted = z - max_c z, log_z = log sum_c exp(shifted), probs =
-    exp(shifted - log_z), so the probabilities and losses have its bits.
+    order; the exp row sum, left to right (`_class_sum`); the shift by the
+    max and then by log_z, in place: shifted = z - max_c z, log_z =
+    log sum_c exp(shifted), probs = exp(shifted - log_z), element by element
+    as the textbook row-major pass, whose bits they have below 8 classes.
     """
     if gather:
         taken = indices[rows]
@@ -487,9 +468,9 @@ def _forward_block(model, phi, labels, indices, rows, out, gather, delta):
     _check_finite_rows(losses, "loss", indices, rows.start)
     logits -= log_z
     np.exp(logits, out=probs)
-    if delta:  # by flat position in the block, or in `out` from the block's first column
-        base, cols = (probs, cols) if out is None else (out, cols + rows.start)
-        base.reshape(-1)[labels_b * base.shape[1] + cols] -= 1.0
+    # delta, by flat position in the block, or in `out` from the block's first column.
+    base, cols = (probs, cols) if out is None else (out, cols + rows.start)
+    base.reshape(-1)[labels_b * base.shape[1] + cols] -= 1.0
     return phi_b, probs, losses
 
 

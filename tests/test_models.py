@@ -407,14 +407,22 @@ class TestRowIndices:
         assert calls == [10]
 
 
+def left_fold(exps):
+    """Each row of `exps` summed left to right over its class columns, a
+    sequential accumulate.  numpy's `sum(axis=1)` adds a row in this order
+    below 8 columns only; from 8 up it sums pairwise."""
+    return np.add.accumulate(exps, axis=1)[:, -1]
+
+
 def parent_probs_and_losses(model, phi, labels, idx):
-    """The forward pass as it was written with a row-wise max: the reference."""
+    """The forward pass as it was written with a row-wise max, its exp row
+    sum a left fold: the reference."""
     logits = phi @ model.weights.T + model.bias
     if not np.all(np.isfinite(logits)):
         bad = int(idx[np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0]])
         raise NonFiniteBatchError(f"non-finite logits at example {bad}", index=bad)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    log_z = np.log(left_fold(np.exp(shifted)))
     rows = np.arange(labels.size)
     losses = log_z - shifted[rows, labels]
     probs = np.exp(shifted - log_z[:, None])
@@ -441,24 +449,30 @@ class FixedLogits:
         return self.logits.T.copy()  # C-contiguous, and never a view of `logits`
 
 
-def kernel_probs_and_losses(model, phi, labels, indices=None):
-    """The blocked forward kernel's m x C probabilities and m losses, gathered
-    from its blocks; written into one C x m array and into new blocks, the
-    two routes must agree bit for bit."""
+def kernel_delta_and_losses(model, phi, labels, indices=None):
+    """The blocked forward kernel's m x C delta and m losses, gathered from
+    its blocks; written into one C x m array and into new blocks, the two
+    routes must agree bit for bit.  A label's probability is exp(-loss) bit
+    for bit, so delta and the losses pin every probability."""
     m = labels.size
-    probs = np.empty((model.n_classes, m))
+    delta = np.empty((model.n_classes, m))
     losses = np.empty(m)
-    for rows, _, block_probs, block_losses in models._forward(
-        model, phi, labels, indices, probs, delta=False
-    ):
-        assert np.shares_memory(block_probs, probs)
+    for rows, _, block_delta, block_losses in models._forward(model, phi, labels, indices, delta):
+        assert np.shares_memory(block_delta, delta)
         losses[rows] = block_losses
-    blocks = list(models._forward(model, phi, labels, indices, delta=False))
+    blocks = list(models._forward(model, phi, labels, indices))
     assert [b[0] for b in blocks] == list(models._blocks(m))
     if blocks:
-        assert np.concatenate([b[2] for b in blocks], axis=1).tobytes() == probs.tobytes()
+        assert np.concatenate([b[2] for b in blocks], axis=1).tobytes() == delta.tobytes()
         assert np.concatenate([b[3] for b in blocks]).tobytes() == losses.tobytes()
-    return probs.T, losses
+    return delta.T, losses
+
+
+def minus_onehot(probs, labels):
+    """delta = probs - onehot(labels), in a copy."""
+    delta = probs.copy()
+    delta[np.arange(labels.size), labels] -= 1.0
+    return delta
 
 
 class TextbookLogits:
@@ -493,15 +507,18 @@ class TestForwardPassMatchesRowwiseMax:
                 phi = FixedLogits(logits)
                 block = model.weights @ phi[: min(m, 5)].T + model.bias[:, None]
                 assert block.tobytes() == logits[: min(m, 5)].T.tobytes()
-                want = parent_probs_and_losses(model, TextbookLogits(logits), labels, np.arange(m))
-                got = kernel_probs_and_losses(model, phi, labels)
+                probs, losses = parent_probs_and_losses(
+                    model, TextbookLogits(logits), labels, np.arange(m)
+                )
+                want = minus_onehot(probs, labels), losses
+                got = kernel_delta_and_losses(model, phi, labels)
                 for w, g in zip(want, got):
                     assert g.shape == w.shape and g.tobytes() == w.tobytes(), (c, logits)
 
     @pytest.mark.parametrize("mix", ["uniform", "signed"])
-    def test_class_sum_has_the_bits_of_numpys_row_sum(self, mix):
-        # Every branch: short rows, the eight accumulators, and the halves
-        # above 128 classes.  No -0.0: numpy's short-row sum starts at +0.0.
+    def test_class_sum_is_a_left_fold(self, mix):
+        # At every class count, and at one column, where numpy's own axis-0
+        # sum of a contiguous column would go pairwise.
         rng = np.random.default_rng(5)
         for c in [*range(1, 300), 511, 1000, 1031]:
             for b in (1, 7, 300):
@@ -509,7 +526,7 @@ class TestForwardPassMatchesRowwiseMax:
                     rows = rng.uniform(0.0, 1.0, (c, b))
                 else:
                     rows = rng.standard_normal((c, b)) * 10.0 ** rng.integers(-5, 5, (c, b))
-                want = np.ascontiguousarray(rows.T).sum(axis=1)
+                want = left_fold(np.ascontiguousarray(rows.T))
                 assert models._class_sum(rows).tobytes() == want.tobytes(), (c, b)
 
     @pytest.mark.parametrize("hidden_width", [None, 6])
@@ -523,9 +540,7 @@ class TestForwardPassMatchesRowwiseMax:
             want = parent_probs_and_losses(model, phi, data.labels, np.arange(data.n))
             got = per_example_loss_and_grad(model, data)
             assert got.losses.tobytes() == want[1].tobytes()
-            delta = want[0]
-            delta[np.arange(data.n), data.labels] -= 1.0
-            assert got.vectors.delta.tobytes() == delta.tobytes()
+            assert got.vectors.delta.tobytes() == minus_onehot(want[0], data.labels).tobytes()
 
     def test_whole_batch_is_read_in_place(self):
         data = small_dataset(np.random.default_rng(2))
@@ -603,7 +618,7 @@ def unfused_probs_and_losses(model, phi, labels, indices):
     for c in range(1, logits.shape[1]):
         np.maximum(row_max, logits[:, c], out=row_max)
     shifted = logits - row_max[:, None]
-    log_z = np.log(np.exp(shifted).sum(axis=1))
+    log_z = np.log(left_fold(np.exp(shifted)))
     rows = np.arange(labels.size)
     losses = log_z - shifted[rows, labels]
     probs = np.exp(shifted - log_z[:, None])
@@ -617,9 +632,9 @@ def unfused_column_sum(grads):
 
 class TestInPlaceKernelIsBitIdentical:
     """The blocked class-major forward pass and the blocked column sum
-    against the unfused formulas, byte for byte.  The pairwise order the
-    row sum replays and the order of a reduction are numpy internals, so
-    this runs on every numpy CI tests with."""
+    against the unfused formulas, byte for byte.  The order of numpy's
+    reductions in the column sum is a numpy internal, so this runs on
+    every numpy CI tests with."""
 
     @pytest.mark.parametrize("c", range(1, 18))
     def test_sweep(self, c):
@@ -635,13 +650,12 @@ class TestInPlaceKernelIsBitIdentical:
                         bias=rng.standard_normal(c) * scale,
                     )
                     want_probs, want_losses = unfused_probs_and_losses(model, phi, labels, None)
-                    got_probs, got_losses = kernel_probs_and_losses(model, phi, labels)
-                    assert got_probs.tobytes() == want_probs.tobytes(), (n, p, scale)
+                    want_delta = minus_onehot(want_probs, labels)
+                    got_delta, got_losses = kernel_delta_and_losses(model, phi, labels)
+                    assert got_delta.tobytes() == want_delta.tobytes(), (n, p, scale)
                     assert got_losses.tobytes() == want_losses.tobytes(), (n, p, scale)
 
                     got = per_example_loss_and_grad(model, data)
-                    want_delta = want_probs
-                    want_delta[np.arange(n), labels] -= 1.0
                     assert got.losses.tobytes() == want_losses.tobytes(), (n, p, scale)
                     grads = got.vectors
                     assert grads.delta.tobytes() == want_delta.tobytes(), (n, p, scale)

@@ -1,14 +1,17 @@
 """Tests for the per-epoch valuation loop and its efficiency audit."""
 
 import csv
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import chg_shapley.experiments as experiments
 import chg_shapley.models as models
 import chg_shapley.selection as selection
+import chg_shapley.shapley as shapley
 import chg_shapley.utilities as utilities
 import chg_shapley.valuation as valuation
 from chg_shapley import __version__
@@ -506,6 +509,17 @@ class TestEfficiencyAudit:
             epoch_efficiency_audit(run)
 
 
+def test_per_class_utilities_that_overflow_in_their_sum_raise():
+    # Each class's game is finite; their summed U(N), 2.4e308, is not.
+    data = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]), n_classes=2)
+    gs = models.GradientSet(FactoredGrads(np.zeros((2, 2)), np.zeros((2, 1))), np.full(2, 1.2e308))
+    for idx in data.class_index:
+        result = utilities.gradient_set_values(gs, "hardness", rows=idx)
+        assert np.all(np.isfinite(result.values)) and np.isfinite(result.grand_utility)
+    with pytest.raises(FloatingPointError, match="^non-finite grand-coalition utility inf$"):
+        valuation.epoch_values(gs, data, "hardness", per_class=True)
+
+
 # ---------------------------------------------------------------------------
 # Ranks and files
 # ---------------------------------------------------------------------------
@@ -598,3 +612,83 @@ def test_config_refuses_a_hidden_width_it_cannot_run(width):
 def test_config_takes_a_positive_integer_width():
     assert ValuationConfig(hidden_width=np.int64(3)).hidden_width == 3
     assert ValuationConfig(hidden_width=None).hidden_width is None
+
+
+def _csv(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def _small_set(n=3):
+    return models.GradientSet(FactoredGrads(np.ones((n, 2)), np.ones((n, 1))), np.ones(n))
+
+
+REFUSALS = {
+    "1-D features": (
+        lambda tmp: Dataset(np.zeros(3), np.zeros(3, dtype=int)),
+        "features must be n x p, got shape (3,)",
+    ),
+    "unaligned labels": (
+        lambda tmp: Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int)),
+        "labels must align with feature rows",
+    ),
+    "empty gradient set": (
+        lambda tmp: _small_set(0),
+        "vectors must be n x d with n, d >= 1, got (0, 4)",
+    ),
+    "empty restrict": (lambda tmp: _small_set().restrict([]), "cannot restrict to an empty subset"),
+    "no rows to init": (lambda tmp: models.init_model((0, 2), 0), "bad dataset shape (0, 2)"),
+    "header-only csv": (
+        lambda tmp: models.load_dataset_csv(_csv(tmp, "h.csv", "x0,label\n")),
+        "h.csv: no data rows",
+    ),
+    "one-column header": (
+        lambda tmp: models.load_dataset_csv(_csv(tmp, "o.csv", "label\n1\n")),
+        "o.csv: need a header with >= 1 feature column plus label",
+    ),
+    "zero selection epochs": (
+        lambda tmp: SelectionConfig(fraction=0.1, epochs=0),
+        "need epochs >= 1, got 0",
+    ),
+    "1-D players": (
+        lambda tmp: chg_closed_form_shapley(np.ones(3)),
+        "X must be n x d, got shape (3,)",
+    ),
+    "no players": (
+        lambda tmp: chg_closed_form_shapley(np.ones((0, 2))),
+        "need n >= 1 and d >= 1, got shape (0, 2)",
+    ),
+    "empty exact game": (
+        lambda tmp: shapley.exact_shapley(shapley.GameSpec(0, lambda s: 0.0)),
+        "need at least one player, got n=0",
+    ),
+    "empty sampled game": (
+        lambda tmp: shapley.permutation_shapley(shapley.GameSpec(0, lambda s: 0.0), 10, 0),
+        "need at least one player, got n=0",
+    ),
+    "noise rate above 1": (
+        lambda tmp: experiments.inject_label_noise(np.zeros(4, dtype=int), 1.5, 0, 2),
+        "rate must be in [0, 1], got 1.5",
+    ),
+    "unaligned noise mask": (
+        lambda tmp: experiments.detection_curve(
+            np.ones(4), experiments.NoiseSpec(np.zeros(3, dtype=bool))
+        ),
+        "values and noise mask must align",
+    ),
+    "empty valuation": (
+        lambda tmp: run_valuation(
+            Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), n_classes=2), ValuationConfig()
+        ),
+        "dataset is empty",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_bad_input_is_refused_with_its_message(case, tmp_path):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message) + "$") as err:
+        call(tmp_path)
+    assert type(err.value) is ValueError
