@@ -17,8 +17,10 @@ import numpy as np
 from .models import (
     Dataset,
     TrainingDivergedError,
+    _integer_labels,
     _release_free_heap,
     accuracy,
+    check_count,
     check_learning_rate,
     epoch_guard,
     init_model,
@@ -67,11 +69,9 @@ class RemovalConfig:
         repeated = sorted({f for f in self.fractions if self.fractions.count(f) > 1})
         if repeated:
             raise ValueError(f"removal fractions must be distinct, got {repeated} more than once")
-        if self.epochs < 1:
-            raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        check_count("epochs", self.epochs)
         check_learning_rate(self.lr)
-        if self.threads < 1:
-            raise ValueError(f"need threads >= 1, got {self.threads}")
+        check_count("threads", self.threads)
 
 
 @dataclass
@@ -135,7 +135,7 @@ def inject_label_noise(
     labels, rate: float, seed: int, n_classes: int
 ) -> tuple[np.ndarray, NoiseSpec]:
     """Flip exactly round(rate * n) uniformly chosen labels to different classes."""
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = _integer_labels(labels)
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must be in [0, 1], got {rate}")
     n = labels.size

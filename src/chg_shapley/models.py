@@ -13,8 +13,9 @@ unscanned, as are the rows `restrict` takes; the public constructor scans.
 It runs class-major in blocks of at most `_BLOCK_ROWS` rows: a block's
 logits are C x B, one contiguous row per class, and every row-wise step
 is a fold over the class rows, the exp row sum a left fold
-(`_class_sum`), so below 8 classes the probabilities and losses keep the
-bits of the textbook row-major pass.  delta is held class-major
+(`_class_sum`), so below 8 classes the losses keep the bits of the
+textbook row-major pass.  The probabilities are the exps over that sum,
+one exp per logit, as the softmax is defined.  delta is held class-major
 (C x n), and every factor product runs in the same blocks, as does the
 column sum a removal arm steps on (`mean_gradient`), which never holds
 delta.
@@ -73,7 +74,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.intp)
+        self.labels = _integer_labels(self.labels)
         if self.features.ndim != 2:
             raise ValueError(f"features must be n x p, got shape {self.features.shape}")
         if self.labels.shape != (self.features.shape[0],):
@@ -282,6 +283,16 @@ class GradientSet:
         return self._unscanned(self.vectors._take(idx), np.take(self.losses, idx))
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """`labels` as an intp array; ValueError for a non-empty array whose
+    dtype is not an integer dtype: floats would be truncated, and bools
+    and strings read as numbers."""
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    return labels.astype(np.intp, copy=False)
+
+
 def _row_indices(indices, n: int) -> np.ndarray:
     """`indices` (a list, set, array or empty collection) as a flat intp
     array of rows in [0, n); ValueError for a bool mask, float indices,
@@ -443,10 +454,10 @@ def _forward_block(model, phi, labels, indices, rows, out, gather):
 
     The logits are W phi_b^T + b, one contiguous row per class, and every
     row-wise step is a fold over those class rows: the max, exact in any
-    order; the exp row sum, left to right (`_class_sum`); the shift by the
-    max and then by log_z, in place: shifted = z - max_c z, log_z =
-    log sum_c exp(shifted), probs = exp(shifted - log_z), element by element
-    as the textbook row-major pass, whose bits they have below 8 classes.
+    order; the exp row sum, left to right (`_class_sum`).  In place, s =
+    logits - max_c logits and e = exp(s), one exp per logit; z = sum_c e;
+    the losses are log z - s_y, with the bits of the textbook row-major pass
+    below 8 classes; and the probabilities are e / z.
     """
     if gather:
         taken = indices[rows]
@@ -460,14 +471,12 @@ def _forward_block(model, phi, labels, indices, rows, out, gather):
     with np.errstate(over="ignore"):  # logits further apart than the float range: checked below
         logits -= logits.max(axis=0)  # a fold of np.maximum over the class rows
     probs = np.exp(logits) if out is None else np.exp(logits, out=out[:, rows])
-    log_z = _class_sum(probs)
-    np.log(log_z, out=log_z)
+    z = _class_sum(probs)
     # The label's entry of each column, by flat position in the contiguous logits.
     cols = np.arange(labels_b.size)
-    losses = log_z - np.take(logits, labels_b * labels_b.size + cols)
+    losses = np.log(z) - np.take(logits, labels_b * labels_b.size + cols)
     _check_finite_rows(losses, "loss", indices, rows.start)
-    logits -= log_z
-    np.exp(logits, out=probs)
+    probs /= z
     # delta, by flat position in the block, or in `out` from the block's first column.
     base, cols = (probs, cols) if out is None else (out, cols + rows.start)
     base.reshape(-1)[labels_b * base.shape[1] + cols] -= 1.0
@@ -482,9 +491,10 @@ def per_example_loss_and_grad(model: ModelState, data: Dataset, indices=None) ->
     gradient; it is returned factored, never built, with delta filled
     class-major block by block.  Example i's row depends only on example
     i and the current parameters; the rows `indices` are gathered from
-    `head_dataset`'s.  Logits and losses are checked finite, and a loss,
-    log_z - (z_y - max z) with log_z >= 0, is never negative, so the set
-    is returned unscanned.
+    `head_dataset`'s.  With s the logits less their max, the probabilities
+    are exp(s) over their sum z.  Logits and losses are checked finite, and
+    a loss, log z - s_y with z >= 1 and s_y <= 0, is never negative, so the
+    set is returned unscanned.
     """
     idx = None if indices is None else _row_indices(indices, data.n)
     data = head_dataset(model, data)
@@ -534,12 +544,20 @@ def accuracy(model: ModelState, data: Dataset) -> float:
     return correct / data.n
 
 
+def check_count(name: str, value: int) -> None:
+    """A count (epochs, interval, threads, a width) is an int or np.integer
+    >= 1; a bool is refused, and a float, which would be truncated or fail
+    inside the run."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"need {name} >= 1, got {value}")
+
+
 def check_hidden_width(width: int | None) -> None:
-    """A frozen map's width is None (no map) or an int >= 1; a bool is refused."""
-    if width is not None and (
-        isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1
-    ):
-        raise ValueError(f"hidden_width must be None or an int >= 1, got {width!r}")
+    """A frozen map's width is None (no map) or a count."""
+    if width is not None:
+        check_count("hidden_width", width)
 
 
 def check_learning_rate(lr: float) -> None:

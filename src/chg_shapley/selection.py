@@ -27,6 +27,7 @@ from .models import (
     _open_new,
     _write_csv,
     accuracy,
+    check_count,
     check_learning_rate,
     epoch_guard,
     init_model,
@@ -55,10 +56,8 @@ class SelectionConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
-        if self.epochs < 1:
-            raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        check_count("interval", self.interval)
+        check_count("epochs", self.epochs)
         _check_kind(self.kind)
         check_learning_rate(self.lr)
 

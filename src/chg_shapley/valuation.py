@@ -25,6 +25,7 @@ from .models import (
     _release_free_heap,
     _write_csv,
     _write_json,
+    check_count,
     check_hidden_width,
     check_learning_rate,
     epoch_guard,
@@ -56,8 +57,7 @@ class ValuationConfig:
     hidden_width: int | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"need epochs >= 1, got {self.epochs}")
+        check_count("epochs", self.epochs)
         _check_kind(self.kind)
         check_learning_rate(self.lr)
         check_hidden_width(self.hidden_width)

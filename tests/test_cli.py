@@ -125,15 +125,37 @@ report = json.loads((pathlib.Path(out) / "oracle_report.json").read_text())
 loaded = [name for name, mod in sys.modules.items() if name.split(".")[0] == "scipy" and mod is not None]
 print(json.dumps({"code": code, "passed": report["passed"], "scipy_loaded": loaded}))
 """
-        src = str(Path(chg_shapley.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = run_python("-c", script, str(tmp_path / "out"))
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
         assert result == {"code": 0, "passed": True, "scipy_loaded": []}
+
+
+def run_python(*args):
+    """A new interpreter with `args`, importing this package's source tree."""
+    src = str(Path(chg_shapley.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestModuleEntry:
+    """`python -m chg_shapley` runs `cli.main`, which exits with `cli_main`'s code."""
+
+    def test_a_run_exits_zero_and_writes_its_report(self, tmp_path):
+        out = tmp_path / "oracle"
+        done = run_python(
+            "-m", "chg_shapley", "oracle", "--n", "3", "--d", "2", "--trials", "2",
+            "--out-dir", str(out),
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads((out / "oracle_report.json").read_text())["passed"] is True
+
+    def test_a_bad_flag_exits_one_with_its_usage(self):
+        done = run_python("-m", "chg_shapley", "value", "--epochs", "x")
+        assert done.returncode == EXIT_INPUT
+        assert "usage:" in done.stderr and "--epochs" in done.stderr
 
 
 class TestValueCommand:

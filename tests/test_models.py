@@ -1,5 +1,6 @@
 """Tests for the softmax models: analytic gradients vs finite differences."""
 
+import decimal
 import hashlib
 import math
 import tracemalloc
@@ -416,17 +417,18 @@ def left_fold(exps):
 
 def parent_probs_and_losses(model, phi, labels, idx):
     """The forward pass as it was written with a row-wise max, its exp row
-    sum a left fold: the reference."""
+    sum a left fold and its probabilities the exps over that sum: the
+    reference."""
     logits = phi @ model.weights.T + model.bias
     if not np.all(np.isfinite(logits)):
         bad = int(idx[np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0]])
         raise NonFiniteBatchError(f"non-finite logits at example {bad}", index=bad)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(left_fold(np.exp(shifted)))
+    exps = np.exp(shifted)
+    z = left_fold(exps)
     rows = np.arange(labels.size)
-    losses = log_z - shifted[rows, labels]
-    probs = np.exp(shifted - log_z[:, None])
-    return probs, losses
+    losses = np.log(z) - shifted[rows, labels]
+    return exps / z[:, None], losses
 
 
 class FixedLogits:
@@ -452,8 +454,9 @@ class FixedLogits:
 def kernel_delta_and_losses(model, phi, labels, indices=None):
     """The blocked forward kernel's m x C delta and m losses, gathered from
     its blocks; written into one C x m array and into new blocks, the two
-    routes must agree bit for bit.  A label's probability is exp(-loss) bit
-    for bit, so delta and the losses pin every probability."""
+    routes must agree bit for bit.  delta's off-label entries are the
+    probabilities; a label's entry is its probability minus 1, rounded,
+    and its probability is exp(-loss) only up to rounding."""
     m = labels.size
     delta = np.empty((model.n_classes, m))
     losses = np.empty(m)
@@ -602,9 +605,43 @@ class TestForwardPassMatchesRowwiseMax:
             per_example_loss_and_grad(model, data)
 
 
+def decimal_softmax(row, ctx):
+    """softmax of the doubles in `row`, in `ctx`'s precision."""
+    exps = [ctx.exp(decimal.Decimal(float(x))) for x in row]
+    z = sum(exps, decimal.Decimal(0))
+    return [ctx.divide(e, z) for e in exps]
+
+
+class TestSoftmaxIsExact:
+    """Every off-label delta entry is a probability, exp(s)/z, within a few
+    eps of the softmax of the same doubles taken in 50 digits."""
+
+    @pytest.mark.parametrize("c,sigma", [(2, 5.0), (2, 30.0), (10, 5.0), (10, 30.0)])
+    def test_off_label_delta_within_4_eps_of_a_50_digit_softmax(self, c, sigma):
+        rng = np.random.default_rng([c, int(sigma)])
+        logits = rng.standard_normal((1000, c)) * sigma
+        logits -= logits.max(axis=1, keepdims=True)  # a row max of exactly 0: the shift is exact
+        assert np.all(logits.max(axis=1) == 0.0)
+        labels = rng.integers(0, c, logits.shape[0])
+        model = ModelState(np.eye(c), np.zeros(c))
+        data = Dataset(logits, labels, n_classes=c)
+        delta = per_example_loss_and_grad(model, data).vectors.delta
+        ctx = decimal.Context(prec=50)
+        worst, checked = 0.0, 0
+        for row, label, got in zip(logits, labels, delta):
+            for j, want in enumerate(decimal_softmax(row, ctx)):
+                if j == label or got[j] < 1e-300:
+                    continue
+                rel = abs((decimal.Decimal(float(got[j])) - want) / want)
+                worst, checked = max(worst, float(rel)), checked + 1
+        assert checked > logits.shape[0] * (c - 1) // 2
+        assert worst <= 4 * np.finfo(float).eps, worst / np.finfo(float).eps
+
+
 def unfused_probs_and_losses(model, phi, labels, indices):
     """The forward pass with a new n x C array per step, as it was written
-    before it ran in place: the reference for the in-place kernel."""
+    before it ran in place, its probabilities the exps over their left-folded
+    sum: the reference for the in-place kernel."""
     logits = phi @ model.weights.T + model.bias
     if not np.all(np.isfinite(logits)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0])
@@ -618,11 +655,11 @@ def unfused_probs_and_losses(model, phi, labels, indices):
     for c in range(1, logits.shape[1]):
         np.maximum(row_max, logits[:, c], out=row_max)
     shifted = logits - row_max[:, None]
-    log_z = np.log(left_fold(np.exp(shifted)))
+    exps = np.exp(shifted)
+    z = left_fold(exps)
     rows = np.arange(labels.size)
-    losses = log_z - shifted[rows, labels]
-    probs = np.exp(shifted - log_z[:, None])
-    return probs, losses
+    losses = np.log(z) - shifted[rows, labels]
+    return exps / z[:, None], losses
 
 
 def unfused_column_sum(grads):
@@ -742,14 +779,15 @@ class TestInPlaceKernelIsBitIdentical:
 # ---------------------------------------------------------------------------
 
 def dense_reference(model, data):
-    """The gradient matrix as the dense construction built it, op for op."""
+    """The gradient matrix as the dense construction built it, op for op,
+    its probabilities the exps over their row sum."""
     phi = data.features
     if model.feature_map is not None:
         phi = model.feature_map.apply(phi)
     logits = phi @ model.weights.T + model.bias
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    delta = np.exp(shifted - log_z[:, None])
+    exps = np.exp(shifted)
+    delta = exps / exps.sum(axis=1)[:, None]
     delta[np.arange(data.n), data.labels] -= 1.0
     weight_grads = np.einsum("ic,iq->icq", delta, phi).reshape(data.n, -1)
     return np.concatenate([weight_grads, delta], axis=1)
@@ -773,6 +811,12 @@ class TestFactoredGrads:
             grads.scaled(result.losses).dense(),
             np.concatenate([weight_grads, scaled_delta], axis=1),
         )
+
+    def test_column_sum_of_no_rows_is_positive_zeros(self):
+        grads = FactoredGrads(np.zeros((0, 3)), np.zeros((0, 5)))
+        total = grads.column_sum()
+        assert total.shape == (3 * 5 + 3,)
+        assert not np.any(total) and not np.any(np.signbit(total))
 
     def test_statistics_match_dense(self):
         rng = np.random.default_rng(17)

@@ -692,3 +692,71 @@ def test_bad_input_is_refused_with_its_message(case, tmp_path):
     with pytest.raises(ValueError, match=re.escape(message) + "$") as err:
         call(tmp_path)
     assert type(err.value) is ValueError
+
+
+COUNT_REFUSALS = {
+    "float valuation epochs": (lambda: ValuationConfig(epochs=2.5), "epochs must be an int, got 2.5"),
+    "bool valuation epochs": (lambda: ValuationConfig(epochs=True), "epochs must be an int, got True"),
+    "string valuation epochs": (lambda: ValuationConfig(epochs="3"), "epochs must be an int, got '3'"),
+    "float selection epochs": (
+        lambda: SelectionConfig(fraction=0.1, epochs=2.5),
+        "epochs must be an int, got 2.5",
+    ),
+    "float interval": (
+        lambda: SelectionConfig(fraction=0.1, interval=2.5, epochs=6),
+        "interval must be an int, got 2.5",
+    ),
+    "numpy bool interval": (
+        lambda: SelectionConfig(fraction=0.1, interval=np.True_),
+        "interval must be an int, got np.True_",
+    ),
+    "float removal epochs": (lambda: RemovalConfig(epochs=3.0), "epochs must be an int, got 3.0"),
+    "float threads": (lambda: RemovalConfig(threads=2.0), "threads must be an int, got 2.0"),
+    "bool threads": (lambda: RemovalConfig(threads=True), "threads must be an int, got True"),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_REFUSALS)
+def test_a_count_that_is_not_an_int_is_refused(case):
+    # epochs, interval and threads take hidden_width's rule: an int or
+    # np.integer, not a bool, at least 1.
+    call, message = COUNT_REFUSALS[case]
+    with pytest.raises(ValueError, match=re.escape(message) + "$") as err:
+        call()
+    assert type(err.value) is ValueError
+
+
+def test_a_count_may_be_a_numpy_integer():
+    assert ValuationConfig(epochs=np.int64(3)).epochs == 3
+    assert SelectionConfig(fraction=0.1, interval=np.int32(2), epochs=np.uint8(4)).interval == 2
+    assert RemovalConfig(epochs=np.int64(2), threads=np.int64(2)).threads == 2
+    with pytest.raises(ValueError, match=re.escape("need threads >= 1, got 0") + "$"):
+        RemovalConfig(threads=np.int64(0))
+
+
+LABEL_REFUSALS = {
+    "truncated floats": lambda: Dataset(np.zeros((3, 2)), [0.7, 1.9, 1.2]),
+    "whole floats": lambda: Dataset(np.zeros((2, 2)), np.array([0.0, 1.0])),
+    "bools": lambda: Dataset(np.zeros((2, 2)), [True, False]),
+    "strings": lambda: Dataset(np.zeros((2, 2)), ["0", "1"]),
+    "overflowing floats": lambda: Dataset(np.zeros((2, 2)), [1e30, 1.0]),
+    "noise on floats": lambda: experiments.inject_label_noise([0.7, 1.9, 1.2], 0.5, 0, 2),
+    "noise on bools": lambda: experiments.inject_label_noise([True, False], 0.5, 0, 2),
+}
+
+
+@pytest.mark.parametrize("case", LABEL_REFUSALS)
+def test_labels_that_are_not_integers_are_refused(case):
+    # The rule `_row_indices` applies to row indices: a non-empty array of a
+    # non-integer dtype is refused, not truncated or read as numbers.
+    with pytest.raises(ValueError, match="^labels must be integers, got ") as err:
+        LABEL_REFUSALS[case]()
+    assert type(err.value) is ValueError
+
+
+def test_integer_and_empty_labels_are_taken():
+    data = Dataset(np.zeros((3, 2)), np.array([0, 2, 1], dtype=np.uint8))
+    assert data.labels.dtype == np.intp and data.labels.tolist() == [0, 2, 1]
+    assert Dataset(np.zeros((0, 2)), [], n_classes=2).labels.dtype == np.intp
+    flipped, _ = experiments.inject_label_noise(np.array([0, 1], dtype=np.int32), 0.0, 0, 2)
+    assert flipped.dtype == np.intp and flipped.tolist() == [0, 1]
