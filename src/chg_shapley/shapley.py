@@ -26,7 +26,7 @@ import numpy as np
 from .models import FactoredGrads
 
 EXACT_LIMIT = 20  # players; 2^20 is about one million coalitions
-_CENTRED_BLOCK = 1 << 15  # dense entries centred at a time
+_CENTRED_BLOCK = 1 << 15  # dense entries centred, or harmonic and kappa_n terms summed, at a time
 
 UtilityFn = Callable[[np.ndarray], float]
 
@@ -41,9 +41,14 @@ def harmonic_sums(n: int) -> tuple[float, float]:
     if n < 1:
         raise ValueError(f"harmonic sums need n >= 1, got {n}")
     # cumsum adds strictly left to right, so the last entry rounds exactly
-    # like a sequential loop; np.sum's pairwise order would not.
-    k = np.arange(1, n + 1, dtype=float)
-    return float(np.cumsum(1.0 / k)[-1]), float(np.cumsum(1.0 / (k * k))[-1])
+    # like a sequential loop; np.sum's pairwise order would not.  Each block
+    # of k starts from the sums so far (0.0 + t is t), so the blocks keep it.
+    h1 = h2 = 0.0
+    for start in range(1, n + 1, _CENTRED_BLOCK):
+        k = np.arange(start, min(start + _CENTRED_BLOCK, n + 1), dtype=float)
+        h1 = float(np.cumsum(np.concatenate([[h1], 1.0 / k]))[-1])
+        h2 = float(np.cumsum(np.concatenate([[h2], 1.0 / (k * k)]))[-1])
+    return h1, h2
 
 
 @lru_cache(maxsize=None)
@@ -67,8 +72,9 @@ def mean_square_game_weight(n: int) -> float:
     kappa_n = (n^2 H2 - 2n H1 + 1)/(n(n-1)(n-2)), or 1 and 3/4 at n = 1, 2.
     Those values sum to 0 for any kappa_n, so no efficiency audit sees a
     wrong one: each n checks it once against the direct average over
-    coalition sizes and raises FloatingPointError naming n beyond
-    max(1e-12, 2n eps) relative, the bound on summing H1, H2 left to right.
+    coalition sizes, summed in blocks of `_CENTRED_BLOCK` sizes, and raises
+    FloatingPointError naming n beyond max(1e-12, 2n eps) relative, the
+    bound on summing H1, H2 left to right.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -79,9 +85,13 @@ def mean_square_game_weight(n: int) -> float:
     kappa = (n * n * h2 - 2.0 * n * h1 + 1.0) / denom
     # Joining s of the other rows (they sum to -y_k), datum k's expected marginal
     # carries d_k times [(n-1-s)(n-2-2s)/(s+1)^2 + (n-2s)/s]/((n-1)(n-2)); 1 at s = 0.
-    s = np.arange(1, n, dtype=float)
-    terms = (n - 1 - s) * (n - 2 - 2 * s) / (s + 1) ** 2 + (n - 2 * s) / s
-    direct = ((n - 1) * (n - 2) + float(terms.sum())) / denom
+    # Summed over s in blocks, so the check holds a few blocks, not n terms.
+    direct = float((n - 1) * (n - 2))
+    for start in range(1, n, _CENTRED_BLOCK):
+        s = np.arange(start, min(start + _CENTRED_BLOCK, n), dtype=float)
+        terms = (n - 1 - s) * (n - 2 - 2 * s) / (s + 1) ** 2 + (n - 2 * s) / s
+        direct += float(terms.sum())
+    direct /= denom
     if not abs(direct - kappa) <= max(1e-12, 2 * n * np.finfo(float).eps) * abs(kappa):
         raise FloatingPointError(f"kappa_n at n={n}: harmonic form {kappa!r} != direct {direct!r}")
     return kappa

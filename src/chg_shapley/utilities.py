@@ -61,19 +61,15 @@ def subset_utility(gs: GradientSet, kind: str, subset) -> float:
     return game.utility(idx) if idx.size else 0.0
 
 
-def gradient_set_values(gs: GradientSet, kind: str, rows=None) -> ShapleyValues:
-    """Shapley values of the game on the rows `rows` of `gs` (all of them
-    with None) under one utility kind.
+def gradient_set_values(gs: GradientSet, kind: str) -> ShapleyValues:
+    """Shapley values of the game on the rows of `gs` under one utility kind.
 
-    Hardness values the rows' losses alone; the quadratic kinds value
-    `gs.restrict(rows)` in closed form, against the rows' own mean.
-    Raises FloatingPointError when finite rows overflow their mean or values.
+    Hardness values the losses alone; the quadratic kinds value the kind's
+    vectors in closed form, against their own mean.  Raises
+    FloatingPointError when finite rows overflow their mean or values.
     """
     if kind == "hardness":
-        losses = gs.losses if rows is None else gs.losses[_row_indices(rows, gs.n)]
-        return hardness_shapley(losses)
-    if rows is not None:
-        gs = gs.restrict(rows)
+        return hardness_shapley(gs.losses)
     # None: the rows' own mean.  Keep the two arguments positional:
     # perfbench's trace wraps this call and reads X's shape from args[0].
     return chg_closed_form_shapley(_vectors(gs, kind), None)

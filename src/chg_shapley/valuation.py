@@ -1,13 +1,14 @@
 """Per-epoch data valuation: score every datum each epoch, then train, then average.
 
-Each epoch runs one full-batch forward pass, which returns the
-per-example losses and factored last-layer gradients at the current
-parameters as a `GradientSet`, computes closed-form Shapley values of the
-chosen utility kind from that set (from the losses alone for the
-hardness kind), and only then steps on the same gradients, so values
-describe the state they were measured at.  A datum's reported value is
-its mean over every epoch, summed as the epochs come, so a run holds one
-epoch's values however many epochs it has.
+Each epoch plays the whole game, or with `per_class` one game per
+non-empty class as a selection event does, each on its own forward pass,
+which returns the per-example losses and factored last-layer gradients
+at the current parameters as a `GradientSet`.  Closed-form Shapley values
+of the chosen utility kind come from that set (from the losses alone for
+hardness), and only then does the epoch step, on the games' summed
+gradients, so values describe the state they were measured at.  A datum's
+reported value is its mean over every epoch, summed as the games come, so
+a run holds one game's values however many epochs it has.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from . import __version__
 from .models import (
     Dataset,
-    GradientSet,
     TrainingDivergedError,  # noqa: F401  (raised by the loop; callers catch it from here)
     _release_free_heap,
     _write_csv,
@@ -32,8 +32,10 @@ from .models import (
     head_dataset,
     init_model,
     per_example_loss_and_grad,
-    sgd_step_weighted,
+    sgd_step,
 )
+# perfbench/layers.py wraps these here; they go when the benchmark is re-keyed.
+from .models import GradientSet, sgd_step_weighted  # noqa: F401
 from .utilities import _check_kind, gradient_set_values
 
 EFFICIENCY_TOLERANCE = 1e-9
@@ -92,33 +94,12 @@ class EfficiencyAudit:
     per_epoch_violation: np.ndarray
 
 
-def epoch_values(
-    batch: GradientSet, data: Dataset, kind: str, per_class: bool
-) -> tuple[np.ndarray, float]:
-    """Values and U(N) from `batch`, whole or summed over per-class games.
-
-    Each game's U(N) comes with its values.  Raises FloatingPointError
-    when the values or U(N) are not finite.
-    """
-    if not per_class:
-        result = gradient_set_values(batch, kind)
-        values, utility = result.values, result.grand_utility
-    else:
-        values = np.zeros(data.n)
-        utility = 0.0
-        for idx in data.class_index:
-            if idx.size == 0:
-                continue
-            result = gradient_set_values(batch, kind, rows=idx)
-            values[idx] = result.values
-            utility += result.grand_utility
-    if not np.isfinite(utility):
-        raise FloatingPointError(f"non-finite grand-coalition utility {utility}")
-    return values, utility
-
-
 def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
-    """One training run with full-batch valuation before each epoch's update."""
+    """One training run with valuation before each epoch's update.
+
+    Raises `TrainingDivergedError` naming the epoch whose pass, values,
+    summed U(N) or step is not finite.
+    """
     if data.n < 1:
         raise ValueError("dataset is empty")
     model = init_model(
@@ -128,21 +109,29 @@ def run_valuation(data: Dataset, config: ValuationConfig) -> ValuationRun:
     model = replace(model, feature_map=None)
     # After the map: a trim before it returns pages that phi then takes back.
     _release_free_heap()
+    games = [idx for idx in head_data.class_index if idx.size] if config.per_class else [None]
     # A running total from zeros has the bits of numpy's axis-0 mean of the
     # stacked epochs at every n >= 2 (both turn -0.0 into 0.0).
     total = np.zeros(data.n)
-    sums = np.empty(config.epochs)
-    utilities = np.empty(config.epochs)
+    # -0.0 + x is x for every x, -0.0 included: one game's sums keep their bits.
+    sums = np.full(config.epochs, -0.0)
+    utilities = np.full(config.epochs, -0.0)
     for epoch in range(config.epochs):
         with epoch_guard(epoch):
-            batch = per_example_loss_and_grad(model, head_data)
-            values, utilities[epoch] = epoch_values(
-                batch, head_data, config.kind, config.per_class
-            )
-            sums[epoch] = values.sum()
-            total += values
-            model = sgd_step_weighted(model, batch.vectors, config.lr)
-        del batch, values  # free the factors and values before the next forward pass
+            grad = np.full(model.weights.size + model.bias.size, -0.0)
+            for rows in games:
+                batch = per_example_loss_and_grad(model, head_data, rows)
+                result = gradient_set_values(batch, config.kind)
+                total[slice(None) if rows is None else rows] += result.values
+                # A sum that overflows is reported below, or by the step it spoils.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sums[epoch] += result.values.sum()
+                    utilities[epoch] += result.grand_utility
+                    grad += batch.vectors.column_sum()
+                del batch, result  # free the factors and values before the next pass
+            if not np.isfinite(utilities[epoch]):
+                raise FloatingPointError(f"non-finite grand-coalition utility {utilities[epoch]}")
+            model = sgd_step(model, grad / data.n, config.lr)
     total /= config.epochs
     return ValuationRun(
         mean_values=total, value_sums=sums, per_epoch_utilities=utilities, config=config

@@ -638,11 +638,18 @@ class TestSoftmaxIsExact:
         assert worst <= 4 * np.finfo(float).eps, worst / np.finfo(float).eps
 
 
+def kernel_logits(model, phi):
+    """The n x C logits of the references, from the kernel's class-major
+    product W phi^T + b: with one OpenBLAS thread the row-major phi W^T
+    rounds some logits differently from 12 classes up."""
+    return (model.weights @ phi.T).T + model.bias
+
+
 def unfused_probs_and_losses(model, phi, labels, indices):
     """The forward pass with a new n x C array per step, as it was written
     before it ran in place, its probabilities the exps over their left-folded
     sum: the reference for the in-place kernel."""
-    logits = phi @ model.weights.T + model.bias
+    logits = kernel_logits(model, phi)
     if not np.all(np.isfinite(logits)):
         bad = int(np.flatnonzero(~np.all(np.isfinite(logits), axis=1))[0])
         if indices is not None:
@@ -784,7 +791,7 @@ def dense_reference(model, data):
     phi = data.features
     if model.feature_map is not None:
         phi = model.feature_map.apply(phi)
-    logits = phi @ model.weights.T + model.bias
+    logits = kernel_logits(model, phi)
     shifted = logits - logits.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     delta = exps / exps.sum(axis=1)[:, None]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,6 +120,30 @@ class TestCoefficients:
     def test_agrees_with_four_weight_form(self, n):
         kappa = mean_square_game_weight(n)
         assert abs(kappa - four_weight_kappa(n)) <= 1e-12 * kappa
+
+    def test_a_new_n_holds_a_few_blocks(self):
+        # The harmonic sums and the direct average run over blocks of k and
+        # s: at n = 1e6 their n-length arrays peaked at 30.5 MiB.
+        n = 10**6
+        shapley.harmonic_sums.cache_clear()
+        mean_square_game_weight.cache_clear()
+        tracemalloc.start()
+        try:
+            kappa = mean_square_game_weight(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak / 2**20  # 1.25 MiB; one n-length array is 7.6
+        assert abs(kappa - four_weight_kappa(n)) <= 1e-12 * kappa
+
+    def test_harmonic_sums_are_one_left_fold(self):
+        # Across block edges, as a sequential loop adds them.
+        for n in (1, 2, 3, shapley._CENTRED_BLOCK, shapley._CENTRED_BLOCK + 1, 70001):
+            h1 = h2 = 0.0
+            for k in range(1, n + 1):
+                h1 += 1.0 / k
+                h2 += 1.0 / (float(k) * k)
+            assert shapley.harmonic_sums.__wrapped__(n) == (h1, h2), n
 
     def test_wrong_harmonic_sums_raise_naming_n(self, monkeypatch):
         # The efficiency audit cannot see a wrong kappa_n; the direct sum can.

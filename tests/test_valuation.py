@@ -1,6 +1,7 @@
 """Tests for the per-epoch valuation loop and its efficiency audit."""
 
 import csv
+import functools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -22,7 +23,7 @@ from chg_shapley.selection import (
     random_baseline_training,
     run_selection_training,
 )
-from chg_shapley.shapley import chg_closed_form_shapley
+from chg_shapley.shapley import chg_closed_form_shapley, exact_shapley
 from chg_shapley.valuation import (
     EfficiencyAuditError,
     TrainingDivergedError,
@@ -43,20 +44,28 @@ def stored_epochs(data, config):
     """The valuation loop with every epoch's values kept: (epochs x n values, U(N) per epoch).
 
     The reference for `run_valuation`, which keeps only their running sum.
+    Each epoch values the whole game, or each non-empty class, on a pass of
+    its own, then steps on the games' gradient sums added in class order.
     """
     model = models.init_model(
         (data.n_features, data.n_classes), seed=config.seed, hidden_width=config.hidden_width
     )
     head = models.head_dataset(model, data)
     model = replace(model, feature_map=None)
-    per_epoch, utilities = [], []
+    games = [idx for idx in head.class_index if idx.size] if config.per_class else [None]
+    per_epoch, epoch_utilities = [], []
     for _ in range(config.epochs):
-        batch = models.per_example_loss_and_grad(model, head)
-        values, utility = valuation.epoch_values(batch, head, config.kind, config.per_class)
+        values, grand, sums = np.zeros(data.n), [], []
+        for rows in games:
+            batch = models.per_example_loss_and_grad(model, head, rows)
+            result = utilities.gradient_set_values(batch, config.kind)
+            values[slice(None) if rows is None else rows] = result.values
+            grand.append(result.grand_utility)
+            sums.append(batch.vectors.column_sum())
         per_epoch.append(values)
-        utilities.append(utility)
-        model = models.sgd_step_weighted(model, batch.vectors, config.lr)
-    return np.array(per_epoch), np.array(utilities)
+        epoch_utilities.append(sum(grand))
+        model = models.sgd_step(model, functools.reduce(np.add, sums) / data.n, config.lr)
+    return np.array(per_epoch), np.array(epoch_utilities)
 
 
 def assert_same_run(a, b):
@@ -135,10 +144,12 @@ class TestRunValuation:
         # Keeping every epoch's values grew the peak by 10 x 1.6 MB.
         assert peaks[1] - peaks[0] < 8 * n / 16, peaks
         # delta and the losses take 8 n (C + 1) bytes.  The second run, whose
-        # game weights are cached, peaks at 2.24x that whole and 1.67x per
-        # class; whole-array passes took 3.0x and 2.18x.
+        # game weights are cached, peaks at 2.24x that whole and 0.57x per
+        # class, where one class's pass is held at a time; whole-array
+        # passes took 3.0x and 2.18x, and per-class games restricted from a
+        # full-data pass 1.67x.
         held = 8 * n * (c + 1)
-        assert peaks[1] <= (1.75 if per_class else 2.3) * held, peaks[1] / held
+        assert peaks[1] <= (0.65 if per_class else 2.3) * held, peaks[1] / held
 
     def test_free_heap_released_once_after_the_map(self, monkeypatch):
         calls = []
@@ -199,11 +210,11 @@ class TestRunValuation:
         # the first of the event at epoch 2.
         games = []
 
-        def diverge_at_second_event(gs, kind, rows=None):
+        def diverge_at_second_event(gs, kind):
             games.append(kind)
             if len(games) > 3:
                 raise FloatingPointError("closed-form values overflowed")
-            return utilities.gradient_set_values(gs, kind, rows)
+            return utilities.gradient_set_values(gs, kind)
 
         monkeypatch.setattr(selection, "gradient_set_values", diverge_at_second_event)
         cfg = SelectionConfig(fraction=0.5, interval=2, epochs=4, seed=3)
@@ -237,13 +248,45 @@ class TestRunValuation:
 
 
 # ---------------------------------------------------------------------------
+# One epoch against enumeration
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["chg", "hardness", "gradient"])
+@pytest.mark.parametrize("hidden_width", [None, 6])
+@pytest.mark.parametrize("per_class", [False, True])
+def test_a_one_epoch_run_gives_each_games_shapley_values(kind, hidden_width, per_class):
+    # A wrong d_k or kappa_n keeps every epoch's value sum at U(N), so the
+    # audit cannot see it; enumerating each game the epoch plays can.
+    rng = np.random.default_rng([len(kind), per_class, hidden_width or 0])
+    if per_class:  # classes of 8, 5 and 7 rows
+        labels = rng.permutation(np.repeat([0, 1, 2], [8, 5, 7]))
+    else:
+        labels = rng.integers(0, 3, 12)
+    data = Dataset(2.0 * rng.standard_normal((labels.size, 3)), labels, n_classes=3)
+    config = ValuationConfig(
+        kind=kind, epochs=1, seed=5, per_class=per_class, hidden_width=hidden_width
+    )
+    run = run_valuation(data, config)
+    model = models.init_model((3, 3), seed=5, hidden_width=hidden_width)
+    head = models.head_dataset(model, data)
+    model = replace(model, feature_map=None)
+    grand = 0.0
+    for rows in data.class_index if per_class else [np.arange(data.n)]:
+        batch = models.per_example_loss_and_grad(model, head, rows)
+        exact = exact_shapley(utilities.utility_game(batch, kind))
+        worst = np.max(np.abs(run.mean_values[rows] - exact.values))
+        assert worst <= 1e-10 * np.max(np.abs(exact.values)), rows
+        grand += exact.grand_utility
+    assert run.per_epoch_utilities[0] == pytest.approx(grand, rel=1e-12)
+    assert run.value_sums[0] == pytest.approx(grand, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Factored route against the dense oracle
 # ---------------------------------------------------------------------------
 
-def dense_values(gs, kind, rows=None):
+def dense_values(gs, kind):
     """gradient_set_values through the dense closed form on the built matrix."""
-    if rows is not None:
-        gs = gs.restrict(rows)
     X = gs.vectors.dense()
     if kind == "chg":
         X = gs.losses[:, None] * X
@@ -397,11 +440,15 @@ class TestFactoredRoute:
         models.mean_gradient(models.init_model((4, 3), seed=24), tall, np.arange(tall.n - 1))
         assert passes == [None, list(range(tall.n - 1))]
         data = make_synthetic_dataset(60, 4, 3, 2.0, seed=25)
-        for per_class in (False, True):
-            passes.clear()
-            run_valuation(data, ValuationConfig(kind=kind, epochs=3, per_class=per_class))
-            assert passes == [None] * 3, per_class
         classes = [idx.tolist() for idx in data.class_index]
+        passes.clear()
+        run_valuation(data, ValuationConfig(kind=kind, epochs=3))
+        assert passes == [None] * 3
+        # Per class, each epoch makes one pass per class, as an event does,
+        # and steps on their summed gradient sums.
+        passes.clear()
+        run_valuation(data, ValuationConfig(kind=kind, epochs=3, per_class=True))
+        assert passes == classes * 3
         cfg = SelectionConfig(fraction=0.2, interval=2, epochs=3, kind=kind)
         passes.clear()
         _, history = run_selection_training(data, cfg)
@@ -509,15 +556,25 @@ class TestEfficiencyAudit:
             epoch_efficiency_audit(run)
 
 
-def test_per_class_utilities_that_overflow_in_their_sum_raise():
+def test_per_class_utilities_that_overflow_in_their_sum_raise(monkeypatch):
     # Each class's game is finite; their summed U(N), 2.4e308, is not.
     data = Dataset(features=np.zeros((2, 1)), labels=np.array([0, 1]), n_classes=2)
-    gs = models.GradientSet(FactoredGrads(np.zeros((2, 2)), np.zeros((2, 1))), np.full(2, 1.2e308))
-    for idx in data.class_index:
-        result = utilities.gradient_set_values(gs, "hardness", rows=idx)
+    games = []
+
+    def huge_losses(model, head, rows):
+        gs = models.GradientSet(FactoredGrads(np.zeros((1, 2)), np.zeros((1, 1))), [1.2e308])
+        result = utilities.gradient_set_values(gs, "hardness")
         assert np.all(np.isfinite(result.values)) and np.isfinite(result.grand_utility)
-    with pytest.raises(FloatingPointError, match="^non-finite grand-coalition utility inf$"):
-        valuation.epoch_values(gs, data, "hardness", per_class=True)
+        games.append(rows.tolist())
+        return gs
+
+    monkeypatch.setattr(valuation, "per_example_loss_and_grad", huge_losses)
+    config = ValuationConfig(kind="hardness", epochs=2, per_class=True)
+    with pytest.raises(TrainingDivergedError) as err:
+        run_valuation(data, config)
+    assert err.value.epoch == 0 and games == [[0], [1]]
+    message = "training diverged at epoch 0: non-finite grand-coalition utility inf"
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
