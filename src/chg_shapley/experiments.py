@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .models import (
     Dataset,
+    ModelState,
     TrainingDivergedError,
     _integer_labels,
     _release_free_heap,
@@ -186,20 +187,30 @@ def detection_curve(values, noise: NoiseSpec) -> DetectionReport:
     return DetectionReport(fractions=fractions, detection_rate=rate, auc=auc)
 
 
-def _retrain_accuracy(
-    retained: np.ndarray | None, train: Dataset, test: Dataset, cfg: RemovalConfig
-) -> float:
-    """Test accuracy after training on the rows `retained` (every row when None).
+def _train_stack(order, starts, train: Dataset, cfg: RemovalConfig) -> ModelState:
+    """The arms of one removal order trained side by side: head j of the
+    returned stack trains on the rows `order[starts[j]:]` (every row when
+    `order` is None), `starts` ascending.
 
-    Each step is on the mean gradient the forward pass adds up block by
-    block, so an arm holds a few blocks, never delta or a copy of its rows.
-    Raises TrainingDivergedError naming the epoch of a non-finite pass or step.
+    Every head starts from the same init and steps on its own row of the
+    mean gradients that `mean_gradient` adds up as it walks the order once
+    per epoch, so no arm holds delta or a copy of its rows, and the stack
+    holds a few blocks.  Raises TrainingDivergedError naming the epoch of a
+    non-finite pass or step.
     """
-    model = init_model((train.n_features, train.n_classes), seed=cfg.seed)
+    init = init_model((train.n_features, train.n_classes), seed=cfg.seed)
+    heads = len(starts)
+    stack = ModelState(np.tile(init.weights, (heads, 1, 1)), np.tile(init.bias, (heads, 1)))
     for epoch in range(cfg.epochs):
         with epoch_guard(epoch):
-            model = sgd_step(model, mean_gradient(model, train, retained), cfg.lr)
-    return accuracy(model, test)
+            stack = sgd_step(stack, mean_gradient(stack, train, order, starts), cfg.lr)
+    return stack
+
+
+def _retrain_accuracy(order, starts, train: Dataset, test: Dataset, cfg: RemovalConfig) -> list:
+    """Test accuracy of each arm of `_train_stack`, in the order of `starts`."""
+    stack = _train_stack(order, starts, train, cfg)
+    return [accuracy(ModelState(w, b), test) for w, b in zip(stack.weights, stack.bias)]
 
 
 def point_removal_curve(
@@ -212,9 +223,14 @@ def point_removal_curve(
     dropped, and ValueError names them when none is left.  One arm is
     trained per distinct retained set: removing 0 rows keeps every row
     whatever the order, so the keep-everything arm is trained once and
-    its accuracy shared by every order.  Arms run on `cfg.threads`
-    workers and are combined in a fixed order, so the thread count never
-    changes the result.
+    its accuracy shared by every order, and fractions that remove the same
+    number of rows share an arm.  An order's other arms keep suffixes of
+    it and train as one stack (`_retrain_accuracy`).  The keep-everything
+    arm and the three stacks run on `cfg.threads` workers and are combined
+    in a fixed order, so the thread count never changes the result.
+
+    A diverging stack names the arm that diverges first when trained
+    alone: the earliest epoch, then the lowest fraction.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (train.n,):
@@ -235,29 +251,51 @@ def point_removal_curve(
         raise ValueError(f"every removal fraction {list(cfg.fractions)} empties the training set")
     removed = [int(round(f * n)) for f in fractions]
     fraction_of = dict(zip(removed, fractions.tolist()))
-    # Arm key: (order, rows removed); every order keeps the same rows at 0.
-    keys = [(name if k else None, k) for name in REMOVAL_ORDERS for k in removed]
-    arms = list(dict.fromkeys(keys))
+    # A stack: (order, rows removed by each arm); every order keeps the same rows at 0.
+    starts = sorted({k for k in removed if k})
+    stacks = [(None, [0])] if 0 in removed else []
+    if starts:
+        stacks += [(name, starts) for name in REMOVAL_ORDERS]
 
-    def train_arm(arm):
-        name, k = arm
+    def train_stack(stack):
+        name, ks = stack
+        order = orders.get(name)
         try:
-            return _retrain_accuracy(np.sort(orders[name][k:]) if k else None, train, test, cfg)
+            return _retrain_accuracy(order, ks, train, test, cfg)
         except TrainingDivergedError as err:
-            order = name or "every order"
+            if len(ks) > 1:  # each arm alone, up to the epoch the stack diverged at
+                err, k = min(_divergences(order, ks, train, replace(cfg, epochs=err.epoch + 1)),
+                             key=lambda fail: (fail[0].epoch, fail[1]), default=(err, ks[0]))
+            else:
+                k = ks[0]
             raise TrainingDivergedError(
-                f"removal arm {order} at fraction {fraction_of[k]:g} ({k} of {n} rows"
-                f" removed): {err}",
+                f"removal arm {name or 'every order'} at fraction {fraction_of[k]:g} ({k} of {n}"
+                f" rows removed): {err}",
                 epoch=err.epoch,
             ) from err
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        accs = dict(zip(arms, pool.map(train_arm, arms)))
-    results = np.array([accs[key] for key in keys]).reshape(len(REMOVAL_ORDERS), len(removed))
+        accs = {
+            (name, k): acc
+            for (name, ks), stack_accs in zip(stacks, pool.map(train_stack, stacks))
+            for k, acc in zip(ks, stack_accs)
+        }
+    results = np.array(
+        [accs[name if k else None, k] for name in REMOVAL_ORDERS for k in removed]
+    ).reshape(len(REMOVAL_ORDERS), len(removed))
     return RemovalCurve(
         fractions=fractions,
         accuracy={name: results[i] for i, name in enumerate(REMOVAL_ORDERS)},
     )
+
+
+def _divergences(order, ks, train: Dataset, cfg: RemovalConfig):
+    """(error, k) for each arm `order[k:]` whose training alone diverges."""
+    for k in ks:
+        try:
+            _train_stack(order, [k], train, cfg)
+        except TrainingDivergedError as err:
+            yield err, k
 
 
 def descent_bound_check(L: float, theta, x) -> DescentBoundCheck:

@@ -17,8 +17,10 @@ is a fold over the class rows, the exp row sum a left fold
 textbook row-major pass.  The probabilities are the exps over that sum,
 one exp per logit, as the softmax is defined.  delta is held class-major
 (C x n), and every factor product runs in the same blocks, as does the
-column sum a removal arm steps on (`mean_gradient`), which never holds
-delta.
+column sum the removal arms step on (`mean_gradient`), which never holds
+delta.  The same kernel runs a stack of heads, each on a suffix of one
+row order, in one pass: a span's rows are gathered once and its logits
+are one product for every head that keeps them.
 """
 
 from __future__ import annotations
@@ -130,15 +132,16 @@ def make_feature_map(n_features: int, width: int, seed: int) -> FrozenFeatureMap
 
 @dataclass
 class ModelState:
-    """Softmax-head parameters plus an optional frozen feature map."""
+    """Softmax-head parameters plus an optional frozen feature map; or, with
+    a leading axis, a stack of heads trained side by side."""
 
-    weights: np.ndarray  # n_classes x width
-    bias: np.ndarray  # n_classes
+    weights: np.ndarray  # n_classes x width, or heads x n_classes x width
+    bias: np.ndarray  # n_classes, or heads x n_classes
     feature_map: FrozenFeatureMap | None = None
 
     @property
     def n_classes(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ class FactoredGrads:
         FloatingPointError if finite rows overflow it."""
         delta = self.delta.T
         blocks = ((rows, self.phi[rows], delta[:, rows]) for rows in _blocks(self.shape[0]))
-        return _column_sum(blocks, self.shape[1])
+        return _column_sum(blocks, self.shape[1:])
 
     def inner(self, vector) -> np.ndarray:
         """<x_i, v> for every row i, for one length-d `vector`: per block a
@@ -387,29 +390,34 @@ def _blocks(n: int):
 
 
 def _class_sum(rows: np.ndarray) -> np.ndarray:
-    """The sum of the class rows of a C x B block, added left to right.
-    Below 8 rows this is the order of numpy's `sum(axis=1)` on the B x C
-    transpose; from 8 up it may differ from that pairwise sum by rounding."""
-    total = rows[0].copy()
-    for row in rows[1:]:
-        total += row
+    """The sum of the class rows of a C x B block, or of each head's in an
+    a x C x B stack, added left to right.  Below 8 rows this is the order of
+    numpy's `sum(axis=1)` on the B x C transpose; from 8 up it may differ
+    from that pairwise sum by rounding."""
+    total = rows[..., 0, :].copy()
+    for c in range(1, rows.shape[-2]):
+        total += rows[..., c, :]
     return total
 
 
-def _column_sum(blocks, d: int) -> np.ndarray:
-    """sum_i delta_i outer [phi_i, 1], flattened, from blocks (rows, phi_b,
-    delta_b, ...) with delta_b class-major: each block's delta_b @ phi_b and
-    row sums, added in block order; FloatingPointError if finite rows
-    overflow it."""
-    total = None
-    for _, phi, delta, *_ in blocks:
+def _column_sum(blocks, shape) -> np.ndarray:
+    """sum_i delta_i outer [phi_i, 1], flattened, of `shape` (d,), or (a, d)
+    for a stack of a heads, from blocks (rows, phi_b, delta_b, ...) with
+    delta_b class-major: C x B, or m x C x B for the stack's first m heads.
+    Each block's delta_b @ phi_b and row sums are added into its heads'
+    totals in block order, a head's first block taken as it is (0 + part
+    would turn a -0.0 into 0.0); FloatingPointError if finite rows overflow it."""
+    total = np.zeros(shape)
+    heads = total.reshape(-1, shape[-1])  # a x d view; a = 1 for (d,)
+    seen = 0  # heads whose total holds a block
+    for _, phi, delta, *rest in blocks:
         with np.errstate(over="ignore", invalid="ignore"):
-            part = np.concatenate([(delta @ phi).ravel(), delta.sum(axis=1)])
-            # Not 0 + part for the first block, which would turn a -0.0 into 0.0.
-            total = part if total is None else np.add(total, part, out=total)
-        del phi, delta  # before the next block is made
-    if total is None:
-        return np.zeros(d)
+            product = (delta.reshape(-1, delta.shape[-1]) @ phi).reshape(*delta.shape[:-2], -1)
+            part = np.concatenate([product, delta.sum(axis=-1)], axis=-1).reshape(-1, shape[-1])
+            np.add(heads[:seen], part[:seen], out=heads[:seen])
+        heads[seen : part.shape[0]] = part[seen:]
+        seen = part.shape[0]
+        del phi, delta, rest, product, part  # before the next block is made
     if not np.all(np.isfinite(total)):
         raise FloatingPointError("gradient sum overflowed to non-finite numbers")
     return total
@@ -430,57 +438,71 @@ def _check_finite_rows(values: np.ndarray, what: str, indices, start: int = 0) -
     raise NonFiniteBatchError(f"non-finite {what} at example {bad}", index=bad)
 
 
-def _forward(model: ModelState, phi, labels, indices, out=None, gather=False):
+def _forward(model: ModelState, phi, labels, indices, out=None, spans=None):
     """The forward pass, class-major, one block of at most `_BLOCK_ROWS` rows
     at a time: yields (rows, phi_b, delta_b, losses_b) per block, where
     delta_b = softmax(z) - onehot(y), C x B, is written into `out[:, rows]`
     of a C-contiguous C x n `out` (into a new block when `out` is None).
     The one place delta is formed.
 
-    `phi` and `labels` are the head inputs of the pass's rows, or with
-    `gather` the data's own arrays, from which each block takes its rows
-    `indices[rows]`.  `indices` (checked rows, or None for every row) name
-    the data row of a non-finite logit or loss in a NonFiniteBatchError.
+    `phi` and `labels` are the head inputs of the pass's rows.  `indices`
+    (checked rows, or None for every row) name the data row of a non-finite
+    logit or loss in a NonFiniteBatchError.
+
+    Given `spans`, the pass walks a stack of heads (weights a x C x w, bias
+    a x C) over the data's own `phi` and `labels` instead: each span
+    (positions, m) gathers the rows `indices[positions]` (the rows
+    `positions` when `indices` is None) once and runs them on the first m
+    heads, so its delta_b is m x C x B and its losses_b m x B.
     """
-    n = indices.size if gather else labels.size
-    for rows in _blocks(n):
-        yield rows, *_forward_block(model, phi, labels, indices, rows, out, gather)
+    gather = spans is not None and indices is not None
+    if spans is None:  # every block on the whole model: [:None] takes it all
+        spans = ((rows, None) for rows in _blocks(labels.size))
+    for rows, m in spans:
+        yield rows, *_forward_block(
+            model.weights[:m], model.bias[:m], phi, labels, indices, rows, out, gather
+        )
 
 
-def _forward_block(model, phi, labels, indices, rows, out, gather):
-    """(phi_b, delta_b, losses_b) of one block of `_forward`: a function of
-    its own, so that `_forward` holds nothing of a block while it makes the
-    next.
+def _forward_block(weights, bias, phi, labels, indices, rows, out, gather):
+    """(phi_b, delta_b, losses_b) of one block of `_forward`, on the heads
+    `weights` and `bias`: a function of its own, so that `_forward` holds
+    nothing of a block while it makes the next.
 
-    The logits are W phi_b^T + b, one contiguous row per class, and every
-    row-wise step is a fold over those class rows: the max, exact in any
-    order; the exp row sum, left to right (`_class_sum`).  In place, s =
-    logits - max_c logits and e = exp(s), one exp per logit; z = sum_c e;
-    the losses are log z - s_y, with the bits of the textbook row-major pass
-    below 8 classes; and the probabilities are e / z.
+    The logits are W phi_b^T + b, one contiguous row per class (for a stack,
+    every head's C rows in one a*C x B product), and every row-wise step is
+    a fold over a head's class rows: the max, exact in any order; the exp
+    row sum, left to right (`_class_sum`).  In place, s = logits - max_c
+    logits and e = exp(s), one exp per logit; z = sum_c e; the losses are
+    log z - s_y, with the bits of the textbook row-major pass below 8
+    classes; and the probabilities are e / z.
     """
-    if gather:
+    if gather:  # np.take copies the same rows as phi[taken], faster on narrow rows
         taken = indices[rows]
-        phi_b, labels_b = np.take(phi, taken, axis=0), labels[taken]
+        phi, labels = np.take(phi, taken, axis=0), labels[taken]
     else:
-        phi_b, labels_b = phi[rows], labels[rows]
+        phi, labels = phi[rows], labels[rows]
+    lead = bias.shape[:-1]  # () for one head, (a,) for a stack of a
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names the row
-        logits = model.weights @ phi_b.T
-        logits += model.bias[:, None]
+        logits = weights.reshape(-1, weights.shape[-1]) @ phi.T
+        logits += bias.reshape(-1, 1)
     _check_finite_rows(logits.T, "logits", indices, rows.start)
+    logits = logits.reshape(*bias.shape, -1)  # each head's C x B block
     with np.errstate(over="ignore"):  # logits further apart than the float range: checked below
-        logits -= logits.max(axis=0)  # a fold of np.maximum over the class rows
+        logits -= logits.max(axis=-2, keepdims=True)  # a fold of np.maximum over the class rows
     probs = np.exp(logits) if out is None else np.exp(logits, out=out[:, rows])
     z = _class_sum(probs)
-    # The label's entry of each column, by flat position in the contiguous logits.
-    cols = np.arange(labels_b.size)
-    losses = np.log(z) - np.take(logits, labels_b * labels_b.size + cols)
-    _check_finite_rows(losses, "loss", indices, rows.start)
-    probs /= z
-    # delta, by flat position in the block, or in `out` from the block's first column.
+    # The label's entry of each column, by flat position in a head's contiguous logits.
+    cols = np.arange(labels.size)
+    losses = np.log(z) - np.take(logits.reshape(*lead, -1), labels * labels.size + cols, axis=-1)
+    _check_finite_rows(losses.T, "loss", indices, rows.start)
+    probs /= z[..., None, :]
+    # delta, by flat position in a head's block, or in `out` from the block's first column.
     base, cols = (probs, cols) if out is None else (out, cols + rows.start)
-    base.reshape(-1)[labels_b * base.shape[1] + cols] -= 1.0
-    return phi_b, probs, losses
+    flat = labels * base.shape[-1] + cols
+    for head in base.reshape(-1, base.shape[-2] * base.shape[-1]):
+        head[flat] -= 1.0
+    return phi, probs, losses
 
 
 def per_example_loss_and_grad(model: ModelState, data: Dataset, indices=None) -> GradientSet:
@@ -508,7 +530,7 @@ def per_example_loss_and_grad(model: ModelState, data: Dataset, indices=None) ->
     return GradientSet._unscanned(FactoredGrads(delta.T, phi), losses)
 
 
-def mean_gradient(model: ModelState, data: Dataset, indices=None) -> np.ndarray:
+def mean_gradient(model: ModelState, data: Dataset, indices=None, starts=(0,)) -> np.ndarray:
     """(1/n) sum_i x_i over the rows `indices` (every row with None) of the
     per-example gradients at `model`, flattened as `FactoredGrads` lays a row out.
 
@@ -518,12 +540,36 @@ def mean_gradient(model: ModelState, data: Dataset, indices=None) -> np.ndarray:
     delta is held, nor, for a head on the raw features, an n x w copy of
     the rows.  Raises the pass's NonFiniteBatchError and the sum's
     FloatingPointError.
+
+    For a stack of a heads (weights a x C x w, bias a x C), `starts` holds a
+    ascending positions in `indices`, and row j of the a x d result is head
+    j's mean over the rows `indices[starts[j]:]`.  The positions are walked
+    once, in spans cut at every start: each span's rows are gathered once
+    and run on the heads whose rows cover it, a prefix of the stack.  One
+    head walks the pass's own blocks.  The rows and logits of a span of a > 1
+    heads fill half a block of one, B (w + aC) <= `_BLOCK_ROWS` (w + C) / 2,
+    which leaves room for its exps and per-head folds: its peak stays below
+    a block's.
     """
     idx = None if indices is None else _row_indices(indices, data.n)
     data = head_dataset(model, data)
     n = data.n if idx is None else idx.size
-    blocks = _forward(model, data.features, data.labels, idx, gather=idx is not None)
-    return _column_sum(blocks, model.weights.size + model.bias.size) / n
+    c, w = model.weights.shape[-2:]
+    stack = ModelState(model.weights.reshape(-1, c, w), model.bias.reshape(-1, c))
+    a = len(starts)
+    size = _BLOCK_ROWS if a == 1 else max(1, _BLOCK_ROWS * (w + c) // (2 * (w + a * c)))
+    blocks = _forward(stack, data.features, data.labels, idx, spans=_spans(starts, n, size))
+    means = _column_sum(blocks, (a, c * (w + 1))) / (n - np.asarray(starts))[:, None]
+    return means.reshape(*model.bias.shape[:-1], -1)
+
+
+def _spans(starts, n: int, size: int):
+    """(positions, m) pairs walking the positions from starts[0] to n in
+    order, cut at every start and into runs of at most `size`: m is the
+    number of starts at or before the run."""
+    for m, (lo, hi) in enumerate(zip(starts, [*starts[1:], n]), start=1):
+        for start in range(lo, hi, size):
+            yield slice(start, min(start + size, hi)), m
 
 
 def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
@@ -540,8 +586,21 @@ def accuracy(model: ModelState, data: Dataset) -> float:
     for rows in _blocks(data.n):
         logits = model.weights @ data.features[rows].T
         logits += model.bias[:, None]
-        correct += int(np.count_nonzero(logits.argmax(axis=0) == data.labels[rows]))
+        correct += int(np.count_nonzero(_class_argmax(logits) == data.labels[rows]))
     return correct / data.n
+
+
+def _class_argmax(logits: np.ndarray) -> np.ndarray:
+    """`logits.argmax(axis=0)` of a C x B block, by folds over its class rows
+    instead of argmax's row-major copy: the max, then from the last class
+    row up, each row equal to it or NaN, so the first wins.  A column's max
+    is NaN where it holds one, so, as in argmax, its first NaN wins."""
+    top = logits.max(axis=0)
+    found = np.zeros(logits.shape[1], dtype=np.intp)
+    for c in range(logits.shape[0] - 1, -1, -1):
+        row = logits[c]
+        np.putmask(found, (row == top) | (row != row), c)
+    return found
 
 
 def check_count(name: str, value: int) -> None:
@@ -577,16 +636,17 @@ def sgd_step_weighted(model: ModelState, grads: FactoredGrads, lr: float) -> Mod
 
 
 def sgd_step(model: ModelState, grad: np.ndarray, lr: float) -> ModelState:
-    """One step theta <- theta - lr * grad on a flattened head gradient.
+    """One step theta <- theta - lr * grad on a flattened head gradient, or
+    on each head of a stack by its row of an a x d `grad`.
 
     Returns a new state; the input model is untouched.  Raises
     FloatingPointError when the new parameters overflow, so the step's
     own epoch reports it.
     """
-    split = model.weights.size
+    split = model.weights.shape[-2] * model.weights.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = model.weights - lr * grad[:split].reshape(model.weights.shape)
-        bias = model.bias - lr * grad[split:]
+        weights = model.weights - lr * grad[..., :split].reshape(model.weights.shape)
+        bias = model.bias - lr * grad[..., split:]
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
         raise FloatingPointError("SGD step overflowed the parameters to non-finite numbers")
     return replace(model, weights=weights, bias=bias)

@@ -229,8 +229,17 @@ class TestDetectionCurve:
 # Point removal
 # ---------------------------------------------------------------------------
 
+def parent_arm_accuracy(retained, train, test, cfg):
+    """One arm as the curve trained it before stacks: its own init, and a
+    step on `mean_gradient` over its sorted rows each epoch."""
+    model = models.init_model((train.n_features, train.n_classes), seed=cfg.seed)
+    for _ in range(cfg.epochs):
+        model = models.sgd_step(model, models.mean_gradient(model, train, retained), cfg.lr)
+    return models.accuracy(model, test)
+
+
 def parent_removal_curve(values, train, test, cfg):
-    """The loop the curve replaced: one _retrain_accuracy per (order, fraction), nothing shared."""
+    """The loop the curve replaced: one arm per (order, fraction), nothing shared."""
     n = train.n
     orders = {
         "lowest_first": np.lexsort((np.arange(n), values)),
@@ -240,9 +249,7 @@ def parent_removal_curve(values, train, test, cfg):
     fractions = [f for f in cfg.fractions if int(round(f * n)) < n]
     return {
         name: np.array([
-            experiments._retrain_accuracy(
-                np.sort(orders[name][int(round(f * n)):]), train, test, cfg
-            )
+            parent_arm_accuracy(np.sort(orders[name][int(round(f * n)):]), train, test, cfg)
             for f in fractions
         ])
         for name in experiments.REMOVAL_ORDERS
@@ -272,12 +279,12 @@ class TestPointRemoval:
         [((0.0, 0.2, 0.5), 3 * 3 - 2), ((0.2, 0.5), 3 * 2), ((0.5, 0.0), 3 * 2 - 2)],
     )
     def test_keep_everything_arm_trained_once(self, monkeypatch, fractions, arms):
-        calls = []
+        stacks = []  # (keeps every row, arms) per stack trained
         retrain = experiments._retrain_accuracy
 
-        def counting(retained, *args):
-            calls.append(None if retained is None else len(retained))
-            return retrain(retained, *args)
+        def counting(order, starts, *args):
+            stacks.append((order is None, len(starts)))
+            return retrain(order, starts, *args)
 
         monkeypatch.setattr(experiments, "_retrain_accuracy", counting)
         train = make_synthetic_dataset(40, 5, 2, 3.0, seed=4)
@@ -285,31 +292,72 @@ class TestPointRemoval:
         point_removal_curve(
             values, train, train, RemovalConfig(fractions=fractions, epochs=2, threads=2)
         )
-        assert len(calls) == arms
-        assert calls.count(None) == (0.0 in fractions)
+        assert sum(heads for _, heads in stacks) == arms
+        # The keep-everything arm alone, once, and one stack per order
+        # holding every other arm of it.
+        per_order = len([f for f in fractions if f])
+        assert sorted(stacks) == [(False, per_order)] * 3 + [(True, 1)] * (0.0 in fractions)
+
+    def test_fractions_removing_the_same_rows_share_an_arm(self, monkeypatch):
+        stacks = []
+        retrain = experiments._retrain_accuracy
+
+        def recording(order, starts, *args):
+            stacks.append(list(starts))
+            return retrain(order, starts, *args)
+
+        monkeypatch.setattr(experiments, "_retrain_accuracy", recording)
+        train = make_synthetic_dataset(40, 5, 2, 3.0, seed=5)
+        test = make_synthetic_dataset(40, 5, 2, 3.0, seed=6)
+        values = np.random.default_rng(5).standard_normal(40)
+        # 0.1 and 0.11 of 40 rows both round to 4 rows removed.
+        cfg = RemovalConfig(fractions=(0.0, 0.1, 0.11, 0.5), epochs=3, seed=5)
+        curve = point_removal_curve(values, train, test, cfg)
+        assert stacks == [[0]] + [[4, 20]] * 3
+        for accs in curve.accuracy.values():
+            assert accs.size == 4 and accs[1] == accs[2]
 
     @pytest.mark.parametrize("c", [2, 10])
     def test_an_arm_holds_a_few_blocks_whatever_n(self, c):
-        # An arm steps on a gradient summed block by block: it never holds
-        # delta or a copy of its rows, so its peak does not grow with n.
-        # Holding them took 2.5x-10.6x a block's bytes at these n.
+        # A stack steps on gradients summed span by span: no arm holds delta
+        # or a copy of its rows, and a span of a heads holds no more than a
+        # block of one, so the peak grows with neither n nor the arms.
+        # Holding delta and the rows took 2.5x-10.6x a block's bytes at these n.
         block = 8 * models._BLOCK_ROWS * (20 + c)  # a block of features and of delta
         test = make_synthetic_dataset(1000, 20, c, 2.0, seed=13)
         cfg = RemovalConfig(epochs=2, seed=13)
         peaks = []
         for n in (3 * models._BLOCK_ROWS + 5, 8 * models._BLOCK_ROWS + 1):
             train = make_synthetic_dataset(n, 20, c, 2.0, seed=12)
-            retained = np.sort(np.random.default_rng(12).permutation(n)[: n - n // 10])
-            for rows in (None, retained):
+            order = np.random.default_rng(12).permutation(n)
+            nine = [int(round(f * n)) for f in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+            for stack in ((None, [0]), (order, [n // 10]), (order, nine)):
                 tracemalloc.start()
                 try:
-                    experiments._retrain_accuracy(rows, train, test, cfg)
+                    experiments._retrain_accuracy(*stack, train, test, cfg)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
-        # 0.41x-0.84x with every row and 1.37x-1.54x with gathered rows.
         assert max(peaks) <= 1.7 * block, [peak / block for peak in peaks]
-        assert abs(peaks[2] - peaks[0]) < block / 16 and abs(peaks[3] - peaks[1]) < block / 16, peaks
+        for small, large in zip(peaks[:3], peaks[3:]):
+            assert abs(large - small) < block / 16, peaks
+
+    @pytest.mark.parametrize("c", [2, 10])
+    def test_a_stack_of_one_is_mean_gradient_training_bit_for_bit(self, c):
+        # Across block edges: one head walks the blocks of the pass over its rows.
+        n, p = 2 * models._BLOCK_ROWS + 3, 12
+        train = make_synthetic_dataset(n, p, c, 2.0, seed=c)
+        order = np.random.default_rng(c).permutation(n)
+        cfg = RemovalConfig(epochs=3, seed=c)
+        for arm_order, k in ((None, 0), (order, 0), (order, 100), (order, n - 5)):
+            stack = experiments._train_stack(arm_order, [k], train, cfg)
+            model = models.init_model((p, c), seed=c)
+            retained = None if arm_order is None else arm_order[k:]
+            for _ in range(cfg.epochs):
+                model = models.sgd_step(model, models.mean_gradient(model, train, retained), cfg.lr)
+            assert stack.weights.shape == (1, c, p) and stack.bias.shape == (1, c)
+            assert stack.weights[0].tobytes() == model.weights.tobytes(), k
+            assert stack.bias[0].tobytes() == model.bias.tobytes(), k
 
     def test_fraction_zero_identical_across_orders(self):
         train = make_synthetic_dataset(120, 5, 2, 3.0, seed=8)
@@ -402,6 +450,34 @@ class TestPointRemoval:
         with pytest.raises(TrainingDivergedError) as err:
             point_removal_curve(np.arange(400.0), train, train, cfg)
         assert f"removal arm {arm} rows removed): training diverged at epoch 0" in str(err.value)
+        assert err.value.epoch == 0
+
+    def test_a_stack_names_its_first_diverging_arm(self):
+        # Only rows 300-399 carry the feature, and the init misclassifies
+        # them all, so the first step of the arm keeping order[k:] moves a
+        # weight by lr * X * 100 / (400 - k): past the float range at 200
+        # and 300 rows removed, just inside it at 100.  That arm's logits
+        # then overflow at epoch 1.
+        n, big = 400, 1e10
+        init = models.init_model((1, 2), seed=0)
+        wrong = 0 if init.weights[1, 0] > init.weights[0, 0] else 1
+        features = np.zeros((n, 1))
+        features[300:] = big
+        labels = np.arange(n) % 2
+        labels[300:] = wrong
+        train = Dataset(features=features, labels=labels, n_classes=2)
+        cfg = RemovalConfig(fractions=(0.25, 0.5, 0.75), epochs=3, lr=4.5e298)  # lr * big = 4.5e308
+        order = np.arange(n)
+        with pytest.raises(TrainingDivergedError) as alone:
+            experiments._train_stack(order, [100], train, cfg)
+        assert alone.value.epoch == 1
+        with pytest.raises(TrainingDivergedError) as err:
+            point_removal_curve(np.arange(float(n)), train, train, cfg)
+        # The earliest epoch, 0, then the lowest of its fractions, 0.5.
+        assert str(err.value) == (
+            "removal arm lowest_first at fraction 0.5 (200 of 400 rows removed): training"
+            " diverged at epoch 0: SGD step overflowed the parameters to non-finite numbers"
+        )
         assert err.value.epoch == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -966,3 +966,18 @@ def test_accuracy_on_separable_points():
     model = init_model((2, 2), seed=0)
     model.weights[:] = [[1.0, 0.0], [-1.0, 0.0]]
     assert accuracy(model, data) == 1.0
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 10, 17])
+def test_class_argmax_is_argmax(c):
+    # Entries drawn from a few values, so that columns tie, hold NaN, and
+    # hold +-inf alone or beside a NaN; signed zeros tie as argmax sees them.
+    rng = np.random.default_rng(c)
+    choices = [-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, np.nan]
+    for weights in (None, [0.1] * 7 + [0.3], [0.0] * 7 + [1.0], [0.05] * 6 + [0.65, 0.05]):
+        logits = rng.choice(choices, size=(c, 3000), p=weights)
+        got = models._class_argmax(logits)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argmax(logits, axis=0)), weights
+    logits = rng.standard_normal((c, 1000))
+    assert np.array_equal(models._class_argmax(logits), np.argmax(logits, axis=0))

@@ -469,8 +469,9 @@ class TestFactoredRoute:
         values = np.arange(data.n, dtype=float)
         removal = RemovalConfig(fractions=(0.0, 0.2, 0.5), epochs=2)
         point_removal_curve(values, data, test, removal)
-        # The keep-everything arm is shared by the three orders: 1 + 3 * 2 arms.
-        assert len(passes) == 7 * 2
+        # The keep-everything arm is shared by the three orders, and each
+        # order's two other arms train as one stack: 1 + 3 passes an epoch.
+        assert len(passes) == (1 + 3) * 2
 
     def test_overflow_names_the_epoch(self):
         data = Dataset(
