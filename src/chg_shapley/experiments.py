@@ -22,6 +22,7 @@ from .models import (
     _release_free_heap,
     accuracy,
     check_count,
+    check_eval_set,
     check_learning_rate,
     epoch_guard,
     init_model,
@@ -236,8 +237,7 @@ def point_removal_curve(
     if values.shape != (train.n,):
         raise ValueError("values must align with the training data")
     _check_finite(values)
-    if test.n < 1:
-        raise ValueError("evaluation set is empty")
+    check_eval_set(train, test)
     n = train.n
     orders = {
         "lowest_first": np.argsort(values, kind="stable"),

@@ -18,7 +18,8 @@ textbook row-major pass.  The probabilities are the exps over that sum,
 one exp per logit, as the softmax is defined.  delta is held class-major
 (C x n), and every factor product runs in the same blocks, as does the
 column sum the removal arms step on (`mean_gradient`), which never holds
-delta.  The same kernel runs a stack of heads, each on a suffix of one
+delta; one sweep of them gives a closed form's row terms (`centred`).
+The same kernel runs a stack of heads, each on a suffix of one
 row order, in one pass: a span's rows are gathered once and its logits
 are one product for every head that keeps them.
 """
@@ -203,15 +204,6 @@ class FactoredGrads:
     def all_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.delta))) and bool(np.all(np.isfinite(self.phi)))
 
-    def row_sq_norms(self) -> np.ndarray:
-        """||x_i||^2 = ||delta_i||^2 (||phi_i||^2 + 1)."""
-        norms = np.einsum("iq,iq->i", self.phi, self.phi)
-        norms += 1.0
-        delta = self.delta.T
-        for rows in _blocks(norms.size):
-            norms[rows] *= np.einsum("ci,ci->i", delta[:, rows], delta[:, rows])
-        return norms
-
     def column_sum(self) -> np.ndarray:
         """sum_i x_i, from G = delta^T [Phi, 1] added up block by block;
         FloatingPointError if finite rows overflow it."""
@@ -219,19 +211,32 @@ class FactoredGrads:
         blocks = ((rows, self.phi[rows], delta[:, rows]) for rows in _blocks(self.shape[0]))
         return _column_sum(blocks, self.shape[1:])
 
-    def inner(self, vector) -> np.ndarray:
-        """<x_i, v> for every row i, for one length-d `vector`: per block a
-        C x B head V phi_b^T + v_bias, dotted with delta class by class."""
-        v = np.asarray(vector, dtype=float)
-        c, w = self.delta.shape[1], self.phi.shape[1]
-        weights, bias = v[: c * w].reshape(c, w), v[c * w :, None]
-        delta = self.delta.T
-        out = np.empty(self.shape[0])
-        for rows in _blocks(out.size):
-            head = weights @ self.phi[rows].T
-            head += bias  # in place: no second C x B temporary
-            out[rows] = np.einsum("ci,ci->i", delta[:, rows], head)
-        return out
+    def centred(self, m, beta=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """d_i = ||x_i - m||^2 and, given beta, <x_i - m, beta> (else None),
+        from one sweep of the blocks: each vector v's own C x B head
+        V phi_b^T + v_bias dotted with delta class by class is <x_i, v>, and
+        d_i = (||delta_i||^2 (||phi_i||^2 + 1) - 2<x_i, m>) + ||m||^2."""
+        n, c = self.delta.shape
+        split, delta = c * self.phi.shape[1], self.delta.T
+        vectors = [np.asarray(v, dtype=float) for v in (m, beta) if v is not None]
+        shifts = [float(vectors[0] @ v) for v in vectors]  # ||m||^2, then <m, beta>
+        d, proj = np.empty(n), None if beta is None else np.empty(n)
+        for rows in _blocks(n):
+            delta_b, phi_b = delta[:, rows], self.phi[rows]
+            dots = []
+            for v in vectors:
+                head = v[:split].reshape(c, -1) @ phi_b.T
+                head += v[split:, None]  # in place: no second C x B temporary
+                dots.append(np.einsum("ci,ci->i", delta_b, head))
+                del head  # one head at a time, and none beside the row norms
+            norms = np.einsum("iq,iq->i", phi_b, phi_b)
+            norms += 1.0
+            norms *= np.einsum("ci,ci->i", delta_b, delta_b)
+            norms -= 2.0 * dots[0]
+            d[rows] = norms + shifts[0]
+            if proj is not None:
+                proj[rows] = dots[1] - shifts[1]
+        return d, proj
 
 
 @dataclass
@@ -298,9 +303,9 @@ def _integer_labels(labels) -> np.ndarray:
 
 def _row_indices(indices, n: int) -> np.ndarray:
     """`indices` (a list, set, array or empty collection) as a flat intp
-    array of rows in [0, n); ValueError for a bool mask, float indices,
-    which would be truncated, or ndim != 1."""
-    idx = np.asarray(list(indices) if isinstance(indices, (set, frozenset)) else indices)
+    array of rows in [0, n), a set's in ascending order; ValueError for a
+    bool mask, float indices, which would be truncated, or ndim != 1."""
+    idx = np.asarray(sorted(indices) if isinstance(indices, (set, frozenset)) else indices)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise ValueError(f"row indices must be flat integers, got {idx.dtype}, shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -575,6 +580,18 @@ def _spans(starts, n: int, size: int):
 def batch_loss(model: ModelState, data: Dataset, indices=None) -> float:
     """Mean cross-entropy over the batch."""
     return float(per_example_loss_and_grad(model, data, indices).losses.mean())
+
+
+def check_eval_set(train: Dataset, test: Dataset) -> None:
+    """ValueError, before any training, for a test set that a head on
+    `train`'s raw features cannot score: empty, another feature count, or
+    a label at or above `train`'s class count."""
+    if test.n < 1:
+        raise ValueError("evaluation set is empty")
+    if test.n_features != train.n_features:
+        raise ValueError(f"evaluation set has {test.n_features} features, not {train.n_features}")
+    if test.labels.max() >= train.n_classes:
+        raise ValueError(f"evaluation label {test.labels.max()} outside [0, {train.n_classes})")
 
 
 def accuracy(model: ModelState, data: Dataset) -> float:

@@ -28,6 +28,7 @@ from .models import (
     _write_csv,
     accuracy,
     check_count,
+    check_eval_set,
     check_learning_rate,
     epoch_guard,
     init_model,
@@ -163,8 +164,7 @@ def _training_loop(
     if data.n < 1:
         raise ValueError("dataset is empty")
     eval_data = data if test_data is None else test_data
-    if eval_data.n < 1:
-        raise ValueError("evaluation set is empty")
+    check_eval_set(data, eval_data)
     model = init_model((data.n_features, data.n_classes), seed=cfg.seed)
     history = SelectionHistory()
     batch = None

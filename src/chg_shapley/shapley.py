@@ -195,20 +195,12 @@ def _centred(X, m: np.ndarray, beta=None):
     """d_k = ||x_k - m||^2 and, given beta, <x_k - m, beta> (else None).
 
     A dense X is centred in blocks of `_CENTRED_BLOCK` entries before it is
-    squared.  A factored X forms d_k = ||x_k||^2 - 2<x_k, m> + ||m||^2 and
-    <x_k, beta> - <m, beta>, one inner product per row per vector, made a
-    C x B block at a time; the row <x_k, m> comes before the row norms,
-    which lowers the peak.
+    squared; a factored X gives both from one sweep of its blocks
+    (`FactoredGrads.centred`).
     """
-    n, width = X.shape
     if isinstance(X, FactoredGrads):
-        x_m = X.inner(m)
-        x_m *= 2.0  # in place, here and below: one length-n temporary, not three
-        d = X.row_sq_norms()
-        d -= x_m
-        d += float(m @ m)
-        del x_m
-        return d, None if beta is None else X.inner(beta) - float(m @ beta)
+        return X.centred(m, beta)
+    n, width = X.shape
     d, proj = np.empty(n), None if beta is None else np.empty(n)
     step = max(1, _CENTRED_BLOCK // width)
     for lo in range(0, n, step):

@@ -341,6 +341,11 @@ class TestRowIndices:
         for indices in ([1, 4, 7], {1, 4, 7}, (1, 4, 7), np.array([1, 4, 7], dtype=np.uint8)):
             got = per_example_loss_and_grad(model, data, indices)
             assert got.losses.tobytes() == want.losses.tobytes()
+        # {8, 1} iterates as 8, then 1: a set's rows come in ascending order.
+        want = per_example_loss_and_grad(model, data, [1, 8])
+        got = per_example_loss_and_grad(model, data, {8, 1})
+        assert got.losses.tobytes() == want.losses.tobytes()
+        assert got.vectors.dense().tobytes() == want.vectors.dense().tobytes()
         assert per_example_loss_and_grad(model, data, []).n == 0
 
     @pytest.mark.parametrize("hidden_width", [None, 6])
@@ -379,6 +384,7 @@ class TestRowIndices:
         with pytest.raises(ValueError, match="out of range for n=10"):
             grads.rows([0, 10])
         assert np.array_equal(grads.rows({7, 2}).dense(), grads.dense()[[2, 7]])
+        assert np.array_equal(grads.rows({8, 1}).dense(), grads.dense()[[1, 8]])
         assert grads.rows([]).shape == (0, 3 * 4 + 3)
 
     @pytest.mark.parametrize(
@@ -833,10 +839,11 @@ class TestFactoredGrads:
         X = grads.dense()
         assert grads.shape == X.shape == (30, 4 * 6 + 4)
         assert grads.nbytes == 8 * 30 * (4 + 6) < X.nbytes
-        assert grads.row_sq_norms() == pytest.approx(np.einsum("ij,ij->i", X, X), rel=1e-12)
+        zero = np.zeros(X.shape[1])  # centred on 0: ||x_i||^2 and <x_i, v>
+        assert grads.centred(zero)[0] == pytest.approx(np.einsum("ij,ij->i", X, X), rel=1e-12)
         assert grads.column_sum() == pytest.approx(X.sum(axis=0), rel=1e-12, abs=1e-12)
         for v in rng.standard_normal((2, X.shape[1])):
-            assert grads.inner(v) == pytest.approx(X @ v, rel=1e-12, abs=1e-12)
+            assert grads.centred(zero, v)[1] == pytest.approx(X @ v, rel=1e-12, abs=1e-12)
         idx = np.array([5, 0, 29])
         assert np.array_equal(grads.rows(idx).dense(), X[idx])
         assert np.array_equal(grads.scaled(np.full(30, 2.0)).dense(), 2.0 * X)
@@ -865,6 +872,62 @@ class TestFactoredGrads:
 # ---------------------------------------------------------------------------
 # Weighted SGD
 # ---------------------------------------------------------------------------
+
+def parent_centred(grads, m, beta):
+    """d_i and <x_i - m, beta> as two inner-product sweeps and a row-norm
+    sweep form them: the arithmetic `FactoredGrads.centred` keeps bit for bit."""
+    c, w = grads.delta.shape[1], grads.phi.shape[1]
+    delta = grads.delta.T
+
+    def inner(v):
+        weights, bias = v[: c * w].reshape(c, w), v[c * w :, None]
+        out = np.empty(grads.shape[0])
+        for rows in models._blocks(out.size):
+            head = weights @ grads.phi[rows].T
+            head += bias
+            out[rows] = np.einsum("ci,ci->i", delta[:, rows], head)
+        return out
+
+    norms = np.einsum("iq,iq->i", grads.phi, grads.phi)
+    norms += 1.0
+    for rows in models._blocks(norms.size):
+        norms[rows] *= np.einsum("ci,ci->i", delta[:, rows], delta[:, rows])
+    x_m = inner(m)
+    x_m *= 2.0
+    d = norms - x_m
+    d += float(m @ m)
+    return d, None if beta is None else inner(beta) - float(m @ beta)
+
+
+B = models._BLOCK_ROWS
+CENTRED_CASES = [(n, c, w) for n in (1, 7) for c in (1, 2, 10) for w in (0, 1, 20, 64, 512)] + [
+    (n, c, w) for n in (B, B + 1, 2 * B + 3) for c, w in ((1, 0), (2, 20), (10, 64))
+] + [(B + 1, 2, 512)]
+
+
+class TestCentred:
+    @pytest.mark.parametrize("n,c,w", CENTRED_CASES)
+    def test_bits_of_two_inner_products_and_the_row_norms(self, n, c, w):
+        rng = np.random.default_rng([n, c, w])
+        grads = FactoredGrads(rng.standard_normal((n, c)), rng.standard_normal((n, w)))
+        m, beta = rng.standard_normal((2, grads.shape[1]))
+        m += grads.column_sum() / n  # near the rows' own mean, as the closed form centres them
+        d, proj = grads.centred(m)
+        assert proj is None
+        assert d.tobytes() == parent_centred(grads, m, None)[0].tobytes()
+        for got, want in zip(grads.centred(m, beta), parent_centred(grads, m, beta)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,c,w", [case for case in CENTRED_CASES if case[0] < B])
+    def test_matches_the_dense_matrix(self, n, c, w):
+        rng = np.random.default_rng([n, c, w, 1])
+        grads = FactoredGrads(rng.standard_normal((n, c)), rng.standard_normal((n, w)))
+        m, beta = rng.standard_normal((2, grads.shape[1]))
+        Y = grads.dense() - m
+        d, proj = grads.centred(m, beta)
+        assert d == pytest.approx(np.einsum("ij,ij->i", Y, Y), rel=1e-12, abs=1e-12)
+        assert proj == pytest.approx(Y @ beta, rel=1e-12, abs=1e-12)
+
 
 class TestSgdStep:
     @staticmethod

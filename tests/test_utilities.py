@@ -52,12 +52,11 @@ class TestGradientSet:
         X = np.random.default_rng(30).standard_normal((7, 4))
         vectors = dense_set(X, np.ones(7)).vectors
         assert np.array_equal(vectors.dense(), X)
-        # delta is held class-major, and ||x_i||^2 sums its squares class by class.
+        # delta is held class-major, and ||x_i - 0||^2 sums its squares class by class.
         class_major = np.ascontiguousarray(X.T)
-        assert np.array_equal(
-            vectors.row_sq_norms(), np.einsum("ci,ci->i", class_major, class_major)
-        )
-        assert vectors.row_sq_norms() == pytest.approx(np.einsum("ij,ij->i", X, X), rel=1e-15)
+        d, _ = vectors.centred(np.zeros(4))
+        assert np.array_equal(d, np.einsum("ci,ci->i", class_major, class_major))
+        assert d == pytest.approx(np.einsum("ij,ij->i", X, X), rel=1e-15)
         assert np.array_equal(vectors.column_sum(), X.sum(axis=0))
 
     def test_validation(self):
@@ -97,6 +96,11 @@ class TestGradientSet:
     def test_restrict_takes_a_set(self):
         gs = dense_set(np.arange(8.0).reshape(4, 2), np.arange(4.0))
         assert np.array_equal(gs.restrict({3, 1}).losses, np.sort(gs.restrict([1, 3]).losses))
+        # {8, 1} iterates as 8, then 1; its rows still come in ascending order.
+        gs = dense_set(np.arange(20.0).reshape(10, 2), np.arange(10.0))
+        for indices in ({8, 1}, frozenset({8, 1})):
+            assert gs.restrict(indices).losses.tolist() == [1.0, 8.0]
+            assert np.array_equal(gs.restrict(indices).vectors.dense(), gs.vectors.dense()[[1, 8]])
 
 
 class TestFactoredGradientSet:

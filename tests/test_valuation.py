@@ -233,6 +233,35 @@ class TestRunValuation:
         with pytest.raises(ValueError, match="evaluation set is empty"):
             point_removal_curve(np.arange(data.n, dtype=float), data, empty, RemovalConfig())
 
+    @pytest.mark.parametrize(
+        "features,labels,match",
+        [
+            (np.empty((0, 5)), np.empty(0, int), "evaluation set is empty"),
+            (np.zeros((3, 4)), np.array([0, 1, 0]), "evaluation set has 4 features, not 5"),
+            (np.zeros((3, 5)), np.array([0, 2, 1]), r"evaluation label 2 outside \[0, 2\)"),
+        ],
+    )
+    def test_unscorable_evaluation_set_is_refused_before_any_pass(
+        self, features, labels, match, monkeypatch
+    ):
+        # The training set has 5 features and 2 classes.
+        data, test = tiny_task(), Dataset(features, labels)
+        passes = []
+        forward = models._forward
+
+        def recording(*args, **kwargs):
+            passes.append(args[3])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(models, "_forward", recording)
+        cfg = SelectionConfig(fraction=0.5, epochs=2)
+        for train in (run_selection_training, random_baseline_training):
+            with pytest.raises(ValueError, match=match):
+                train(data, cfg, test_data=test)
+        with pytest.raises(ValueError, match=match):
+            point_removal_curve(np.arange(data.n, dtype=float), data, test, RemovalConfig())
+        assert passes == []
+
     def test_scale_response_is_quadratic(self):
         # Single-epoch property of the value computation: scaling every
         # vector and the reference by t scales values by t^2 (exactly for
@@ -357,11 +386,13 @@ class TestFactoredRoute:
         finally:
             tracemalloc.stop()
         held = batch.vectors.delta.nbytes + batch.losses.nbytes  # 17.6 MB
-        # Heads of one block at a time and d formed in place: 1.36x for chg,
-        # which also holds the loss-weighted delta, and 0.24x for gradient.
-        # An n x C head at a time took 1.91x and 1.0x, and forming <x_i, r>
-        # for r = 0 beside <x_i, m> took 2.91x and 2.0x.
-        assert peak <= {"chg": 1.45, "gradient": 0.3}[kind] * held, peak / held
+        # d_k formed block by block in one sweep, one C x B head at a time:
+        # 1.09x for chg, which also holds the loss-weighted delta, and 0.18x
+        # for gradient.  A sweep per term, with an n-length <x_i, m> beside
+        # the row norms, took 1.15x and 0.24x; an n x C head at a time took
+        # 1.91x and 1.0x, and forming <x_i, r> for r = 0 beside <x_i, m>
+        # took 2.91x and 2.0x.
+        assert peak <= {"chg": 1.12, "gradient": 0.2}[kind] * held, peak / held
 
     def test_feature_map_applied_once_per_run(self, monkeypatch):
         rows_mapped = []
